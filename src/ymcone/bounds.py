@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 _HUGE = 1e300
 
@@ -78,15 +77,17 @@ def gronwall_envelope(spec):
     cell, so integrable endpoint singularities (e.g. k ~ 1/sqrt(t)) are
     handled.  Returns (t, b).
     """
+    from scipy.integrate import IntegrationWarning, quad   # slow import
+
     t = spec.grid()
     cell = np.empty(t.size - 1)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         # a quadrature warning on a cell signals a non-integrable rate
-        warnings.simplefilter("error", integrate.IntegrationWarning)
+        warnings.simplefilter("error", IntegrationWarning)
         for i in range(t.size - 1):
             try:
-                cell[i], _ = integrate.quad(spec.k, t[i], t[i + 1], limit=200)
-            except integrate.IntegrationWarning:
+                cell[i], _ = quad(spec.k, t[i], t[i + 1], limit=200)
+            except IntegrationWarning:
                 cell[i] = np.nan
     if not np.all(np.isfinite(cell)):
         raise ValueError("rate function is not integrable on the grid")
@@ -148,13 +149,15 @@ def picard_envelope(spec, tol=1e-13, max_iter=500):
     quadrature until the sup-norm update falls below tol.  Diverging
     iterates indicate blow-up inside the interval and raise ValueError.
     """
+    from scipy.integrate import cumulative_simpson          # slow import
+
     t = spec.grid()
     p, q = spec.single_coef, spec.double_coef
     b = np.full_like(t, spec.c)
     for _ in range(max_iter):
         sq = b * b
-        single = integrate.cumulative_simpson(sq, x=t, initial=0.0)
-        double = integrate.cumulative_simpson(single, x=t, initial=0.0)
+        single = cumulative_simpson(sq, x=t, initial=0.0)
+        double = cumulative_simpson(single, x=t, initial=0.0)
         b_new = spec.c + p * single + q * double
         if not np.all(np.isfinite(b_new)) or np.max(b_new) > _HUGE:
             raise ValueError("Picard iteration diverges: blow-up in interval")

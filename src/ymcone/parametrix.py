@@ -50,7 +50,7 @@ def pairing(bundle, f, f_up):
 # transport of the weight along the rays
 # ---------------------------------------------------------------------------
 
-def transport_weight(bundle, seed, potential=None):
+def transport_weight(bundle, seed, potential=None, a_nodes=None):
     """Integrate psi = s * lambda along every ray; psi(0) = seed.
 
     lambda solves D_L lambda + (trchi / 2) lambda = 0 gauge- and
@@ -58,7 +58,8 @@ def transport_weight(bundle, seed, potential=None):
         dpsi/ds = Gamma(L) hits - [A_L, psi] - (trchi - 2/s)/2 psi
     which is regular at the vertex; below s_min the expansion deficit is
     closed to zero.  RK4 with midpoint coefficients averaged from the two
-    bracketing s nodes.
+    bracketing s nodes.  ``a_nodes`` is the potential already sampled at
+    the nodes (``sample_field``); it is sampled here when omitted.
     """
     seed = np.asarray(seed, dtype=float)
     dim = seed.shape[-1]
@@ -83,7 +84,7 @@ def transport_weight(bundle, seed, potential=None):
     basis = potential.basis if potential is not None else None
     aL = None
     if potential is not None:
-        a = sample_field(bundle, potential, (4, basis.dim))
+        a = _sampled(bundle, potential, a_nodes)
         aL = np.einsum("...mi,...m->...i", a, bundle.L)
         if not np.any(aL):
             aL = None
@@ -120,17 +121,25 @@ def transport_weight(bundle, seed, potential=None):
 # angular (sphere-intrinsic) covariant operators
 # ---------------------------------------------------------------------------
 
+def _sampled(bundle, potential, a_nodes=None):
+    """The potential at every node: ``a_nodes`` if given, else sampled."""
+    if potential is None or a_nodes is not None:
+        return a_nodes
+    return sample_field(bundle, potential, (4, potential.basis.dim))
+
+
 def _sphere_tangents(bundle):
     """Coordinate tangents of the fixed-s spheres, shape (..., 2, 4)."""
     opt = bundle.optical()
     return opt["Ytilde"] + opt["cb"][..., None] * bundle.L[..., None, :]
 
 
-def angular_gauge_derivative(bundle, f, rank, potential=None):
+def angular_gauge_derivative(bundle, f, rank, potential=None, a_nodes=None):
     """D_b f along the two sphere tangents; axis -2-rank-1 ... returns
     (n1, nth, nph, 2, <tensor>, dim): spectral angular derivative plus
     Levi-Civita terms on the spacetime indices and the bracket with the
-    potential pulled back to the sphere tangents.
+    potential pulled back to the sphere tangents.  ``a_nodes`` as in
+    ``transport_weight``.
     """
     f = np.asarray(f)
     df = bundle._angular(f)                     # (..., <tensor>, dim, 2)
@@ -146,7 +155,7 @@ def angular_gauge_derivative(bundle, f, rank, potential=None):
                 df[sl] -= np.einsum("...bga,...gnk->...bank", gY, f[sl]) \
                     + np.einsum("...bgn,...agk->...bank", gY, f[sl])
     if potential is not None:
-        a = sample_field(bundle, potential, (4, potential.basis.dim))
+        a = _sampled(bundle, potential, a_nodes)
         aY = np.einsum("...mi,...bm->...bi", a, Y)
         if np.any(aY):
             sub = "ijk,...bi,"
@@ -156,15 +165,20 @@ def angular_gauge_derivative(bundle, f, rank, potential=None):
     return df
 
 
-def screen_laplacian(bundle, f, rank=2, potential=None):
+def screen_laplacian(bundle, f, rank=2, potential=None, a_nodes=None,
+                     df=None):
     """Gauge-covariant Laplace-Beltrami operator of the fixed-s spheres.
 
     Divergence form with the induced metric: the sphere-index part is exact
     by construction, the spacetime/algebra indices get connection and
     bracket corrections in the outer derivative.  Slice 0 is returned as 0.
+    ``df`` is ``angular_gauge_derivative(bundle, f, rank, potential)`` when
+    the caller already has it; ``a_nodes`` as in ``transport_weight``.
     """
     opt = bundle.optical()
-    df = angular_gauge_derivative(bundle, f, rank, potential)
+    a_nodes = _sampled(bundle, potential, a_nodes)
+    if df is None:
+        df = angular_gauge_derivative(bundle, f, rank, potential, a_nodes)
     extra = df.ndim - 4
     mi = opt["minv"]
     # V^b = minv^{bc} D_c f, with the sphere index moved to the end
@@ -193,8 +207,7 @@ def screen_laplacian(bundle, f, rank=2, potential=None):
                 out[sl] -= np.einsum("...bga,...bgnk->...ank", gY, V[sl]) \
                     + np.einsum("...bgn,...bagk->...ank", gY, V[sl])
     if potential is not None:
-        a = sample_field(bundle, potential, (4, potential.basis.dim))
-        aY = np.einsum("...mi,...bm->...bi", a, Y)
+        aY = np.einsum("...mi,...bm->...bi", a_nodes, Y)
         if np.any(aY):
             sub = "ijk,...bi,"
             spec = {0: sub + "...bj->...k", 1: sub + "...baj->...ak",
@@ -205,9 +218,11 @@ def screen_laplacian(bundle, f, rank=2, potential=None):
 
 def shell_by_parts_residual(bundle, i, f, h, rank=0, potential=None):
     """Relative defect of <Lap f, h> + <Df, Dh> integrated over sphere i."""
-    lap = screen_laplacian(bundle, f, rank, potential)[i]
-    df = angular_gauge_derivative(bundle, f, rank, potential)[i]
-    dh = angular_gauge_derivative(bundle, h, rank, potential)[i]
+    a_nodes = _sampled(bundle, potential)
+    df = angular_gauge_derivative(bundle, f, rank, potential, a_nodes)
+    lap = screen_laplacian(bundle, f, rank, potential, a_nodes, df=df)[i]
+    df = df[i]
+    dh = angular_gauge_derivative(bundle, h, rank, potential, a_nodes)[i]
     hi = np.asarray(h)[i]
     mi = bundle.optical()["minv"][i]
     nth, nph = lap.shape[:2]
@@ -254,24 +269,34 @@ def cone_region_integral(bundle, f, crossing):
 
 def representation_target(chart, basis, p, seed, field):
     """4 pi <seed_{ab}, F^{ab}(p)>, the quantity the assembly reconstructs."""
-    ginv = geometry.inverse_metric(chart, p)
-    Fp = field(p)
+    return _vertex_pairing(geometry.inverse_metric(chart, p), seed, field(p))
+
+
+def _vertex_pairing(ginv, seed, Fp):
     up = np.einsum("am,bn,abk->mnk", ginv, ginv, np.asarray(seed, float))
     return 4.0 * np.pi * float(np.einsum("mnk,mnk->", up, Fp))
 
 
-def assemble_representation(bundle, seed, field, potential=None,
+def assemble_representation(bundle, seeds, field, potential=None,
                             t_slice=None, box_field=None, aspect_h=None):
     """Evaluate every term of the reconstruction identity on one bundle.
 
-    Returns a dict with the individual terms, their sum, the vertex target
-    and the relative error.  ``box_field(x) -> (..., 4, 4, dim)`` supplies
-    the wave operator of the field; by default the field is assumed to
-    solve the Yang-Mills system, for which the wave operator reduces to
-    curvature couplings and self-interaction (zero on a flat abelian
-    background).
+    ``seeds`` is a stack of seed two-forms, shape (n, 4, 4, dim).  Returns
+    one dict per seed, in seed order, with the individual terms, their sum,
+    the vertex target and the relative error.  The identity is linear in
+    the seed, so every term that does not involve the transported weight
+    (the field and its wave operator at the nodes, the curvature coupling,
+    the mass aspect, the ring data) is computed once for all seeds.
+    ``box_field(x) -> (..., 4, 4, dim)`` supplies the wave operator of the
+    field; by default the field is assumed to solve the Yang-Mills system,
+    for which the wave operator reduces to curvature couplings and
+    self-interaction (zero on a flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 4 or seeds.shape[1:] != (4, 4, basis.dim):
+        raise ValueError(f"seeds must have shape (n, 4, 4, {basis.dim}), "
+                         f"got {seeds.shape}")
     if t_slice is None:
         t_slice = bundle.p[0] - 1.0
     crossing = bundle.crossing(t_slice)
@@ -279,63 +304,48 @@ def assemble_representation(bundle, seed, field, potential=None,
     s_col = bundle.s[:, None, None]
     inv_s = np.zeros_like(s_col)
     inv_s[1:] = 1.0 / s_col[1:]
+    chunks = list(_chunks(bundle.n_s + 1, bundle.chunk))
 
-    psi = transport_weight(bundle, seed, potential)
+    a_nodes = _sampled(bundle, potential)
     F_nodes = sample_field(bundle, field, (4, 4, basis.dim))
     F_up = raise_two_form(bundle, F_nodes)
 
-    # --- wave-operator source term ------------------------------------
-    if box_field is None:
-        if chart.flat and basis.dim == 1:
-            box_nodes = np.zeros_like(F_nodes)
-        else:
-            box_nodes = np.empty_like(F_nodes)
-            for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-                box_nodes[sl] = liegauge.wave_source(
-                    chart, bundle.x[sl], field)
-    else:
-        box_nodes = sample_field(bundle, box_field, (4, 4, basis.dim))
-    box_up = raise_two_form(bundle, box_nodes)
-    source = -cone_region_integral(
-        bundle, pairing(bundle, psi, box_up) * inv_s, crossing)
+    # --- wave operator of the field (None: zero on a flat abelian chart) --
+    box_up = None
+    if box_field is not None:
+        box_up = raise_two_form(
+            bundle, sample_field(bundle, box_field, (4, 4, basis.dim)))
+    elif not (chart.flat and basis.dim == 1):
+        box_nodes = np.empty_like(F_nodes)
+        for sl in chunks:
+            box_nodes[sl] = liegauge.wave_source(chart, bundle.x[sl], field)
+        box_up = raise_two_form(bundle, box_nodes)
+        del box_nodes
 
-    # --- angular / connection corrections on the cone ------------------
-    lap = screen_laplacian(bundle, psi, rank=2, potential=potential)
-    dpsi = angular_gauge_derivative(bundle, psi, rank=2, potential=potential)
-    # tangential derivative along the screen: subtract the ray component,
-    # using D_L psi = -(q/2) psi on the transport solution
+    # --- seed-free factors of the cone corrections ------------------------
     with np.errstate(invalid="ignore"):
         q = opt["trchi"] - 2.0 * inv_s
     q[bundle.s < bundle.s_min] = 0.0
-    dpsi_screen = dpsi + 0.5 * np.einsum(
-        "stpb,stp,stpank->stpbank", opt["cb"], q, psi)
-    zeta_term = 2.0 * np.einsum("stpbc,stpb,stpcank->stpank",
-                                opt["minv"], opt["zeta"], dpsi_screen)
     mu, _omega = bundle.mass_aspect(h=aspect_h)
-    mu_term = 0.5 * mu[..., None, None, None] * psi
-
-    F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
-                        F_nodes, bundle.L, bundle.Lbar)
-    bracket_term = np.einsum("ijk,stpi,stpabj->stpabk",
-                             basis.c, F_LLbar, psi)
-
-    correction = lap + zeta_term + mu_term + bracket_term
+    mu_half = 0.5 * mu[..., None, None, None]
+    F_LLbar = None
+    if np.any(basis.c):
+        F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
+                            F_nodes, bundle.L, bundle.Lbar)
+    del F_nodes                 # the seed loop needs only F_up and F_LLbar
+    K = None
     if not chart.flat:
-        for sl in _chunks(bundle.n_s + 1, bundle.chunk):
+        # K^a_g = g^{ad} R_{d g L Lbar}
+        K = np.empty(bundle.x.shape[:3] + (4, 4))
+        for sl in chunks:
             riem = geometry.riemann(chart, bundle.x[sl]).riemann
-            ginv = geometry.inverse_metric(bundle.chart, bundle.x[sl])
-            K = np.einsum("...gd,...adnm,...m,...n->...ag",
-                          ginv, riem, bundle.L[sl], bundle.Lbar[sl])
-            correction[sl] -= 0.5 * (
-                np.einsum("...ag,...gbk->...abk", K, psi[sl])
-                + np.einsum("...bg,...agk->...abk", K, psi[sl]))
-    cone_term = cone_region_integral(
-        bundle, pairing(bundle, correction, F_up) * inv_s, crossing)
+            ginv = geometry.inverse_metric(chart, bundle.x[sl])
+            K[sl] = np.einsum("...gd,...adnm,...m,...n->...ag",
+                              ginv, riem, bundle.L[sl], bundle.Lbar[sl])
 
-    # --- initial-data ring terms ---------------------------------------
+    # --- initial-data ring ---------------------------------------------
     x_ring = crossing.interpolate(bundle.x)
     s_star = crossing.s_star
-    lam_ring = crossing.interpolate(psi) / s_star[..., None, None, None]
     ginv_ring = geometry.inverse_metric(chart, x_ring)
     F_ring_up = np.einsum("...am,...bn,...abk->...mnk", ginv_ring, ginv_ring,
                           field(x_ring))
@@ -355,27 +365,64 @@ def assemble_representation(bundle, seed, field, potential=None,
                         ginv_ring, ginv_ring, DF_N)
     trchi_ring = crossing.interpolate(opt["trchi"])
     k_ring = crossing.interpolate(opt["kscreen"])
-    lamF = np.einsum("...abk,...abk->...", lam_ring, F_ring_up)
-    ring_density = (np.einsum("...abk,...abk->...", lam_ring, DF_T_up)
-                    + np.einsum("...abk,...abk->...", lam_ring, DF_N_up)
-                    + (0.5 * phi_ring * trchi_ring + k_ring) * lamF)
-    ring_term = crossing.ring_integral(ring_density)
+    ring_coef = 0.5 * phi_ring * trchi_ring + k_ring
 
-    target = representation_target(chart, basis, bundle.p, seed, field)
-    total = source + cone_term + ring_term
-    seed_norm = float(np.sqrt(np.sum(np.asarray(seed) ** 2)))
-    Fp_norm = float(np.sqrt(np.sum(field(bundle.p) ** 2)))
-    scale = 4.0 * np.pi * seed_norm * Fp_norm + 1e-30
-    return {
-        "source_term": source,
-        "cone_correction_term": cone_term,
-        "initial_data_term": ring_term,
-        "reconstructed": total,
-        "target": target,
-        "abs_error": abs(total - target),
-        "rel_error": abs(total - target) / scale,
-        "crossing_s_mean": float(np.mean(s_star)),
-    }
+    ginv_p = geometry.inverse_metric(chart, bundle.p)
+    Fp = field(bundle.p)
+    Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))
+
+    def one_seed(seed):
+        # a function of its own, so one seed's temporaries are freed before
+        # the next seed's are built
+        psi = transport_weight(bundle, seed, potential, a_nodes)
+        source = 0.0 if box_up is None else -cone_region_integral(
+            bundle, pairing(bundle, psi, box_up) * inv_s, crossing)
+
+        # --- angular / connection corrections on the cone --------------
+        dpsi = angular_gauge_derivative(bundle, psi, 2, potential, a_nodes)
+        lap = screen_laplacian(bundle, psi, 2, potential, a_nodes, df=dpsi)
+        # tangential derivative along the screen: subtract the ray
+        # component, using D_L psi = -(q/2) psi on the transport solution
+        dpsi_screen = dpsi + 0.5 * np.einsum(
+            "stpb,stp,stpank->stpbank", opt["cb"], q, psi)
+        zeta_term = 2.0 * np.einsum("stpbc,stpb,stpcank->stpank",
+                                    opt["minv"], opt["zeta"], dpsi_screen)
+        correction = lap + zeta_term + mu_half * psi
+        if F_LLbar is not None:
+            correction += np.einsum("ijk,stpi,stpabj->stpabk",
+                                    basis.c, F_LLbar, psi)
+        if K is not None:
+            for sl in chunks:
+                correction[sl] -= 0.5 * (
+                    np.einsum("...ag,...gbk->...abk", K[sl], psi[sl])
+                    + np.einsum("...bg,...agk->...abk", K[sl], psi[sl]))
+        cone_term = cone_region_integral(
+            bundle, pairing(bundle, correction, F_up) * inv_s, crossing)
+
+        # --- initial-data ring terms ------------------------------------
+        lam_ring = crossing.interpolate(psi) / s_star[..., None, None, None]
+        lamF = np.einsum("...abk,...abk->...", lam_ring, F_ring_up)
+        ring_density = (np.einsum("...abk,...abk->...", lam_ring, DF_T_up)
+                        + np.einsum("...abk,...abk->...", lam_ring, DF_N_up)
+                        + ring_coef * lamF)
+        ring_term = crossing.ring_integral(ring_density)
+
+        target = _vertex_pairing(ginv_p, seed, Fp)
+        total = source + cone_term + ring_term
+        seed_norm = float(np.sqrt(np.sum(seed ** 2)))
+        scale = 4.0 * np.pi * seed_norm * Fp_norm + 1e-30
+        return {
+            "source_term": source,
+            "cone_correction_term": cone_term,
+            "initial_data_term": ring_term,
+            "reconstructed": total,
+            "target": target,
+            "abs_error": abs(total - target),
+            "rel_error": abs(total - target) / scale,
+            "crossing_s_mean": float(np.mean(s_star)),
+        }
+
+    return [one_seed(seed) for seed in seeds]
 
 
 def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):

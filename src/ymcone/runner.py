@@ -311,8 +311,7 @@ def _build_bundle(scn, chart):
                                    scn.cone["s_max"], scn.cone["ds"])
 
 
-def _exp_cone_geometry(scn, chart, basis):
-    bundle = _build_bundle(scn, chart)
+def _exp_cone_geometry(scn, bundle, basis):
     opt = bundle.optical()
     live = bundle.s >= 0.1
     dev = np.abs(bundle.s[live, None, None] * opt["trchi"][live] / 2.0 - 1.0)
@@ -328,13 +327,12 @@ def _exp_cone_geometry(scn, chart, basis):
     rows = [("s", "area", "area_deviation")] + [
         (float(s), float(a), float(a / (4 * np.pi * s ** 2) - 1.0))
         for s, a in zip(bundle.s[live], areas[live])]
-    default_tol = 1e-6 if chart.flat else 1.0
+    default_tol = 1e-6 if bundle.chart.flat else 1.0
     tol = scn.tolerances.get("cone_geometry", default_tol)
     return metrics, rows, metrics["expansion_deviation_max"] < tol
 
 
-def _exp_transport(scn, chart, basis):
-    bundle = _build_bundle(scn, chart)
+def _exp_transport(scn, bundle, basis):
     _, potential = make_field(basis, scn.profile, scn.profile_params)
     seed = canonical_seeds(basis)[0]
     psi = parametrix.transport_weight(bundle, seed, potential)
@@ -347,21 +345,19 @@ def _exp_transport(scn, chart, basis):
     rows = [("s", "max_norm_ratio")] + [
         (float(s), float(np.max(norms[i]) / seed_norm))
         for i, s in enumerate(bundle.s)]
-    tol = scn.tolerances.get("transport", 1e-10 if chart.flat else 1.5)
-    key = "max_deviation_from_seed" if chart.flat else "sup_norm_ratio"
+    flat = bundle.chart.flat
+    tol = scn.tolerances.get("transport", 1e-10 if flat else 1.5)
+    key = "max_deviation_from_seed" if flat else "sup_norm_ratio"
     return metrics, rows, metrics[key] <= tol
 
 
-def _exp_parametrix(scn, chart, basis):
-    bundle = _build_bundle(scn, chart)
+def _exp_parametrix(scn, bundle, basis):
     field, potential = make_field(basis, scn.profile, scn.profile_params)
     if field is None:
         raise ConfigError(["parametrix experiment needs a field profile"])
-    errs = []
-    for seed in canonical_seeds(basis):
-        rep = parametrix.assemble_representation(bundle, seed, field,
-                                                 potential=potential)
-        errs.append(rep["rel_error"])
+    reps = parametrix.assemble_representation(
+        bundle, canonical_seeds(basis), field, potential=potential)
+    errs = [rep["rel_error"] for rep in reps]
     metrics = {"relative_error_max": float(np.max(errs)),
                "relative_error_mean": float(np.mean(errs))}
     rows = [("seed_index", "relative_error")] + [
@@ -370,15 +366,14 @@ def _exp_parametrix(scn, chart, basis):
     return metrics, rows, metrics["relative_error_max"] < tol
 
 
-def _exp_energy_balance(scn, chart, basis):
-    bundle = _build_bundle(scn, chart)
+def _exp_energy_balance(scn, bundle, basis):
     field, _ = make_field(basis, scn.profile, scn.profile_params)
     if field is None:
         raise ConfigError(["energy_balance experiment needs a field profile"])
     t_far = scn.vertex[0] - 0.9 * scn.cone["s_max"] / max(
         1.0, float(np.max(np.abs(bundle.phi[-1]))))
     t_near = scn.vertex[0] + 0.5 * (t_far - scn.vertex[0])
-    report = energy.divergence_identity_report(chart, field, bundle,
+    report = energy.divergence_identity_report(bundle.chart, field, bundle,
                                                t_far, t_near)
     metrics = {k: float(v) for k, v in report.items()}
     rows = [("term", "value")] + [(k, float(v)) for k, v in report.items()]
@@ -446,6 +441,10 @@ def _exp_evolution(scn, chart, basis):
     return metrics, rows, drift < tol
 
 
+# experiments that run on the scenario's null cone; they share one bundle
+_CONE_EXPERIMENTS = ("cone_geometry", "transport", "parametrix",
+                     "energy_balance")
+
 _EXPERIMENT_FNS = {
     "cone_geometry": _exp_cone_geometry,
     "transport": _exp_transport,
@@ -488,10 +487,16 @@ def run(scenario):
     basis = make_algebra(scenario.algebra)
     metrics, passed, rows = {}, {}, {}
     partial = False
+    bundle = None               # built by the first cone experiment
     for name in scenario.experiments:
         fn = _EXPERIMENT_FNS[name]
         try:
-            m, r, ok = fn(scenario, chart, basis)
+            if name in _CONE_EXPERIMENTS:
+                if bundle is None:
+                    bundle = _build_bundle(scenario, chart)
+                m, r, ok = fn(scenario, bundle, basis)
+            else:
+                m, r, ok = fn(scenario, chart, basis)
         except Exception as exc:  # continue with the other experiments
             metrics[name] = {"error": f"{type(exc).__name__}: {exc}"}
             passed[name] = False
@@ -549,11 +554,14 @@ def _set_threads(n):
         return
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+        # the BLAS thread pool is sized when numpy loads, which has happened
+        # by now, so setting the environment variables here would do nothing
+        print(f"warning: --threads {n} not applied: threadpoolctl is not "
+              f"installed; set OPENBLAS_NUM_THREADS={n} before launch instead",
+              file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(n)
 
 
 def main(argv=None):

@@ -173,8 +173,8 @@ def test_criterion_05_reconstruction(flat_big, u1, timings):
     t0 = time.perf_counter()
     field, potential = runner.make_field(u1, "plane_wave", {"omega": 1.0})
     seeds = runner.canonical_seeds(u1)
-    errs = [parametrix.assemble_representation(
-        flat_big, s, field, potential=potential)["rel_error"] for s in seeds]
+    errs = [rep["rel_error"] for rep in parametrix.assemble_representation(
+        flat_big, seeds, field, potential=potential)]
     worst = float(np.max(errs))
 
     # refinement ladder; errors below the roundoff floor count as converged
@@ -184,7 +184,7 @@ def test_criterion_05_reconstruction(flat_big, u1, timings):
         b = nullcone.NullConeBundle(flat_big.chart, np.zeros(4), grid,
                                     s_max=2.0, ds=ds)
         ladder_errs.append(parametrix.assemble_representation(
-            b, seeds[0], field, potential=potential)["rel_error"])
+            b, seeds[:1], field, potential=potential)[0]["rel_error"])
     ladder_errs.append(errs[0])
     above = [e for e in ladder_errs if e > ROUNDOFF_FLOOR]
     if len(above) >= 2:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ymcone import liegauge, parametrix, runner
+from ymcone import geometry, liegauge, parametrix, runner
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +72,74 @@ def test_by_parts_residual_scalar(flat_bundle, u1):
 def test_representation_constant_field_exact(flat_bundle, u1, seeds):
     field, potential = runner.make_field(u1, "constant",
                                          {"components": [(0, 2, 0.8)]})
-    for seed in seeds[:3]:
-        rep = parametrix.assemble_representation(flat_bundle, seed, field,
-                                                 potential=potential)
+    reps = parametrix.assemble_representation(flat_bundle, seeds[:3], field,
+                                              potential=potential)
+    assert len(reps) == 3
+    for rep in reps:
         assert rep["rel_error"] < 1e-10
 
 
 def test_representation_plane_wave(flat_bundle, u1, seeds):
     field, potential = runner.make_field(u1, "plane_wave", {"omega": 1.0})
-    rep = parametrix.assemble_representation(flat_bundle, seeds[0], field,
-                                             potential=potential)
+    rep, = parametrix.assemble_representation(flat_bundle, seeds[:1], field,
+                                              potential=potential)
     assert rep["rel_error"] < 2e-2
+
+
+def _reconstruction_case(name, request, u1):
+    """(bundle, field, potential, t_slice) for a flat and a curved cone."""
+    if name == "flat":
+        field, potential = runner.make_field(u1, "plane_wave", {"omega": 1.0})
+        return request.getfixturevalue("flat_bundle"), field, potential, None
+    field, potential = runner.make_field(u1, "coulomb", {"charge": 1.0})
+    bundle = request.getfixturevalue("schw_bundle")
+    return bundle, field, potential, bundle.p[0] - 0.3
+
+
+@pytest.mark.parametrize("name", ["flat", "schwarzschild"])
+def test_batched_seeds_match_single_seed_calls(name, request, u1, seeds):
+    bundle, field, potential, t_slice = _reconstruction_case(name, request, u1)
+    batched = parametrix.assemble_representation(
+        bundle, seeds, field, potential=potential, t_slice=t_slice)
+    assert len(batched) == len(seeds)
+    for i, rep in enumerate(batched):
+        alone, = parametrix.assemble_representation(
+            bundle, seeds[i:i + 1], field, potential=potential,
+            t_slice=t_slice)
+        for key in ("source_term", "cone_correction_term",
+                    "initial_data_term", "rel_error"):
+            assert abs(rep[key] - alone[key]) <= 1e-12, (i, key)
+
+
+def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
+                                          monkeypatch):
+    # the curvature coupling and the wave source do not depend on the
+    # seed, so six seeds cost as many Riemann evaluations as one
+    calls = []
+    riemann = geometry.riemann
+
+    def counting(chart, x):
+        calls.append(1)
+        return riemann(chart, x)
+
+    monkeypatch.setattr(geometry, "riemann", counting)
+    field, potential = runner.make_field(u1, "coulomb", {"charge": 1.0})
+    counts = []
+    for stack in (seeds[:1], seeds):
+        calls.clear()
+        parametrix.assemble_representation(
+            schw_bundle, stack, field, potential=potential,
+            t_slice=schw_bundle.p[0] - 0.3)
+        counts.append(len(calls))
+    n_chunks = -(-(schw_bundle.n_s + 1) // schw_bundle.chunk)
+    assert counts == [2 * n_chunks, 2 * n_chunks]
+
+
+def test_seed_stack_shape_checked(flat_bundle, u1, seeds):
+    field, potential = runner.make_field(u1, "plane_wave", {"omega": 1.0})
+    with pytest.raises(ValueError, match="seeds must have shape"):
+        parametrix.assemble_representation(flat_bundle, seeds[0], field,
+                                           potential=potential)
 
 
 def test_vertex_limit_matches_target(flat_bundle, u1, seeds):

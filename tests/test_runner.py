@@ -2,11 +2,12 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from ymcone import runner
+from ymcone import nullcone, runner
 
 MINIMAL = {
     "chart": {"name": "minkowski"},
@@ -92,6 +93,40 @@ def test_report_schema_version_checked(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         runner.load_report(path)
+
+
+def test_cone_experiments_share_one_bundle(monkeypatch):
+    # one main cone for all four cone experiments, plus the two twin cones
+    # of the mass aspect that the parametrix needs
+    built = []
+    init = nullcone.NullConeBundle.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nullcone.NullConeBundle, "__init__", counting)
+    scn = runner.parse_config({
+        "chart": "minkowski",
+        "field": {"profile": "plane_wave"},
+        "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.2, "ds": 0.02},
+        "experiments": ["cone_geometry", "transport", "parametrix",
+                        "energy_balance"],
+    })
+    report = runner.run(scn)
+    assert not report.partial, report.metrics
+    assert len(built) == 3
+
+
+def test_threads_without_threadpoolctl_warns(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    runner._set_threads(1)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not applied" in err and "OPENBLAS_NUM_THREADS=1" in err
+    # numpy has loaded its BLAS already, so the variable would do nothing
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_canonical_seeds_are_antisymmetric_basis():
