@@ -28,9 +28,11 @@ from .parametrix import _chunks
 def stress_tensor(chart, x, F):
     """T_{mn} = <F_{ma}, F_n^a> - g_{mn} <F_{ab}, F^{ab}> / 4 per point."""
     x = np.asarray(x, dtype=float)
-    g = chart.metric(x)
-    ginv = geometry.inverse_metric(chart, x)
-    f = F(x)
+    return _stress(chart.metric(x), geometry.inverse_metric(chart, x), F(x))
+
+
+def _stress(g, ginv, f):
+    """``stress_tensor`` from g, g^-1 and F already at the same points."""
     fmix = np.einsum("...ab,...mak->...mbk", ginv, f)      # F_m{}^b
     t = np.einsum("...mak,...nbk,...ab->...mn", f, f, ginv)
     # F_a^b F_b^a = -F_{ab} F^{ab}, hence the plus sign on the trace term
@@ -130,12 +132,8 @@ def flux_density_direct(bundle, F_nodes):
     t = np.empty(F_nodes.shape[:3])
     for sl in _chunks(bundle.n_s + 1, bundle.chunk):
         g = bundle.metric_nodes[sl]
-        ginv = geometry.inverse_metric(bundle.chart, bundle.x[sl])
-        f = F_nodes[sl]
-        tmn = np.einsum("...mak,...nbk,...ab->...mn", f, f, ginv)
-        fmix = np.einsum("...ab,...mak->...mbk", ginv, f)
-        tr = np.einsum("...abk,...bak->...", fmix, fmix)
-        tmn = tmn + 0.25 * g * tr[..., None, None]
+        tmn = _stress(g, geometry.inverse_metric(bundle.chart, bundle.x[sl]),
+                      F_nodes[sl])
         t[sl] = -np.einsum("...mn,...m,...n->...", tmn,
                            bundle.that[sl], bundle.L[sl]) \
             * np.sqrt(-g[..., 0, 0])
@@ -250,22 +248,19 @@ def gradient_energy_density(chart, x, F, A, time_axis_hint=None):
 # ---------------------------------------------------------------------------
 
 def divergence_identity_report(chart, F, bundle, t0, t1, n_radial=24,
-                               n_time=12, skip_bulk=None):
+                               n_time=12):
     """Evaluate E(t1) - E(t0) + flux + bulk and report every term.
 
-    ``skip_bulk=True`` forces bulk = 0 (exact for charts whose d/dt is
-    Killing); by default the bulk integral is evaluated whenever the chart
-    is not flag-flat.
+    The bulk integral is evaluated unless the chart is flag-flat, where
+    d/dt is Killing and the bulk term vanishes.
     """
     cr0 = bundle.crossing(t0)
     cr1 = bundle.crossing(t1)
     E0 = slice_energy(chart, F, cr0, n_radial)
     E1 = slice_energy(chart, F, cr1, n_radial)
     flux = cone_flux(bundle, F, cr0, cr1)
-    if skip_bulk is None:
-        skip_bulk = chart.flat
-    bulk = 0.0 if skip_bulk else bulk_term(chart, F, bundle, t0, t1,
-                                           n_time, n_radial)
+    bulk = 0.0 if chart.flat else bulk_term(chart, F, bundle, t0, t1,
+                                            n_time, n_radial)
     residual = E1 - E0 + flux + bulk
     return {
         "E_start": E0, "E_end": E1, "flux": flux, "bulk": bulk,

@@ -18,6 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 
+#: largest dt / dx that ``step`` accepts
+CFL_LIMIT = 1.5
+
+
 class EvolutionError(RuntimeError):
     pass
 
@@ -72,12 +76,12 @@ def _rhs(lattice, basis, A, E):
     return E, dE
 
 
-def step(state, dt, n_steps=1, cfl_limit=1.5):
+def step(state, dt, n_steps=1):
     """Advance the state by n_steps RK4 steps of size dt (returns a copy)."""
     lat, basis = state.lattice, state.basis
-    if dt > cfl_limit * lat.dx:
+    if dt > CFL_LIMIT * lat.dx:
         raise EvolutionError(
-            f"dt = {dt:.3e} violates the step bound {cfl_limit} * dx")
+            f"dt = {dt:.3e} violates the step bound {CFL_LIMIT} * dx")
     A, E = state.A.copy(), state.E.copy()
     for _ in range(n_steps):
         k1a, k1e = _rhs(lat, basis, A, E)
@@ -97,12 +101,6 @@ def total_energy(state):
     F = magnetic_field(lat, state.basis, state.A)
     dens = 0.5 * (np.sum(state.E ** 2, axis=(0, -1)) + np.sum(F ** 2, axis=-1))
     return float(np.sum(dens)) * lat.dx ** 2
-
-
-def energy_density(state):
-    lat = state.lattice
-    F = magnetic_field(lat, state.basis, state.A)
-    return 0.5 * (np.sum(state.E ** 2, axis=(0, -1)) + np.sum(F ** 2, axis=-1))
 
 
 def constraint_residual(state):

@@ -25,6 +25,17 @@ class FrameError(GeometryError):
     """Orthonormal frame construction failed (e.g. spacelike time hint)."""
 
 
+def as_points(x):
+    """``x`` as a float array, or as a complex one when it is complex.
+
+    Complex points carry the complex-step twin cone of ``nullcone``; the
+    metric, its first derivatives, the inverse metric, the Christoffel
+    symbols and ``orthonormal_frame`` keep them complex.
+    """
+    x = np.asarray(x)
+    return x if np.iscomplexobj(x) else x.astype(float, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------
@@ -84,7 +95,7 @@ class DiagonalChart(Chart):
 
     def inverse_metric(self, x):
         d = self._metric_diagonal(x)
-        ginv = np.zeros(d.shape + (4,))
+        ginv = np.zeros(d.shape + (4,), dtype=d.dtype)
         i = np.arange(4)
         ginv[..., i, i] = 1.0 / d
         return ginv
@@ -119,8 +130,8 @@ class Minkowski(DiagonalChart):
     flat = True
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (4, 4))
+        x = as_points(x)
+        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
         g[..., 0, 0] = -1.0
         for i in (1, 2, 3):
             g[..., i, i] = 1.0
@@ -130,12 +141,12 @@ class Minkowski(DiagonalChart):
         return self.metric(x)           # eta is its own inverse
 
     def christoffel(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, 4, 4))
+        x = as_points(x)
+        return np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
 
     def dmetric(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, 4, 4))
+        x = as_points(x)
+        return np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
 
     def d2metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -156,10 +167,10 @@ class Schwarzschild(DiagonalChart):
         self.coordinate_scale = max(1.0, 10.0 * self.mass)
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         r, th = x[..., 1], x[..., 2]
         f = 1.0 - 2.0 * self.mass / r
-        g = np.zeros(x.shape[:-1] + (4, 4))
+        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
         g[..., 0, 0] = -f
         g[..., 1, 1] = 1.0 / f
         g[..., 2, 2] = r ** 2
@@ -167,11 +178,11 @@ class Schwarzschild(DiagonalChart):
         return g
 
     def dmetric(self, x):
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         r, th = x[..., 1], x[..., 2]
         M = self.mass
         f = 1.0 - 2.0 * M / r
-        dg = np.zeros(x.shape[:-1] + (4, 4, 4))
+        dg = np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
         # d/dr
         dg[..., 1, 0, 0] = -2.0 * M / r ** 2
         dg[..., 1, 1, 1] = -(2.0 * M / r ** 2) / f ** 2
@@ -242,21 +253,21 @@ class SchwarzschildIsotropic(DiagonalChart):
         return N, dN, d2N, B, dB, d2B
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         rho = self._rho(x)
         N, _, _, B, _, _ = self._profiles(rho)
-        g = np.zeros(x.shape[:-1] + (4, 4))
+        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
         g[..., 0, 0] = N
         for i in (1, 2, 3):
             g[..., i, i] = B
         return g
 
     def dmetric(self, x):
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         rho = self._rho(x)
         N, dN, _, B, dB, _ = self._profiles(rho)
         n = x[..., 1:] / rho[..., None]       # d_i rho
-        dg = np.zeros(x.shape[:-1] + (4, 4, 4))
+        dg = np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
         for a in (1, 2, 3):
             dg[..., a, 0, 0] = dN * n[..., a - 1]
             for i in (1, 2, 3):
@@ -292,19 +303,19 @@ class FLRW(DiagonalChart):
         self.power = float(power)
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         a2 = x[..., 0] ** (2.0 * self.power)
-        g = np.zeros(x.shape[:-1] + (4, 4))
+        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
         g[..., 0, 0] = -1.0
         for i in (1, 2, 3):
             g[..., i, i] = a2
         return g
 
     def dmetric(self, x):
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         p = self.power
         da2 = 2.0 * p * x[..., 0] ** (2.0 * p - 1.0)
-        dg = np.zeros(x.shape[:-1] + (4, 4, 4))
+        dg = np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
         for i in (1, 2, 3):
             dg[..., 0, i, i] = da2
         return dg
@@ -518,7 +529,7 @@ class Frame:
     __slots__ = ("vectors",)
 
     def __init__(self, vectors):
-        self.vectors = np.asarray(vectors, dtype=float)
+        self.vectors = as_points(vectors)
 
     @property
     def that(self):
@@ -535,28 +546,28 @@ def orthonormal_frame(chart, x, time_axis_hint=None):
     Batched over leading axes of ``x``.  Raises FrameError when the hint is
     not timelike at some point.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_points(x)
     g = chart.metric(x)
     if time_axis_hint is None:
-        hint = np.zeros(x.shape[:-1] + (4,))
+        hint = np.zeros(x.shape[:-1] + (4,), dtype=x.dtype)
         hint[..., 0] = 1.0
     else:
-        hint = np.broadcast_to(np.asarray(time_axis_hint, dtype=float),
+        hint = np.broadcast_to(as_points(time_axis_hint),
                                x.shape[:-1] + (4,)).copy()
     norm2 = np.einsum("...m,...mn,...n->...", hint, g, hint)
-    if np.any(norm2 >= 0):
+    if np.any(norm2.real >= 0):
         raise FrameError("time axis hint is not timelike")
     that = hint / np.sqrt(-norm2)[..., None]
     vecs = [that]
     for axis in (1, 2, 3, 0):
-        cand = np.zeros(x.shape[:-1] + (4,))
+        cand = np.zeros(x.shape[:-1] + (4,), dtype=that.dtype)
         cand[..., axis] = 1.0
         for sign, v in zip((-1.0, 1.0, 1.0, 1.0), vecs):
             # minus sign: projector onto timelike leg flips with g(v,v) = -1
             proj = np.einsum("...m,...mn,...n->...", cand, g, v)
             cand = cand - sign * proj[..., None] * v
         n2 = np.einsum("...m,...mn,...n->...", cand, g, cand)
-        if np.all(n2 > 1e-20):
+        if np.all(n2.real > 1e-20):
             vecs.append(cand / np.sqrt(n2)[..., None])
         if len(vecs) == 4:
             break
@@ -578,15 +589,3 @@ def h_metric(chart, x, that):
         raise FrameError("h_metric needs a unit timelike vector")
     tlow = np.einsum("...mn,...n->...m", g, that)
     return g + 2.0 * tlow[..., :, None] * tlow[..., None, :]
-
-
-def h_norm2_2tensor(h, K, inner=None):
-    """Squared h-norm of a (possibly algebra-valued) 2-tensor K^{mu nu}.
-
-    |K|^2 = h_am h_bn <K^{mn}, K^{ab}>.  ``K`` has shape (..., 4, 4) for
-    scalar values or (..., 4, 4, dim) for algebra values (orthonormal basis).
-    """
-    K = np.asarray(K)
-    if K.shape[-1] == 4 and K.ndim >= 2 and K.shape[-2] == 4:
-        return np.einsum("...am,...bn,...mn,...ab->...", h, h, K, K)
-    return np.einsum("...am,...bn,...mnk,...abk->...", h, h, K, K)

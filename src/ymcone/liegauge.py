@@ -43,24 +43,6 @@ class AlgebraBasis:
     def norm(self, X):
         return np.sqrt(np.maximum(self.inner(X, X), 0.0))
 
-    # -- structural invariants (checked in tests) --------------------------
-
-    def jacobi_defect(self):
-        """Max norm of the Jacobi cyclic sum over all basis triples."""
-        c = self.c
-        # cyclic sum [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej]
-        t = (np.einsum("ijm,mkl->ijkl", c, c)
-             + np.einsum("jkm,mil->ijkl", c, c)
-             + np.einsum("kim,mjl->ijkl", c, c))
-        return float(np.max(np.abs(t)))
-
-    def ad_invariance_defect(self):
-        """Max of <[Z,X],Y> + <X,[Z,Y]> over basis triples (orthonormal Gram)."""
-        c = self.c
-        # <[e_z, e_x], e_y> = c_zxy
-        t = c + np.einsum("zyx->zxy", c)
-        return float(np.max(np.abs(t)))
-
 
 def u1():
     return AlgebraBasis("u1", np.zeros((1, 1, 1)))

@@ -6,9 +6,14 @@ The affine parameter s is normalized by g(L, T_p) = 1 at the vertex.  All
 transverse (angular) derivatives are spectral on the fixed-s spheres; the
 optical scalars, null frames, area density and cone quadrature are derived
 from them.  Derivatives transverse to the cone itself (mass aspect, frame
-shift) use a twin-cone finite difference: the point q + h Lbar lies on the
-cone emanating from p - 2h T_p at affine parameter s - h (exactly so in flat
-space, to O(h^2) generally).
+shift) come from one twin cone by complex-step differentiation.  Let f(d, s)
+be a per-node field on the cone from the vertex p + d T_p, with that vertex
+moved along the timelike geodesic through p.  The point q(s) + h Lbar is taken
+to lie on the cone from p - 2h T_p at affine parameter s - h, exactly so in
+flat space; then d_Lbar f = -2 d_d f - d_s f.  The twin cone from the complex
+vertex p + i eps T_p gives d_d f = Im f(i eps, s) / eps with no step size and
+no subtractive cancellation (Squire & Trapp, SIAM Rev. 40, 1998).  On curved
+charts the twin relation is only approximate; see ``lbar_derivative``.
 
 Array layout: per-node fields have shape (n_s + 1, n_theta, n_phi, ...) with
 slice index 0 at the vertex.
@@ -45,27 +50,37 @@ def _trace2(a, b):
 
 
 class NullConeBundle:
-    """Fan of past null geodesics from ``vertex`` with frames and scalars."""
+    """Fan of past null geodesics from ``vertex`` with frames and scalars.
+
+    A complex ``vertex`` and ``T_p`` give the complex-step twin of
+    ``lbar_derivative``; every array of such a bundle is complex.
+    """
+
+    #: RK4 steps between projections of L back onto the null cone
+    renorm_every = 100
+    #: slices s < vertex_factor * ds carry the flat-cone vertex closure
+    vertex_factor = 10.0
+    #: s slices per batch of the pointwise geometry
+    chunk = 64
+    #: imaginary vertex offset of the complex-step twin cone
+    twin_eps = 1e-20
 
     def __init__(self, chart, vertex, grid: SphereGrid, s_max, ds,
-                 T_p=None, renorm_every=100, vertex_factor=10.0,
-                 chunk=64):
+                 T_p=None):
         self.chart = chart
         self.grid = grid
-        self.p = np.asarray(vertex, dtype=float)
+        self.p = geometry.as_points(vertex)
         self.ds = float(ds)
         self.n_s = int(round(s_max / ds))
         self.s = self.ds * np.arange(self.n_s + 1)
-        self.s_min = vertex_factor * self.ds
-        self.renorm_every = int(renorm_every)
-        self.chunk = int(chunk)
+        self.s_min = self.vertex_factor * self.ds
         self.renorm_max = 0.0
 
         g_p = chart.metric(self.p)
         if T_p is None:
             T_p = np.zeros(4)
             T_p[0] = (-g_p[0, 0]) ** -0.5
-        self.T_p = np.asarray(T_p, dtype=float)
+        self.T_p = geometry.as_points(T_p)
         tt = self.T_p @ g_p @ self.T_p
         if abs(tt + 1.0) > 1e-10:
             raise ConeError("vertex time axis must be unit timelike")
@@ -102,10 +117,11 @@ class NullConeBundle:
 
     def _integrate(self):
         nth, nph = self.grid.n_theta, self.grid.n_phi
-        x = np.empty((self.n_s + 1, nth, nph, 4))
+        L0 = self._initial_null_vectors()
+        x = np.empty((self.n_s + 1, nth, nph, 4), dtype=L0.dtype)
         L = np.empty_like(x)
         x[0] = np.broadcast_to(self.p, (nth, nph, 4))
-        L[0] = self._initial_null_vectors()
+        L[0] = L0
         h = self.ds
         xc, Lc = x[0].copy(), L[0].copy()
         for i in range(1, self.n_s + 1):
@@ -115,7 +131,7 @@ class NullConeBundle:
             k4x, k4L = self._geodesic_rhs(xc + h * k3x, Lc + h * k3L)
             xc = xc + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Lc = Lc + (h / 6.0) * (k1L + 2 * k2L + 2 * k3L + k4L)
-            if self.renorm_every and i % self.renorm_every == 0:
+            if i % self.renorm_every == 0:
                 Lc = self._renormalize(xc, Lc)
             x[i], L[i] = xc, Lc
         self.x, self.L = x, L
@@ -183,12 +199,8 @@ class NullConeBundle:
 
         ``f`` has shape (n_s+1, nth, nph, ...); the sphere axes must be 1, 2.
         """
-        moved = np.moveaxis(f, (1, 2), (-2, -1))
-        dth = self.grid.dtheta(moved)
-        dph = self.grid.dphi(moved)
-        out = np.stack([np.moveaxis(dth, (-2, -1), (1, 2)),
-                        np.moveaxis(dph, (-2, -1), (1, 2))], axis=-1)
-        return out
+        grad = self.grid.angular_gradient(np.moveaxis(f, (1, 2), (-2, -1)))
+        return np.moveaxis(grad, (-3, -2), (1, 2))
 
     # ------------------------------------------------------------------
     # optical scalars
@@ -208,14 +220,15 @@ class NullConeBundle:
         nth, nph = self.grid.n_theta, self.grid.n_phi
         n1 = self.n_s + 1
         shape = (n1, nth, nph)
+
+        def empty(*tail):
+            return np.empty(shape + tail, dtype=self.x.dtype)
+
         out = {
-            "trchi": np.empty(shape), "chihat2": np.empty(shape),
-            "trchibar": np.empty(shape), "J": np.empty(shape),
-            "kscreen": np.empty(shape),
-            "zeta": np.empty(shape + (2,)), "cb": np.empty(shape + (2,)),
-            "mtilde": np.empty(shape + (2, 2)), "minv": np.empty(shape + (2, 2)),
-            "Ytilde": np.empty(shape + (2, 4)),
-            "chi_asym": 0.0,
+            "trchi": empty(), "chihat2": empty(), "trchibar": empty(),
+            "J": empty(), "kscreen": empty(), "zeta": empty(2),
+            "cb": empty(2), "mtilde": empty(2, 2), "minv": empty(2, 2),
+            "Ytilde": empty(2, 4), "chi_asym": 0.0,
         }
         # global angular derivatives of positions and L (chunk over s)
         dY = self._angular(self.x)         # (n1, nth, nph, 4, 2) = d_b x^mu
@@ -275,7 +288,7 @@ class NullConeBundle:
             out["chihat2"][sl] = chi2 - 0.5 * trchi ** 2
             out["zeta"][sl] = zeta
             out["trchibar"][sl] = trchibar
-            out["J"][sl] = np.sqrt(np.maximum(det, 0.0)) / sin_th
+            out["J"][sl] = np.sqrt(np.where(det.real < 0.0, 0.0, det)) / sin_th
             out["mtilde"][sl] = mt
             out["minv"][sl] = minv
             out["cb"][sl] = cb
@@ -299,8 +312,8 @@ class NullConeBundle:
         out["minv"][0] = 0.0
         out["kscreen"][0] = out["kscreen"][1]
         live = ~near
-        if np.any(out["J"][live] <= 0.0):
-            bad = np.argwhere(out["J"] <= 0.0)
+        if np.any(out["J"][live].real <= 0.0):
+            bad = np.argwhere(out["J"].real <= 0.0)
             bad = bad[bad[:, 0] >= ilive]
             if bad.size:
                 i, t, p_ = bad[0]
@@ -446,56 +459,52 @@ class NullConeBundle:
         return Crossing(self, i0, np.clip(frac, 0.0, 1.0))
 
     # ------------------------------------------------------------------
-    # transverse (off-cone) derivatives via twin cones
+    # transverse (off-cone) derivatives via the complex-step twin cone
     # ------------------------------------------------------------------
 
-    def _twin(self, delta):
-        key = ("twin", round(delta / self.ds))
-        if key not in self._cache:
-            vertex, velocity = _timelike_geodesic_shoot(
-                self.chart, self.p, self.T_p, delta)
-            self._cache[key] = NullConeBundle(
-                self.chart, vertex, self.grid, s_max=self.s[-1] + abs(delta),
-                ds=self.ds, T_p=velocity, renorm_every=self.renorm_every,
-                vertex_factor=self.s_min / self.ds, chunk=self.chunk)
-        return self._cache[key]
+    def _twin(self):
+        """The cone from p + i eps T_p on the same grid, s range and step.
 
-    def lbar_derivative(self, extract, h=None):
-        """Centered transverse derivative along Lbar of a per-cone field.
-
-        ``extract(bundle) -> per-node array``; the twin cones from
-        p -+ 2h T_p are sampled at s +- h (cubic interpolation in s).
+        Its velocity T_p - i eps Gamma(T_p, T_p) follows the timelike
+        geodesic through p to first order in eps, which is all the complex
+        step sees.
         """
-        if h is None:
-            h = 8.0 * self.ds
-        n_shift = max(1, int(round(h / self.ds)))
-        h = n_shift * self.ds
-        minus = self._twin(-2.0 * h)     # vertex p - 2h T: holds f(q + h Lbar)
-        plus = self._twin(+2.0 * h)
-        f_m = np.asarray(extract(minus), dtype=float)
-        f_p = np.asarray(extract(plus), dtype=float)
-        n1 = self.n_s + 1
-        # on the minus twin the matching affine parameter is s - h
-        fm = _shift_slices(f_m, -n_shift, n1)
-        fp = _shift_slices(f_p, +n_shift, n1)
-        return (fm - fp) / (2.0 * h)
+        def build():
+            eps = self.twin_eps
+            accel = self._geodesic_rhs(self.p, self.T_p)[1]
+            return NullConeBundle(self.chart, self.p + 1j * eps * self.T_p,
+                                  self.grid, s_max=self.s[-1], ds=self.ds,
+                                  T_p=self.T_p + 1j * eps * accel)
+        return self._field("twin", build)
 
-    def mass_aspect(self, h=None):
+    def lbar_derivative(self, extract):
+        """Derivative along Lbar of a per-node field, -2 d_d f - d_s f.
+
+        ``extract(bundle) -> per-node array`` is applied to this bundle and
+        to its complex twin; d_d f is the twin's imaginary part over eps and
+        d_s f the central difference along the rays of this bundle.  The
+        twin relation is exact in flat space; on a curved chart the vertex
+        family direction it yields differs from Lbar by an L component of
+        order s^2 times the curvature.
+        """
+        d_vertex = np.imag(extract(self._twin())) / self.twin_eps
+        return -2.0 * d_vertex - self._s_derivative(extract(self))
+
+    def mass_aspect(self):
         """Mass aspect mu and frame shift omega per node.
 
         mu = nabla_Lbar trchi + trchi trchibar / 2 + 2 omega trchi;
-        omega = -g(nabla_Lbar Lbar, L) / 4.  Twin-cone finite differences for
-        the Lbar-direction derivatives; below s_min the flat closure gives
+        omega = -g(nabla_Lbar Lbar, L) / 4.  The Lbar-direction derivatives
+        come from ``lbar_derivative``; below s_min the flat closure gives
         mu = omega = 0.
         """
-        key = ("mass_aspect", None if h is None else float(h))
-        if key in self._cache:
-            return self._cache[key]
+        if "mass_aspect" in self._cache:
+            return self._cache["mass_aspect"]
         opt = self.optical()
 
         def smooth_expansion(b):
-            # difference only the regular part of trchi; the universal 2/s
-            # vertex singularity would wreck the finite difference near s=0
+            # differentiate only the regular part of trchi; the universal 2/s
+            # vertex singularity would wreck the s-difference near s=0
             with np.errstate(divide="ignore", invalid="ignore"):
                 q = b.optical()["trchi"] - 2.0 / b.s[:, None, None]
             q[0] = 0.0
@@ -503,8 +512,8 @@ class NullConeBundle:
 
         with np.errstate(divide="ignore"):
             d_trchi = (2.0 / self.s ** 2)[:, None, None] \
-                + self.lbar_derivative(smooth_expansion, h=h)
-        dLbar = self.lbar_derivative(lambda b: b.Lbar, h=h)
+                + self.lbar_derivative(smooth_expansion)
+        dLbar = self.lbar_derivative(lambda b: b.Lbar)
         gamma_corr = np.einsum("...mab,...a,...b->...m",
                                geometry.christoffel(self.chart, self.x),
                                self.Lbar, self.Lbar) if not self.chart.flat \
@@ -517,42 +526,8 @@ class NullConeBundle:
         near = self.s < self.s_min
         mu[near] = 0.0
         omega[near] = 0.0
-        self._cache[key] = (mu, omega)
+        self._cache["mass_aspect"] = (mu, omega)
         return mu, omega
-
-
-def _timelike_geodesic_shoot(chart, p, v0, tau, n_steps=32):
-    """Proper-time geodesic from (p, v0); returns position and velocity.
-
-    The transverse-derivative construction needs vertices displaced along
-    the timelike geodesic through p, not along the coordinate time axis: a
-    non-geodesic vertex family would bias the centered difference at first
-    order through its velocity error.
-    """
-    if chart.flat:
-        return p + tau * v0, v0
-    x, v = p.astype(float).copy(), np.asarray(v0, float).copy()
-    h = tau / n_steps
-
-    def rhs(x, v):
-        gamma = geometry.christoffel(chart, x)
-        return v, -np.einsum("mab,a,b->m", gamma, v, v)
-
-    for _ in range(n_steps):
-        k1x, k1v = rhs(x, v)
-        k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = rhs(x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return x, v
-
-
-def _shift_slices(f, shift, n_out):
-    """Cubic interpolation of ray data at slice index + shift (integer)."""
-    idx = np.arange(n_out) + shift
-    idx = np.clip(idx, 0, f.shape[0] - 1)
-    return f[idx]
 
 
 class Crossing:
@@ -567,7 +542,7 @@ class Crossing:
     def s_star(self):
         return (self.i0 + self.frac) * self.bundle.ds
 
-    def interpolate(self, f, order=3):
+    def interpolate(self, f):
         """Interpolate per-node data (n_s+1, nth, nph, ...) to the ring."""
         f = np.asarray(f)
         i0, frac = self.i0, self.frac
@@ -580,8 +555,6 @@ class Crossing:
             return np.take_along_axis(
                 f, idx.reshape(idx.shape + (1,) * extra)[None], axis=0)[0]
 
-        if order == 1:
-            return (1 - fr) * take(0) + fr * take(1)
         # cubic Lagrange on slices i0-1 .. i0+2 in the local variable fr
         fm1, f0, f1, f2 = take(-1), take(0), take(1), take(2)
         t = fr

@@ -278,7 +278,7 @@ def _vertex_pairing(ginv, seed, Fp):
 
 
 def assemble_representation(bundle, seeds, field, potential=None,
-                            t_slice=None, box_field=None, aspect_h=None):
+                            t_slice=None):
     """Evaluate every term of the reconstruction identity on one bundle.
 
     ``seeds`` is a stack of seed two-forms, shape (n, 4, 4, dim).  Returns
@@ -286,11 +286,10 @@ def assemble_representation(bundle, seeds, field, potential=None,
     the vertex target and the relative error.  The identity is linear in
     the seed, so every term that does not involve the transported weight
     (the field and its wave operator at the nodes, the curvature coupling,
-    the mass aspect, the ring data) is computed once for all seeds.
-    ``box_field(x) -> (..., 4, 4, dim)`` supplies the wave operator of the
-    field; by default the field is assumed to solve the Yang-Mills system,
-    for which the wave operator reduces to curvature couplings and
-    self-interaction (zero on a flat abelian background).
+    the mass aspect, the ring data) is computed once for all seeds.  The
+    field is assumed to solve the Yang-Mills system, for which its wave
+    operator reduces to curvature couplings and self-interaction (zero on a
+    flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
@@ -312,10 +311,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
 
     # --- wave operator of the field (None: zero on a flat abelian chart) --
     box_up = None
-    if box_field is not None:
-        box_up = raise_two_form(
-            bundle, sample_field(bundle, box_field, (4, 4, basis.dim)))
-    elif not (chart.flat and basis.dim == 1):
+    if not (chart.flat and basis.dim == 1):
         box_nodes = np.empty_like(F_nodes)
         for sl in chunks:
             box_nodes[sl] = liegauge.wave_source(chart, bundle.x[sl], field)
@@ -326,7 +322,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     with np.errstate(invalid="ignore"):
         q = opt["trchi"] - 2.0 * inv_s
     q[bundle.s < bundle.s_min] = 0.0
-    mu, _omega = bundle.mass_aspect(h=aspect_h)
+    mu, _omega = bundle.mass_aspect()
     mu_half = 0.5 * mu[..., None, None, None]
     F_LLbar = None
     if np.any(basis.c):

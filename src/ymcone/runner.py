@@ -25,8 +25,8 @@ from . import nullcone, parametrix, sphere
 
 SCHEMA_VERSION = 1
 
-CHARTS = ("minkowski", "schwarzschild", "schwarzschild-isotropic", "flrw")
-ALGEBRAS = ("u1", "su2")
+CHARTS = tuple(geometry.CHART_CATALOG)
+ALGEBRAS = tuple(liegauge.ALGEBRA_CATALOG)
 PROFILES = ("none", "plane_wave", "constant", "coulomb", "su2_bump")
 EXPERIMENTS = ("cone_geometry", "transport", "parametrix", "energy_balance",
                "bounds", "cartan_check", "evolution")
@@ -45,11 +45,10 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 
 def make_algebra(name):
-    if name == "u1":
-        return liegauge.u1()
-    if name == "su2":
-        return liegauge.su2()
-    raise ConfigError([f"unknown algebra '{name}'; catalog: {ALGEBRAS}"])
+    try:
+        return liegauge.make_algebra(name)
+    except liegauge.AlgebraError as exc:
+        raise ConfigError([str(exc)]) from None
 
 
 def plane_wave_field(basis, omega=1.0, amplitude=1.0, direction=(1.0, 0.0, 0.0)):
@@ -406,7 +405,12 @@ def _exp_cartan_check(scn, chart, basis):
     frame_field = liegauge.static_diagonal_frame(chart)
     rng = np.random.default_rng(scn.seed)
     base = np.asarray(scn.vertex, dtype=float)
-    pts = base + 0.05 * chart.coordinate_scale * rng.standard_normal((8, 4))
+    # offsets in the vertex's orthonormal frame, of proper length about
+    # 0.05 coordinate_scale: on Schwarzschild at r = 10 the angles then
+    # spread by about 0.05 rad and stay off the polar axis
+    frame = geometry.orthonormal_frame(chart, base).vectors
+    pts = base + 0.05 * chart.coordinate_scale \
+        * rng.standard_normal((8, 4)) @ frame
     step = 1e-3 * chart.coordinate_scale    # nested FD: roundoff-limited below
     res = liegauge.cartan_ym_residual(chart, pts, frame_field, step=step)
     curv = liegauge.cartan_curvature(chart, frame_field, step=step)(pts)

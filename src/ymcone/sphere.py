@@ -131,29 +131,44 @@ class SphereGrid:
 
     def dtheta(self, f):
         """Spectral d/dtheta of a field on the grid."""
-        f = np.asarray(f)
-        if np.iscomplexobj(f):          # the operator is real and linear
-            return self.dtheta(f.real) + 1j * self.dtheta(f.imag)
-        fm = np.fft.rfft(f, axis=-1)
-        out_m = np.zeros_like(fm)
-        for m, D in enumerate(self._dtheta_mats):
-            out_m[..., m] = fm[..., m] @ D
-        return np.fft.irfft(out_m, n=self.n_phi, axis=-1)
+        return self._derivatives(f, self._dtheta_modes)
 
     def dphi(self, f):
         """Spectral d/dphi of a field on the grid (periodic FFT)."""
+        return self._derivatives(f, self._dphi_modes)
+
+    def angular_gradient(self, f):
+        """(d/dtheta f, d/dphi f) stacked on a new last axis.
+
+        One real FFT along phi feeds both derivatives.
+        """
+        return self._derivatives(f, self._dtheta_modes, self._dphi_modes)
+
+    def _derivatives(self, f, *modes):
+        """Apply each rfft-coefficient map in ``modes`` to one rfft of f.
+
+        One map returns its derivative, several are stacked on a new last
+        axis.
+        """
         f = np.asarray(f)
-        if np.iscomplexobj(f):          # the operator is real and linear
-            return self.dphi(f.real) + 1j * self.dphi(f.imag)
+        if np.iscomplexobj(f):          # the operators are real and linear
+            return self._derivatives(f.real, *modes) \
+                + 1j * self._derivatives(f.imag, *modes)
+        fm = np.fft.rfft(f, axis=-1)
+        out = [np.fft.irfft(op(fm), n=self.n_phi, axis=-1) for op in modes]
+        return out[0] if len(out) == 1 else np.stack(out, axis=-1)
+
+    def _dtheta_modes(self, fm):
+        out_m = np.zeros_like(fm)
+        for m, D in enumerate(self._dtheta_mats):
+            out_m[..., m] = fm[..., m] @ D
+        return out_m
+
+    def _dphi_modes(self, fm):
         k = np.arange(self.n_phi // 2 + 1)
         # zero the unmatched Nyquist mode for a real-valued derivative
         k[-1] = 0
-        return np.fft.irfft(np.fft.rfft(f, axis=-1) * (1j * k), n=self.n_phi,
-                            axis=-1)
-
-    def angular_gradient(self, f):
-        """(d/dtheta f, d/dphi f) stacked on a new last axis."""
-        return np.stack([self.dtheta(f), self.dphi(f)], axis=-1)
+        return fm * (1j * k)
 
     def high_mode_fraction(self, f):
         """Energy fraction in the top third of the Legendre spectrum.

@@ -101,14 +101,26 @@ def test_cone_integral_rejects_nan(flat_bundle):
 
 
 def test_mass_aspect_vanishes_flat(flat_bundle):
-    mu = flat_bundle.mass_aspect()
-    assert np.max(np.abs(mu)) < 1e-6
+    mu, omega = flat_bundle.mass_aspect()
+    assert np.max(np.abs(mu)) <= 1e-10
+    assert np.max(np.abs(omega)) <= 1e-10
 
 
 def test_mass_aspect_bounded_schwarzschild(schw_bundle):
     mu = schw_bundle.mass_aspect()
     assert np.all(np.isfinite(mu))
     assert np.max(np.abs(mu)) < 5.0
+
+
+def test_transverse_derivative_pairs_like_lbar(schw_bundle):
+    # the complex-step derivative of the node positions is the vertex-family
+    # direction V; g(V, L) = g(Lbar, L) = -2 up to the s-difference error.
+    # Dropping the twin's imaginary part would give a residual of 2.  The
+    # end slices are left out: the s-difference is one-sided there.
+    V = schw_bundle.lbar_derivative(lambda b: b.x)
+    res = np.einsum("...m,...mn,...n->...", V - schw_bundle.Lbar,
+                    schw_bundle.metric_nodes, schw_bundle.L)
+    assert np.max(np.abs(res[1:-1])) < 1e-6
 
 
 def test_flat_transverse_derivative(flat_bundle):
