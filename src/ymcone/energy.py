@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry
+from . import geometry, parametrix
 from .parametrix import _chunks
 
 
@@ -140,41 +140,16 @@ def flux_density_direct(bundle, F_nodes):
     return t
 
 
-def cone_flux(bundle, F, crossing_far, crossing_near, density=None):
+def cone_flux(bundle, F, crossing_far, crossing_near):
     """Flux through the cone between two slice crossings (far: earlier t).
 
     Measure ds dA along the rays (the optical-function normalization cancels
-    against the transverse Jacobian, leaving the bare affine measure), with
-    per-ray fractional end cells at both crossings.
+    against the transverse Jacobian, leaving the bare affine measure); the
+    quadrature is ``NullConeBundle.cone_integral``.
     """
-    if density is None:
-        from .parametrix import sample_field
-        F_nodes = sample_field(bundle, F, (4, 4, F.basis.dim))
-        density = flux_density_frame(bundle, F_nodes)
-    J = bundle.optical()["J"]
-    fJ = density * J
-    idx = np.arange(bundle.n_s + 1)[:, None, None]
-    iN, fN = crossing_near.i0, crossing_near.frac      # smaller s
-    iF, fF = crossing_far.i0, crossing_far.frac        # larger s
-    ds = bundle.ds
-    W = np.where((idx > iN) & (idx <= iF), ds, 0.0)
-    for ii in (iN + 1, iF):
-        half = np.take_along_axis(W, ii[None], 0) * 0.5
-        np.put_along_axis(W, ii[None], half, axis=0)
-    inner = np.einsum("stp,stp->tp", W, fJ)
-
-    def partial(crossing, sign):
-        fJ_star = crossing.interpolate(fJ)
-        edge = crossing.i0 + (1 if sign > 0 else 0)
-        fJ_edge = np.take_along_axis(fJ, np.clip(edge, 0, bundle.n_s)[None],
-                                     axis=0)[0]
-        frac = (1.0 - crossing.frac) if sign > 0 else crossing.frac
-        return 0.5 * frac * ds * (fJ_edge + fJ_star)
-
-    # near crossing: keep the piece from s*_near up to the next node;
-    # far crossing: keep the piece from the last full node up to s*_far
-    total = inner + partial(crossing_near, +1) + partial(crossing_far, -1)
-    return float(np.einsum("tp,tp->", total, bundle.grid.weights))
+    F_nodes = parametrix.sample_field(bundle, F, (4, 4, F.basis.dim))
+    return bundle.cone_integral(flux_density_frame(bundle, F_nodes),
+                                crossing_far, crossing_near)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +208,7 @@ def gradient_energy_density(chart, x, F, A, time_axis_hint=None):
     frame = geometry.orthonormal_frame(chart, x, time_axis_hint)
     h = geometry.h_metric(chart, x, frame.that)
     hinv = np.linalg.inv(h)
-    DF = liegauge.gauge_covariant_derivative(chart, x, F, A, rank=2)
+    DF = liegauge.gauge_covariant_derivative(chart, x, F, A)
     comp = np.einsum("...ie,...eabk->...iabk", frame.vectors, DF)
     dens = 0.0
     for i in range(4):

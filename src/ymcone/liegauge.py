@@ -154,30 +154,19 @@ def curvature_from_potential(A, step=None):
     return FieldStrength(basis, fn, step=A.step)
 
 
-def gauge_covariant_derivative(chart, x, field, A, rank):
-    """D_a Psi for an algebra-valued tensor field of spacetime rank 0..2.
+def gauge_covariant_derivative(chart, x, field, A):
+    """D_a F_{mn} for an algebra-valued 2-form field.
 
-    Returns (..., 4[a], <tensor indices>, dim).  ``field`` must expose
-    ``__call__`` and ``jacobian`` like FieldStrength/GaugePotential; rank
-    declares how many lowered spacetime indices its values carry.
+    Returns (..., 4[a], 4[m], 4[n], dim).  ``field`` must expose
+    ``__call__`` and ``jacobian`` like FieldStrength.
     """
     x = np.asarray(x, dtype=float)
-    dpsi = field.jacobian(x)
     psi = field(x)
-    a = A(x)
-    out = dpsi + np.einsum("ijk,...ai,...j->...ak" if rank == 0 else
-                           ("ijk,...ai,...mj->...amk" if rank == 1 else
-                            "ijk,...ai,...mnj->...amnk"),
-                           A.basis.c, a, psi)
-    if rank == 0:
-        return out
+    out = field.jacobian(x) + np.einsum("ijk,...ai,...mnj->...amnk",
+                                        A.basis.c, A(x), psi)
     gamma = geometry.christoffel(chart, x)
-    if rank == 1:
-        out = out - np.einsum("...ram,...rk->...amk", gamma, psi)
-    else:
-        out = out - np.einsum("...ram,...rnk->...amnk", gamma, psi) \
-                  - np.einsum("...ran,...mrk->...amnk", gamma, psi)
-    return out
+    return out - np.einsum("...ram,...rnk->...amnk", gamma, psi) \
+        - np.einsum("...ran,...mrk->...amnk", gamma, psi)
 
 
 def ym_residual(chart, x, F, A):
@@ -186,24 +175,26 @@ def ym_residual(chart, x, F, A):
     Returns (..., 4[b], dim).
     """
     ginv = geometry.inverse_metric(chart, x)
-    DF = gauge_covariant_derivative(chart, x, F, A, rank=2)  # (...,a,m,n,k)
+    DF = gauge_covariant_derivative(chart, x, F, A)  # (...,a,m,n,k)
     return np.einsum("...am,...ambk->...bk", ginv, DF)
 
 
 def bianchi_residual(chart, x, F, A):
     """Cyclic sum D_a F_{mn} + D_m F_{na} + D_n F_{am}, shape (...,4,4,4,dim)."""
-    DF = gauge_covariant_derivative(chart, x, F, A, rank=2)
+    DF = gauge_covariant_derivative(chart, x, F, A)
     return (DF
             + np.einsum("...mnak->...amnk", DF)
             + np.einsum("...namk->...amnk", DF))
 
 
-def wave_source(chart, x, F):
+def wave_source(chart, x, F, curv):
     """Right-hand side of the tensorial wave equation satisfied by F.
 
     S_{mn} = -2 R_{gmna} F^{ag} - R_{mg} F_n^g - R_{ng} F^g_m
              - 2 [F^a_m, F_{na}],
     antisymmetric in (m, n); vanishes for an abelian field on a flat chart.
+    ``curv`` is ``geometry.riemann(chart, x)``, unused (may be None) on a
+    flat chart.
     """
     x = np.asarray(x, dtype=float)
     f = F(x)
@@ -213,7 +204,6 @@ def wave_source(chart, x, F):
                             basis.c, ginv, f, f)
     if chart.flat:
         return comm
-    curv = geometry.riemann(chart, x)
     R, Ric = curv.riemann, curv.ricci
     fupup = np.einsum("...am,...gn,...mni->...agi", ginv, ginv, f)
     t1 = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup)

@@ -209,10 +209,11 @@ class NullConeBundle:
     def optical(self):
         """Compute (and cache) optical scalars at every node.
 
-        Returns a dict with keys: trchi, chihat2, zeta, trchibar, J, phi,
-        mtilde, minv, cb, Ytilde.  Slices with s < s_min carry the flat-cone
-        closure (trchi = 2/s, chihat = zeta = 0, J continued as s^2 times the
-        limit shape).
+        Returns a dict with keys: trchi, chihat2, zeta, trchibar, J, kscreen,
+        minv, cb, Ytilde and chi_asym (the largest antisymmetric part of chi
+        past the vertex closure, a scalar).  Slices with s < s_min carry the
+        flat-cone closure (trchi = 2/s, chihat = zeta = 0, J continued as s^2
+        times the limit shape).
         """
         if "optical" in self._cache:
             return self._cache["optical"]
@@ -227,7 +228,7 @@ class NullConeBundle:
         out = {
             "trchi": empty(), "chihat2": empty(), "trchibar": empty(),
             "J": empty(), "kscreen": empty(), "zeta": empty(2),
-            "cb": empty(2), "mtilde": empty(2, 2), "minv": empty(2, 2),
+            "cb": empty(2), "minv": empty(2, 2),
             "Ytilde": empty(2, 4), "chi_asym": 0.0,
         }
         # global angular derivatives of positions and L (chunk over s)
@@ -289,7 +290,6 @@ class NullConeBundle:
             out["zeta"][sl] = zeta
             out["trchibar"][sl] = trchibar
             out["J"][sl] = np.sqrt(np.where(det.real < 0.0, 0.0, det)) / sin_th
-            out["mtilde"][sl] = mt
             out["minv"][sl] = minv
             out["cb"][sl] = cb
             out["Ytilde"][sl] = np.swapaxes(Yt, -1, -2)     # (..., b, mu)
@@ -394,31 +394,45 @@ class NullConeBundle:
         J = self.optical()["J"]
         return np.einsum("tp,tp->", np.asarray(f) * J[i], self.grid.weights)
 
-    def cone_integral(self, f, s_lo=0.0, s_hi=None):
-        """ds x dA cone integral of per-node scalar data ``f``.
+    def cone_integral(self, f, far, near=None):
+        """ds x dA integral of per-node scalar data ``f`` between two crossings.
 
-        Trapezoid in s over [s_lo, s_hi], spectral product quadrature in the
-        directions.  NaN in the integrand propagates with node identification.
+        Along every ray the region runs from the ``near`` crossing (the vertex
+        when None) to the ``far`` one.  Each whole s cell [i, i+1] in between
+        gives ds/2 to both of its end nodes, and each crossing adds its
+        fractional end cell up to the interpolated ring; a ray whose two
+        crossings fall in one cell gets the single trapezoid between the rings.
+        The directions use the grid's product quadrature.  A NaN in ``f``
+        raises ``ConeError`` naming the node.
         """
         f = np.asarray(f, dtype=float)
         if np.any(np.isnan(f)):
             idx = np.argwhere(np.isnan(f))[0]
             raise ConeError(f"NaN integrand at node (s_index, theta, phi) = "
                             f"{tuple(int(v) for v in idx)}")
-        J = self.optical()["J"]
-        shells = np.einsum("stp,tp->s", f * J, self.grid.weights)
-        if s_hi is None:
-            s_hi = self.s[-1]
-        w = np.full(self.n_s + 1, self.ds)
-        w[0] = w[-1] = 0.5 * self.ds
-        inside = (self.s >= s_lo - 1e-12) & (self.s <= s_hi + 1e-12)
-        wi = np.where(inside, w, 0.0)
-        # endpoint halving at the range boundary
-        edges = np.flatnonzero(inside)
-        if edges.size:
-            wi[edges[0]] = 0.5 * self.ds
-            wi[edges[-1]] = 0.5 * self.ds
-        return float(np.dot(wi, shells))
+        fJ = f * self.optical()["J"]
+        ds = self.ds
+        first = 0 if near is None else near.i0 + 1    # first node past near
+        idx = np.arange(self.n_s + 1)[:, None, None]
+        starts = (idx >= first) & (idx < far.i0)      # left ends of the cells
+        ends = (idx > first) & (idx <= far.i0)        # right ends
+        W = 0.5 * ds * (starts.astype(float) + ends)
+        inner = np.einsum("stp,stp->tp", W, fJ)
+
+        def at(i):
+            return np.take_along_axis(fJ, i[None], axis=0)[0]
+
+        fJ_far = far.interpolate(fJ)
+        far_cell = 0.5 * far.frac * ds * (at(far.i0) + fJ_far)
+        if near is None:
+            total = inner + far_cell
+        else:
+            fJ_near = near.interpolate(fJ)
+            near_cell = 0.5 * (1.0 - near.frac) * ds * (at(first) + fJ_near)
+            one_cell = 0.5 * (far.frac - near.frac) * ds * (fJ_near + fJ_far)
+            total = np.where(near.i0 == far.i0, one_cell,
+                             inner + near_cell + far_cell)
+        return float(np.einsum("tp,tp->", total, self.grid.weights))
 
     def transport_consistency(self):
         """Residual of dJ/ds = trchi J, skipping the vertex closure region.

@@ -135,39 +135,37 @@ def _sphere_tangents(bundle):
 
 
 def angular_gauge_derivative(bundle, f, rank, potential=None, a_nodes=None):
-    """D_b f along the two sphere tangents; axis -2-rank-1 ... returns
-    (n1, nth, nph, 2, <tensor>, dim): spectral angular derivative plus
-    Levi-Civita terms on the spacetime indices and the bracket with the
-    potential pulled back to the sphere tangents.  ``a_nodes`` as in
-    ``transport_weight``.
+    """D_b f along the two sphere tangents for an algebra-valued scalar
+    (``rank`` 0, shape (n1, nth, nph, dim)) or two-tensor (``rank`` 2,
+    (n1, nth, nph, 4, 4, dim)).  Returns (n1, nth, nph, 2, <tensor>, dim):
+    spectral angular derivative plus Levi-Civita terms on the spacetime
+    indices and the bracket with the potential pulled back to the sphere
+    tangents.  ``a_nodes`` as in ``transport_weight``.
     """
     f = np.asarray(f)
     df = bundle._angular(f)                     # (..., <tensor>, dim, 2)
     df = np.moveaxis(df, -1, 3)                 # (..., 2, <tensor>, dim)
     Y = _sphere_tangents(bundle)
-    if not bundle.chart.flat and rank > 0:
+    if not bundle.chart.flat and rank == 2:
         for sl in _chunks(bundle.n_s + 1, bundle.chunk):
             gamma = geometry.christoffel(bundle.chart, bundle.x[sl])
             gY = np.einsum("...gma,...bm->...bga", gamma, Y[sl])
-            if rank == 1:
-                df[sl] -= np.einsum("...bga,...gk->...bak", gY, f[sl])
-            else:
-                df[sl] -= np.einsum("...bga,...gnk->...bank", gY, f[sl]) \
-                    + np.einsum("...bgn,...agk->...bank", gY, f[sl])
+            df[sl] -= np.einsum("...bga,...gnk->...bank", gY, f[sl]) \
+                + np.einsum("...bgn,...agk->...bank", gY, f[sl])
     if potential is not None:
         a = _sampled(bundle, potential, a_nodes)
         aY = np.einsum("...mi,...bm->...bi", a, Y)
         if np.any(aY):
             sub = "ijk,...bi,"
-            spec = {0: sub + "...j->...bk", 1: sub + "...aj->...bak",
-                    2: sub + "...anj->...bank"}[rank]
+            spec = {0: sub + "...j->...bk", 2: sub + "...anj->...bank"}[rank]
             df += np.einsum(spec, potential.basis.c, aY, f)
     return df
 
 
 def screen_laplacian(bundle, f, rank=2, potential=None, a_nodes=None,
                      df=None):
-    """Gauge-covariant Laplace-Beltrami operator of the fixed-s spheres.
+    """Gauge-covariant Laplace-Beltrami operator of the fixed-s spheres for
+    ``rank`` 0 or 2 data, as in ``angular_gauge_derivative``.
 
     Divergence form with the induced metric: the sphere-index part is exact
     by construction, the spacetime/algebra indices get connection and
@@ -197,21 +195,17 @@ def screen_laplacian(bundle, f, rank=2, potential=None, a_nodes=None,
     out[0] = 0.0
     V = np.moveaxis(Vm, -1, 3)                  # (..., b, <tensor>, dim)
     Y = _sphere_tangents(bundle)
-    if not bundle.chart.flat and rank > 0:
+    if not bundle.chart.flat and rank == 2:
         for sl in _chunks(bundle.n_s + 1, bundle.chunk):
             gamma = geometry.christoffel(bundle.chart, bundle.x[sl])
             gY = np.einsum("...gma,...bm->...bga", gamma, Y[sl])
-            if rank == 1:
-                out[sl] -= np.einsum("...bga,...bgk->...ak", gY, V[sl])
-            else:
-                out[sl] -= np.einsum("...bga,...bgnk->...ank", gY, V[sl]) \
-                    + np.einsum("...bgn,...bagk->...ank", gY, V[sl])
+            out[sl] -= np.einsum("...bga,...bgnk->...ank", gY, V[sl]) \
+                + np.einsum("...bgn,...bagk->...ank", gY, V[sl])
     if potential is not None:
         aY = np.einsum("...mi,...bm->...bi", a_nodes, Y)
         if np.any(aY):
             sub = "ijk,...bi,"
-            spec = {0: sub + "...bj->...k", 1: sub + "...baj->...ak",
-                    2: sub + "...banj->...ank"}[rank]
+            spec = {0: sub + "...bj->...k", 2: sub + "...banj->...ank"}[rank]
             out += np.einsum(spec, potential.basis.c, aY, V)
     return out
 
@@ -235,32 +229,6 @@ def shell_by_parts_residual(bundle, i, f, h, rank=0, potential=None):
     term2 = bundle.shell_integral(np.einsum("tpbc,tpbc->tp", grad, mi), i)
     scale = abs(term2) + abs(term1) + 1e-300
     return abs(term1 + term2) / scale
-
-
-# ---------------------------------------------------------------------------
-# cone-region quadrature bounded by a slice crossing
-# ---------------------------------------------------------------------------
-
-def cone_region_integral(bundle, f, crossing):
-    """ds x dA integral of f over the cone portion above the crossing ring.
-
-    Trapezoid along each ray up to the last full node, plus the fractional
-    end cell up to the interpolated crossing point.
-    """
-    f = np.asarray(f, dtype=float)
-    J = bundle.optical()["J"]
-    fJ = f * J
-    idx = np.arange(bundle.n_s + 1)[:, None, None]
-    i0 = crossing.i0
-    W = np.where(idx <= i0, bundle.ds, 0.0)
-    W[0] *= 0.5
-    np.put_along_axis(W, i0[None], np.take_along_axis(W, i0[None], 0) * 0.5,
-                      axis=0)
-    inner = np.einsum("stp,stp->tp", W, fJ)
-    fJ_star = crossing.interpolate(fJ)
-    fJ_edge = np.take_along_axis(fJ, i0[None], axis=0)[0]
-    partial = 0.5 * crossing.frac * bundle.ds * (fJ_edge + fJ_star)
-    return float(np.einsum("tp,tp->", inner + partial, bundle.grid.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +277,23 @@ def assemble_representation(bundle, seeds, field, potential=None,
     F_nodes = sample_field(bundle, field, (4, 4, basis.dim))
     F_up = raise_two_form(bundle, F_nodes)
 
-    # --- wave operator of the field (None: zero on a flat abelian chart) --
-    box_up = None
-    if not (chart.flat and basis.dim == 1):
-        box_nodes = np.empty_like(F_nodes)
-        for sl in chunks:
-            box_nodes[sl] = liegauge.wave_source(chart, bundle.x[sl], field)
-        box_up = raise_two_form(bundle, box_nodes)
-        del box_nodes
+    # --- curvature terms, one Riemann evaluation per chunk ----------------
+    # the field's wave operator (None: zero on a flat abelian chart) and
+    # K^a_g = g^{ad} R_{d g L Lbar} (None: zero on a flat chart)
+    box_nodes = None if chart.flat and basis.dim == 1 \
+        else np.empty_like(F_nodes)
+    K = None if chart.flat else np.empty(bundle.x.shape[:3] + (4, 4))
+    for sl in chunks:
+        x = bundle.x[sl]
+        curv = None if chart.flat else geometry.riemann(chart, x)
+        if box_nodes is not None:
+            box_nodes[sl] = liegauge.wave_source(chart, x, field, curv)
+        if K is not None:
+            K[sl] = np.einsum("...gd,...adnm,...m,...n->...ag",
+                              geometry.inverse_metric(chart, x),
+                              curv.riemann, bundle.L[sl], bundle.Lbar[sl])
+    box_up = None if box_nodes is None else raise_two_form(bundle, box_nodes)
+    del box_nodes
 
     # --- seed-free factors of the cone corrections ------------------------
     with np.errstate(invalid="ignore"):
@@ -329,15 +306,6 @@ def assemble_representation(bundle, seeds, field, potential=None,
         F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
                             F_nodes, bundle.L, bundle.Lbar)
     del F_nodes                 # the seed loop needs only F_up and F_LLbar
-    K = None
-    if not chart.flat:
-        # K^a_g = g^{ad} R_{d g L Lbar}
-        K = np.empty(bundle.x.shape[:3] + (4, 4))
-        for sl in chunks:
-            riem = geometry.riemann(chart, bundle.x[sl]).riemann
-            ginv = geometry.inverse_metric(chart, bundle.x[sl])
-            K[sl] = np.einsum("...gd,...adnm,...m,...n->...ag",
-                              ginv, riem, bundle.L[sl], bundle.Lbar[sl])
 
     # --- initial-data ring ---------------------------------------------
     x_ring = crossing.interpolate(bundle.x)
@@ -351,8 +319,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     N_ring = phi_ring[..., None] * L_ring + that_ring
     A_for_D = potential if potential is not None \
         else liegauge.zero_potential(basis)
-    DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, A_for_D,
-                                             rank=2)
+    DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, A_for_D)
     DF_T = np.einsum("...mabk,...m->...abk", DF, that_ring)
     DF_N = np.einsum("...mabk,...m->...abk", DF, N_ring)
     DF_T_up = np.einsum("...am,...bn,...mnk->...abk",
@@ -371,8 +338,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
         # a function of its own, so one seed's temporaries are freed before
         # the next seed's are built
         psi = transport_weight(bundle, seed, potential, a_nodes)
-        source = 0.0 if box_up is None else -cone_region_integral(
-            bundle, pairing(bundle, psi, box_up) * inv_s, crossing)
+        source = 0.0 if box_up is None else -bundle.cone_integral(
+            pairing(bundle, psi, box_up) * inv_s, crossing)
 
         # --- angular / connection corrections on the cone --------------
         dpsi = angular_gauge_derivative(bundle, psi, 2, potential, a_nodes)
@@ -392,8 +359,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
                 correction[sl] -= 0.5 * (
                     np.einsum("...ag,...gbk->...abk", K[sl], psi[sl])
                     + np.einsum("...bg,...agk->...abk", K[sl], psi[sl]))
-        cone_term = cone_region_integral(
-            bundle, pairing(bundle, correction, F_up) * inv_s, crossing)
+        cone_term = bundle.cone_integral(
+            pairing(bundle, correction, F_up) * inv_s, crossing)
 
         # --- initial-data ring terms ------------------------------------
         lam_ring = crossing.interpolate(psi) / s_star[..., None, None, None]

@@ -131,5 +131,5 @@ def test_cartan_curvature_matches_riemann(schw_chart):
 def test_wave_source_vanishes_flat_abelian(flat_chart):
     u1 = liegauge.u1()
     F = runner.plane_wave_field(u1)
-    src = liegauge.wave_source(flat_chart, np.zeros((3, 4)), F)
+    src = liegauge.wave_source(flat_chart, np.zeros((3, 4)), F, None)
     assert np.max(np.abs(src)) < 1e-12

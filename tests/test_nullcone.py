@@ -85,19 +85,46 @@ def test_crossing_interpolation_recovers_smooth_field(flat_bundle):
     assert np.max(np.abs(got - np.sin(-0.37))) < 1e-9
 
 
+def _cone_volume(s_near, s_far):
+    """4 pi (s_far^3 - s_near^3) / 3: f = 1 over the flat cone, J = s^2."""
+    return 4.0 * np.pi * (s_far ** 3 - s_near ** 3) / 3.0
+
+
 def test_cone_integral_volume(flat_bundle):
-    # int_0^1 4 pi s^2 ds = 4 pi / 3
+    # vertex to the ring t = -0.6: int_0^0.6 4 pi s^2 ds
     f = np.ones_like(flat_bundle.x[..., 0])
-    vol = flat_bundle.cone_integral(f)
+    vol = flat_bundle.cone_integral(f, flat_bundle.crossing(-0.6))
     # trapezoid in s near the closed vertex region: O(ds^2)
-    assert abs(vol - 4.0 * np.pi / 3.0) < 2e-4
+    assert abs(vol / _cone_volume(0.0, 0.6) - 1.0) < 1e-4
+
+
+def test_cone_integral_adjacent_cells(flat_bundle):
+    # the crossings fall in the neighbouring cells [80, 81] and [81, 82], so
+    # no whole cell lies between them; node 81 is shared by the two end cells
+    near, far = flat_bundle.crossing(-0.4003), flat_bundle.crossing(-0.4071)
+    assert np.all(near.i0 == 80) and np.all(far.i0 == 81)
+    f = np.ones_like(flat_bundle.x[..., 0])
+    vol = flat_bundle.cone_integral(f, far, near)
+    assert abs(vol / _cone_volume(0.4003, 0.4071) - 1.0) < 1e-4
+
+
+def test_cone_integral_one_cell(flat_bundle):
+    # both crossings inside the cell [80, 81]: the single trapezoid between
+    # the rings, 4 pi (b - a)(a^2 + b^2) / 2 with J = s^2 interpolated exactly
+    a, b = 0.4003, 0.4041
+    near, far = flat_bundle.crossing(-a), flat_bundle.crossing(-b)
+    assert np.all(near.i0 == 80) and np.all(far.i0 == 80)
+    f = np.ones_like(flat_bundle.x[..., 0])
+    vol = flat_bundle.cone_integral(f, far, near)
+    assert abs(vol / (2.0 * np.pi * (b - a) * (a * a + b * b)) - 1.0) < 1e-9
+    assert abs(vol / _cone_volume(a, b) - 1.0) < 1e-4
 
 
 def test_cone_integral_rejects_nan(flat_bundle):
     f = np.ones_like(flat_bundle.x[..., 0])
     f[3, 1, 2] = np.nan
-    with pytest.raises(nullcone.ConeError):
-        flat_bundle.cone_integral(f)
+    with pytest.raises(nullcone.ConeError, match=r"\(3, 1, 2\)"):
+        flat_bundle.cone_integral(f, flat_bundle.crossing(-0.6))
 
 
 def test_mass_aspect_vanishes_flat(flat_bundle):

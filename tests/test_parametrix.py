@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ymcone import geometry, liegauge, parametrix, runner
+from ymcone import geometry, liegauge, nullcone, parametrix, runner
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,31 @@ def test_transport_weight_bounded_schwarzschild(schw_bundle, u1, seeds):
     seed_norm = np.sqrt(np.einsum("mnk,mnk->", seeds[3], seeds[3]))
     assert np.all(np.isfinite(norms))
     assert np.max(norms) / seed_norm < 1.5
+
+
+def test_transport_weight_gauge_bracket_closed_form(flat_bundle):
+    # a constant su(2) potential on the flat cone leaves only the bracket:
+    # dpsi/ds = -[A_L, psi] = -A_L x psi, so psi(s) is the seed rotated by
+    # exp(-s ad A_L), i.e. by the angle -s |A_L| about A_L (Rodrigues)
+    su2 = liegauge.su2()
+    A = np.array([[0.3, -0.2, 0.1], [0.2, 0.25, 0.0],
+                  [-0.1, 0.15, 0.3], [0.05, -0.2, 0.2]])
+    potential = liegauge.GaugePotential(
+        su2, lambda x: np.broadcast_to(A, np.shape(x)[:-1] + A.shape))
+    rng = np.random.default_rng(3)
+    seed = rng.standard_normal((4, 4, 3))
+    seed = seed - np.swapaxes(seed, 0, 1)
+    psi = parametrix.transport_weight(flat_bundle, seed, potential)
+
+    aL = np.einsum("mi,stpm->stpi", A, flat_bundle.L)
+    norm = np.linalg.norm(aL, axis=-1, keepdims=True)
+    k = (aL / norm)[..., None, None, :]
+    angle = flat_bundle.s[:, None, None, None, None, None] \
+        * norm[..., None, None]
+    kv = np.sum(k * seed, axis=-1, keepdims=True)
+    expected = (seed * np.cos(angle) - np.cross(k, seed) * np.sin(angle)
+                + k * kv * (1.0 - np.cos(angle)))
+    assert np.max(np.abs(psi - expected)) < 1e-10
 
 
 def test_screen_laplacian_of_constant_vanishes(flat_bundle, u1):
@@ -114,7 +139,8 @@ def test_batched_seeds_match_single_seed_calls(name, request, u1, seeds):
 def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
                                           monkeypatch):
     # the curvature coupling and the wave source do not depend on the
-    # seed, so six seeds cost as many Riemann evaluations as one
+    # seed and share one Riemann evaluation per chunk, so six seeds cost
+    # as many as one
     calls = []
     riemann = geometry.riemann
 
@@ -132,7 +158,22 @@ def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
             t_slice=schw_bundle.p[0] - 0.3)
         counts.append(len(calls))
     n_chunks = -(-(schw_bundle.n_s + 1) // schw_bundle.chunk)
-    assert counts == [2 * n_chunks, 2 * n_chunks]
+    assert counts == [n_chunks, n_chunks]
+
+
+def test_nan_integrand_names_the_node(flat_bundle, u1, seeds):
+    # a field that is NaN at one cone node stops the cone term there
+    bad = flat_bundle.x[5, 2, 3]
+
+    def fn(x):
+        f = np.zeros(np.shape(x)[:-1] + (4, 4, 1))
+        f[..., 0, 1, 0], f[..., 1, 0, 0] = 1.0, -1.0
+        f[np.all(x == bad, axis=-1)] = np.nan
+        return f
+
+    field = liegauge.FieldStrength(u1, fn)
+    with pytest.raises(nullcone.ConeError, match=r"\(5, 2, 3\)"):
+        parametrix.assemble_representation(flat_bundle, seeds[:1], field)
 
 
 def test_seed_stack_shape_checked(flat_bundle, u1, seeds):
