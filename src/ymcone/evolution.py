@@ -112,24 +112,6 @@ def constraint_residual(state):
     return float(np.sqrt(np.sum(g ** 2) * lat.dx ** 2))
 
 
-def sample_field_strength(state):
-    """Spacetime F_{mu nu} samples on the grid: F_{0i} = E_i, F_{xy} = B.
-
-    Returned as (n, n, 4, 4, dim) with the t, x, y slots filled and the
-    z row zero (the configuration is z-independent).
-    """
-    lat, basis = state.lattice, state.basis
-    n, dim = lat.n, basis.dim
-    F = np.zeros((n, n, 4, 4, dim))
-    B = magnetic_field(lat, basis, state.A)
-    for i in range(2):
-        F[..., 0, 1 + i, :] = state.E[i]
-        F[..., 1 + i, 0, :] = -state.E[i]
-    F[..., 1, 2, :] = B
-    F[..., 2, 1, :] = -B
-    return F
-
-
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------

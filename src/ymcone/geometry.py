@@ -1,12 +1,14 @@
 """Lorentzian chart catalog and pointwise geometric operators.
 
-Charts carry an analytic metric with analytic first and second derivatives,
-vectorized over trailing point axes: every operator accepts ``x`` of shape
-``(..., 4)`` and returns arrays with matching leading axes.  Signature is
-(-,+,+,+) and units have c = 1.
+Charts carry an analytic diagonal metric with analytic first and second
+derivatives, vectorized over trailing point axes: every operator accepts
+``x`` of shape ``(..., 4)`` and returns arrays with matching leading axes.
+Signature is (-,+,+,+) and units have c = 1.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,12 +43,14 @@ def as_points(x):
 # ---------------------------------------------------------------------------
 
 class Chart:
-    """Analytic metric on a coordinate patch.
+    """Analytic metric, diagonal in its coordinates, on a coordinate patch.
 
-    Subclasses implement ``metric``; they may override ``dmetric`` and
-    ``d2metric`` with closed forms (the catalog charts do).  The base class
-    falls back to 4th-order central differences with step
-    ``1e-4 * coordinate_scale`` (truncation O(h^4)).
+    Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
+    and the first and second derivatives of the diagonal in closed form; the
+    full metric and its derivatives, the inverse metric 1/g_aa and the
+    Christoffel symbols with their derivative follow here.  The only nonzero
+    symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc and
+    Gamma^c_aa = -d_c g_aa / 2 g_cc.
     """
 
     name = "chart"
@@ -54,56 +58,81 @@ class Chart:
     #: True when the curvature vanishes identically (lets hot loops skip work).
     flat = False
 
-    def metric(self, x):
+    # diagonal[..., a] = g_aa
+    def diagonal(self, x):
         raise NotImplementedError
+
+    # ddiagonal[..., e, a] = d_e g_aa
+    def ddiagonal(self, x):
+        raise NotImplementedError
+
+    # d2diagonal[..., e, f, a] = d_e d_f g_aa
+    def d2diagonal(self, x):
+        raise NotImplementedError
+
+    def metric(self, x):
+        return _embed(self.diagonal(x))
 
     # dmetric[..., a, m, n] = d_a g_mn
     def dmetric(self, x):
-        return _fd_derivative(self.metric, x, self.fd_step())
+        return _embed(self.ddiagonal(x))
 
     # d2metric[..., a, b, m, n] = d_a d_b g_mn
     def d2metric(self, x):
-        return _fd_derivative(self.dmetric, x, self.fd_step())
+        return _embed(self.d2diagonal(x))
 
-    def fd_step(self):
-        return 1e-4 * self.coordinate_scale
+    def _inverse_diagonal(self, x):
+        d = self.diagonal(x)
+        _require_nondegenerate(np.prod(d, axis=-1), self.name)
+        return 1.0 / d
 
     def inverse_metric(self, x):
-        """g^{ab}, shape (..., 4, 4); see ``generic_inverse_metric``."""
-        return generic_inverse_metric(self, x)
+        """g^{ab} = 1/g_aa on the diagonal, shape (..., 4, 4)."""
+        return _embed(self._inverse_diagonal(x))
 
     def christoffel(self, x):
-        """Gamma^c_ab, shape (..., 4, 4, 4); see ``generic_christoffel``."""
-        return generic_christoffel(self, x)
+        """Gamma^c_ab, shape (..., 4, 4, 4)."""
+        return _scatter_christoffel(self.ddiagonal(x),
+                                    0.5 * self._inverse_diagonal(x))
+
+    def christoffel_derivative(self, x):
+        """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]).
+
+        With h_c = 1/2g_cc: d_e Gamma^c_ab = h_c d_e(2 g_cc Gamma^c_ab)
+        - Gamma^c_ab d_e g_cc / g_cc.
+        """
+        h = 0.5 * self._inverse_diagonal(x)
+        dd = self.ddiagonal(x)
+        rate = 2.0 * h[..., None, :] * dd       # [e, c] = d_e g_cc / g_cc
+        return _scatter_christoffel(self.d2diagonal(x), h[..., None, :]) \
+            - _scatter_christoffel(dd, h)[..., None, :, :, :] \
+            * rate[..., :, :, None, None]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class DiagonalChart(Chart):
-    """Chart whose metric is diagonal in its coordinates (every catalog chart).
+def _embed(d):
+    """The diagonal matrices with diagonal ``d[..., a]``, shape (..., 4, 4)."""
+    out = np.zeros(d.shape + (4,), dtype=d.dtype)
+    i = np.arange(4)
+    out[..., i, i] = d
+    return out
 
-    The inverse metric is 1/g_aa and
-    Gamma^c_ab = (d_a g_cb + d_b g_ca - d_c g_ab) / (2 g_cc), both in closed
-    form, with the same degeneracy check as the generic route.
+
+def _scatter_christoffel(dd, h):
+    """Gamma-shaped (..., 4[c], 4[a], 4[b]) from dd[..., a, c] = d_a g_cc.
+
+    Sets Gamma^c_aa = -h_c d_c g_aa, then Gamma^c_ac = Gamma^c_ca =
+    h_c d_a g_cc (which wins at a = c); every other entry is zero.
     """
-
-    def _metric_diagonal(self, x):
-        d = np.diagonal(self.metric(x), axis1=-2, axis2=-1)
-        _require_nondegenerate(np.prod(d, axis=-1), self.name)
-        return d
-
-    def inverse_metric(self, x):
-        d = self._metric_diagonal(x)
-        ginv = np.zeros(d.shape + (4,), dtype=d.dtype)
-        i = np.arange(4)
-        ginv[..., i, i] = 1.0 / d
-        return ginv
-
-    def christoffel(self, x):
-        inv_d = 1.0 / self._metric_diagonal(x)
-        t = _lowered_christoffel(self.dmetric(x))         # (..., a, b, c)
-        return 0.5 * (inv_d[..., :, None, None] * np.moveaxis(t, -1, -3))
+    out = np.zeros(dd.shape[:-2] + (4, 4, 4), dtype=np.result_type(dd, h))
+    i = np.arange(4)
+    out[..., :, i, i] = -(h[..., :, None] * dd)
+    mixed = h[..., None, :] * dd                        # [a, c]
+    np.swapaxes(out, -3, -2)[..., :, i, i] = mixed
+    out[..., i, i, :] = np.swapaxes(mixed, -1, -2)
+    return out
 
 
 def _fd_derivative(fn, x, h):
@@ -125,35 +154,33 @@ def _fd_derivative(fn, x, h):
     return np.stack(outs, axis=x.ndim - 1)
 
 
-class Minkowski(DiagonalChart):
+def _zeros(x, *tail):
+    return np.zeros(x.shape[:-1] + tail, dtype=x.dtype)
+
+
+class Minkowski(Chart):
     name = "minkowski"
     flat = True
 
-    def metric(self, x):
-        x = as_points(x)
-        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
-        g[..., 0, 0] = -1.0
-        for i in (1, 2, 3):
-            g[..., i, i] = 1.0
-        return g
+    def diagonal(self, x):
+        d = _zeros(as_points(x), 4) + 1.0
+        d[..., 0] = -1.0
+        return d
+
+    def ddiagonal(self, x):
+        return _zeros(as_points(x), 4, 4)
+
+    def d2diagonal(self, x):
+        return _zeros(as_points(x), 4, 4, 4)
 
     def inverse_metric(self, x):
         return self.metric(x)           # eta is its own inverse
 
     def christoffel(self, x):
-        x = as_points(x)
-        return np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
-
-    def dmetric(self, x):
-        x = as_points(x)
-        return np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
-
-    def d2metric(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, 4, 4, 4))
+        return _zeros(as_points(x), 4, 4, 4)
 
 
-class Schwarzschild(DiagonalChart):
+class Schwarzschild(Chart):
     """Schwarzschild metric in Schwarzschild coordinates (t, r, theta, phi).
 
     Valid for r > 2M away from the axis; the horizon is excluded by the
@@ -166,55 +193,44 @@ class Schwarzschild(DiagonalChart):
         self.mass = float(mass)
         self.coordinate_scale = max(1.0, 10.0 * self.mass)
 
-    def metric(self, x):
+    def _polar(self, x):
+        """The points, r, theta and f = 1 - 2M/r."""
         x = as_points(x)
-        r, th = x[..., 1], x[..., 2]
-        f = 1.0 - 2.0 * self.mass / r
-        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
-        g[..., 0, 0] = -f
-        g[..., 1, 1] = 1.0 / f
-        g[..., 2, 2] = r ** 2
-        g[..., 3, 3] = (r * np.sin(th)) ** 2
-        return g
+        return x, x[..., 1], x[..., 2], 1.0 - 2.0 * self.mass / x[..., 1]
 
-    def dmetric(self, x):
-        x = as_points(x)
-        r, th = x[..., 1], x[..., 2]
-        M = self.mass
-        f = 1.0 - 2.0 * M / r
-        dg = np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
-        # d/dr
-        dg[..., 1, 0, 0] = -2.0 * M / r ** 2
-        dg[..., 1, 1, 1] = -(2.0 * M / r ** 2) / f ** 2
-        dg[..., 1, 2, 2] = 2.0 * r
-        dg[..., 1, 3, 3] = 2.0 * r * np.sin(th) ** 2
-        # d/dtheta
-        dg[..., 2, 3, 3] = 2.0 * r ** 2 * np.sin(th) * np.cos(th)
-        return dg
+    def diagonal(self, x):
+        _, r, th, f = self._polar(x)
+        return np.stack([-f, 1.0 / f, r ** 2, (r * np.sin(th)) ** 2], axis=-1)
 
-    def d2metric(self, x):
-        x = np.asarray(x, dtype=float)
-        r, th = x[..., 1], x[..., 2]
+    def ddiagonal(self, x):
+        x, r, th, f = self._polar(x)
         M = self.mass
-        f = 1.0 - 2.0 * M / r
+        dd = _zeros(x, 4, 4)
+        dd[..., 1, 0] = -2.0 * M / r ** 2
+        dd[..., 1, 1] = -(2.0 * M / r ** 2) / f ** 2
+        dd[..., 1, 2] = 2.0 * r
+        dd[..., 1, 3] = 2.0 * r * np.sin(th) ** 2
+        dd[..., 2, 3] = 2.0 * r ** 2 * np.sin(th) * np.cos(th)
+        return dd
+
+    def d2diagonal(self, x):
+        x, r, th, f = self._polar(x)
+        M = self.mass
         s, c = np.sin(th), np.cos(th)
-        d2 = np.zeros(x.shape[:-1] + (4, 4, 4, 4))
-        # rr
-        d2[..., 1, 1, 0, 0] = 4.0 * M / r ** 3
-        # d/dr of -(2M/r^2) f^-2: (4M/r^3) f^-2 - (2M/r^2)(2)(2M/r^2) f^-3
-        d2[..., 1, 1, 1, 1] = (4.0 * M / r ** 3) / f ** 2 \
-            - 2.0 * (2.0 * M / r ** 2) ** 2 / f ** 3
-        d2[..., 1, 1, 2, 2] = 2.0
-        d2[..., 1, 1, 3, 3] = 2.0 * s ** 2
-        # r theta (symmetrized)
-        d2[..., 1, 2, 3, 3] = 4.0 * r * s * c
-        d2[..., 2, 1, 3, 3] = 4.0 * r * s * c
-        # theta theta
-        d2[..., 2, 2, 3, 3] = 2.0 * r ** 2 * (c ** 2 - s ** 2)
+        d2 = _zeros(x, 4, 4, 4)
+        d2[..., 1, 1, 0] = 4.0 * M / r ** 3
+        # d/dr of -(2M/r^2) f^-2: (4M/r^3) f^-2 + (2M/r^2)(2)(2M/r^2) f^-3
+        d2[..., 1, 1, 1] = (4.0 * M / r ** 3) / f ** 2 \
+            + 2.0 * (2.0 * M / r ** 2) ** 2 / f ** 3
+        d2[..., 1, 1, 2] = 2.0
+        d2[..., 1, 1, 3] = 2.0 * s ** 2
+        d2[..., 1, 2, 3] = 4.0 * r * s * c
+        d2[..., 2, 1, 3] = 4.0 * r * s * c
+        d2[..., 2, 2, 3] = 2.0 * r ** 2 * (c ** 2 - s ** 2)
         return d2
 
 
-class SchwarzschildIsotropic(DiagonalChart):
+class SchwarzschildIsotropic(Chart):
     """Schwarzschild metric in isotropic Cartesian coordinates (t, x, y, z).
 
     g = -((1-m)/(1+m))^2 dt^2 + (1+m)^4 (dx^2+dy^2+dz^2), m = M/(2 rho).
@@ -228,21 +244,20 @@ class SchwarzschildIsotropic(DiagonalChart):
         self.mass = float(mass)
         self.coordinate_scale = max(1.0, 10.0 * self.mass)
 
-    # scalar profiles and their radial derivatives ------------------------
-    def _rho(self, x):
-        return np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
-
-    def _profiles(self, rho):
+    def _profiles(self, x):
+        """rho, the unit radial n = grad rho, and g_tt = N, g_ii = B with
+        their first and second rho derivatives."""
+        rho = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
         m = self.mass / (2.0 * rho)
         dm = -self.mass / (2.0 * rho ** 2)
         d2m = self.mass / rho ** 3
         q = (1.0 - m) / (1.0 + m)
         # dq/dm = -2/(1+m)^2
-        N = -q ** 2                           # g_tt
+        N = -q ** 2
         dN_dm = -2.0 * q * (-2.0 / (1.0 + m) ** 2)
         d2N_dm = -2.0 * (-2.0 / (1.0 + m) ** 2) ** 2 \
             + (-2.0 * q) * (4.0 / (1.0 + m) ** 3)
-        B = (1.0 + m) ** 4                    # spatial conformal factor
+        B = (1.0 + m) ** 4
         dB_dm = 4.0 * (1.0 + m) ** 3
         d2B_dm = 12.0 * (1.0 + m) ** 2
         # chain rule to rho
@@ -250,51 +265,36 @@ class SchwarzschildIsotropic(DiagonalChart):
         d2N = d2N_dm * dm ** 2 + dN_dm * d2m
         dB = dB_dm * dm
         d2B = d2B_dm * dm ** 2 + dB_dm * d2m
-        return N, dN, d2N, B, dB, d2B
-
-    def metric(self, x):
-        x = as_points(x)
-        rho = self._rho(x)
-        N, _, _, B, _, _ = self._profiles(rho)
-        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
-        g[..., 0, 0] = N
-        for i in (1, 2, 3):
-            g[..., i, i] = B
-        return g
-
-    def dmetric(self, x):
-        x = as_points(x)
-        rho = self._rho(x)
-        N, dN, _, B, dB, _ = self._profiles(rho)
-        n = x[..., 1:] / rho[..., None]       # d_i rho
-        dg = np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
-        for a in (1, 2, 3):
-            dg[..., a, 0, 0] = dN * n[..., a - 1]
-            for i in (1, 2, 3):
-                dg[..., a, i, i] = dB * n[..., a - 1]
-        return dg
-
-    def d2metric(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = self._rho(x)
-        N, dN, d2N, B, dB, d2B = self._profiles(rho)
         n = x[..., 1:] / rho[..., None]
+        return rho, n, (N, dN, d2N), (B, dB, d2B)
+
+    def diagonal(self, x):
+        _, _, (N, _, _), (B, _, _) = self._profiles(as_points(x))
+        return np.stack([N, B, B, B], axis=-1)
+
+    def ddiagonal(self, x):
+        x = as_points(x)
+        _, n, (_, dN, _), (_, dB, _) = self._profiles(x)
+        dd = _zeros(x, 4, 4)
+        dd[..., 1:, 0] = dN[..., None] * n
+        dd[..., 1:, 1:] = (dB[..., None] * n)[..., None]
+        return dd
+
+    def d2diagonal(self, x):
+        x = as_points(x)
+        rho, n, (_, dN, d2N), (_, dB, d2B) = self._profiles(x)
         # d_a d_b rho = (delta_ab - n_a n_b)/rho
-        eye = np.eye(3)
-        hess_rho = (eye - n[..., :, None] * n[..., None, :]) / rho[..., None, None]
         nn = n[..., :, None] * n[..., None, :]
-        d2 = np.zeros(x.shape[:-1] + (4, 4, 4, 4))
-        hN = d2N[..., None, None] * nn + dN[..., None, None] * hess_rho
-        hB = d2B[..., None, None] * nn + dB[..., None, None] * hess_rho
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                d2[..., a, b, 0, 0] = hN[..., a - 1, b - 1]
-                for i in (1, 2, 3):
-                    d2[..., a, b, i, i] = hB[..., a - 1, b - 1]
+        hess_rho = (np.eye(3) - nn) / rho[..., None, None]
+        d2 = _zeros(x, 4, 4, 4)
+        d2[..., 1:, 1:, 0] = d2N[..., None, None] * nn \
+            + dN[..., None, None] * hess_rho
+        d2[..., 1:, 1:, 1:] = (d2B[..., None, None] * nn
+                               + dB[..., None, None] * hess_rho)[..., None]
         return d2
 
 
-class FLRW(DiagonalChart):
+class FLRW(Chart):
     """Spatially flat power-law FLRW: g = -dt^2 + t^(2p) (dx^2+dy^2+dz^2)."""
 
     name = "flrw"
@@ -302,31 +302,24 @@ class FLRW(DiagonalChart):
     def __init__(self, power=1.0):
         self.power = float(power)
 
-    def metric(self, x):
+    def diagonal(self, x):
         x = as_points(x)
         a2 = x[..., 0] ** (2.0 * self.power)
-        g = np.zeros(x.shape[:-1] + (4, 4), dtype=x.dtype)
-        g[..., 0, 0] = -1.0
-        for i in (1, 2, 3):
-            g[..., i, i] = a2
-        return g
+        return np.stack([-np.ones_like(a2), a2, a2, a2], axis=-1)
 
-    def dmetric(self, x):
+    def ddiagonal(self, x):
         x = as_points(x)
         p = self.power
-        da2 = 2.0 * p * x[..., 0] ** (2.0 * p - 1.0)
-        dg = np.zeros(x.shape[:-1] + (4, 4, 4), dtype=x.dtype)
-        for i in (1, 2, 3):
-            dg[..., 0, i, i] = da2
-        return dg
+        dd = _zeros(x, 4, 4)
+        dd[..., 0, 1:] = (2.0 * p * x[..., 0] ** (2.0 * p - 1.0))[..., None]
+        return dd
 
-    def d2metric(self, x):
-        x = np.asarray(x, dtype=float)
+    def d2diagonal(self, x):
+        x = as_points(x)
         p = self.power
-        d2a2 = 2.0 * p * (2.0 * p - 1.0) * x[..., 0] ** (2.0 * p - 2.0)
-        d2 = np.zeros(x.shape[:-1] + (4, 4, 4, 4))
-        for i in (1, 2, 3):
-            d2[..., 0, 0, i, i] = d2a2
+        d2 = _zeros(x, 4, 4, 4)
+        d2[..., 0, 0, 1:] = (2.0 * p * (2.0 * p - 1.0)
+                             * x[..., 0] ** (2.0 * p - 2.0))[..., None]
         return d2
 
 
@@ -396,11 +389,14 @@ def christoffel(chart, x):
 
 
 def christoffel_derivative(chart, x):
-    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]).
+    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]), in closed form."""
+    return chart.christoffel_derivative(x)
 
-    Uses analytic d2metric; exact up to floating point for catalog charts.
-    """
-    ginv = chart.inverse_metric(x)
+
+def generic_christoffel_derivative(chart, x):
+    """d_e Gamma^c_ab from the LAPACK inverse, ``dmetric`` and ``d2metric``;
+    valid on any chart."""
+    ginv = generic_inverse_metric(chart, x)
     dg = chart.dmetric(x)
     d2g = chart.d2metric(x)
     t = _lowered_christoffel(dg)
@@ -413,14 +409,8 @@ def christoffel_derivative(chart, x):
                   + np.einsum("...cd,...eabd->...ecab", ginv, dt))
 
 
-class CurvatureTensors:
-    """Lowered Riemann tensor R_abcd and Ricci tensor R_ab at a point batch."""
-
-    __slots__ = ("riemann", "ricci")
-
-    def __init__(self, riemann, ricci):
-        self.riemann = riemann
-        self.ricci = ricci
+#: lowered Riemann tensor R_abcd and Ricci tensor R_ab at a point batch
+CurvatureTensors = namedtuple("CurvatureTensors", "riemann ricci")
 
 
 def riemann(chart, x):
@@ -432,28 +422,23 @@ def riemann(chart, x):
     """
     if chart.flat:
         x = np.asarray(x, dtype=float)
-        z4 = np.zeros(x.shape[:-1] + (4,) * 4)
-        z2 = np.zeros(x.shape[:-1] + (4, 4))
-        return CurvatureTensors(z4, z2)
+        return CurvatureTensors(_zeros(x, 4, 4, 4, 4), _zeros(x, 4, 4))
     gamma = christoffel(chart, x)
-    dgamma = christoffel_derivative(chart, x)
-    up = (np.einsum("...mrns->...rsmn", dgamma)
-          - np.einsum("...nrms->...rsmn", dgamma)
-          + np.einsum("...rml,...lns->...rsmn", gamma, gamma)
-          - np.einsum("...rnl,...lms->...rsmn", gamma, gamma))
+    # half[r, s, m, n] = d_m Gamma^r_ns + Gamma^r_ml Gamma^l_ns
+    half = np.einsum("...mrns->...rsmn", christoffel_derivative(chart, x)) \
+        + np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    up = half - np.swapaxes(half, -1, -2)
     ricci = np.einsum("...cmcn->...mn", up)
-    g = chart.metric(x)
-    low = np.einsum("...ar,...rsmn->...asmn", g, up)
+    low = chart.diagonal(x)[..., :, None, None, None] * up
     return CurvatureTensors(low, ricci)
 
 
 def kretschmann(chart, x):
-    """Full curvature invariant R_abcd R^abcd."""
+    """Full curvature invariant R_abcd R^abcd, raising each index by 1/g_aa."""
     R = riemann(chart, x).riemann
-    ginv = inverse_metric(chart, x)
-    Rup = np.einsum("...ae,...bf,...cg,...dh,...efgh->...abcd",
-                    ginv, ginv, ginv, ginv, R)
-    return np.einsum("...abcd,...abcd->...", R, Rup)
+    inv = 1.0 / chart.diagonal(x)
+    return np.einsum("...abcd,...a,...b,...c,...d,...abcd->...",
+                     R, inv, inv, inv, inv, R)
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +448,18 @@ def kretschmann(chart, x):
 class VectorField:
     """Vector field with value and Jacobian access.
 
-    ``fn(x) -> (..., 4)``; ``jac(x) -> (..., 4[a], 4[mu]) = d_a V^mu`` may be
-    given analytically, else a 4th-order central difference is used.
+    ``fn(x) -> (..., 4)``; ``jac(x) -> (..., 4[a], 4[mu]) = d_a V^mu``.
     """
 
-    def __init__(self, fn, jac=None, step=1e-5):
+    def __init__(self, fn, jac):
         self.fn = fn
         self._jac = jac
-        self.step = step
 
     def __call__(self, x):
         return np.asarray(self.fn(x), dtype=float)
 
     def jacobian(self, x):
-        if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=float)
-        return _fd_derivative(self.fn, np.asarray(x, dtype=float), self.step)
+        return np.asarray(self._jac(x), dtype=float)
 
 
 def coordinate_time_field():
@@ -490,21 +471,22 @@ def coordinate_time_field():
         return v
 
     def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, 4))
+        return _zeros(np.asarray(x, dtype=float), 4, 4)
 
     return VectorField(fn, jac=jac)
 
 
 def unit_time_field(chart):
-    """Future unit timelike field aligned with d/dt: that = (-g_tt)^(-1/2) d/dt."""
+    """Future unit timelike field aligned with d/dt: that = (-g_tt)^(-1/2) d/dt.
+
+    Returns the map x -> that(x), shape (..., 4).
+    """
     def fn(x):
-        g = chart.metric(x)
         v = np.zeros(np.shape(x)[:-1] + (4,))
-        v[..., 0] = (-g[..., 0, 0]) ** -0.5
+        v[..., 0] = (-chart.diagonal(x)[..., 0]) ** -0.5
         return v
 
-    return VectorField(fn, step=1e-5 * chart.coordinate_scale)
+    return fn
 
 
 def covariant_jacobian(chart, x, field):

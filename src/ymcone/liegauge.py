@@ -237,9 +237,7 @@ class FrameField:
 def static_diagonal_frame(chart):
     """Frame field e_alpha = g_{alpha alpha}^{-1/2} d_alpha for diagonal metrics."""
     def fn(x):
-        g = chart.metric(x)
-        d = np.einsum("...ii->...i", g).copy()
-        d[..., 0] = -d[..., 0]
+        d = chart.diagonal(x) * np.array([-1.0, 1.0, 1.0, 1.0])
         return np.einsum("...a,ab->...ab", d ** -0.5, np.eye(4))
 
     return FrameField(fn, step=1e-4 * chart.coordinate_scale)

@@ -403,13 +403,18 @@ class NullConeBundle:
         fractional end cell up to the interpolated ring; a ray whose two
         crossings fall in one cell gets the single trapezoid between the rings.
         The directions use the grid's product quadrature.  A NaN in ``f``
-        raises ``ConeError`` naming the node.
+        raises ``ConeError`` naming the node, and so does a ``near`` ring that
+        lies past the ``far`` one, naming the first such ray.
         """
         f = np.asarray(f, dtype=float)
         if np.any(np.isnan(f)):
             idx = np.argwhere(np.isnan(f))[0]
             raise ConeError(f"NaN integrand at node (s_index, theta, phi) = "
                             f"{tuple(int(v) for v in idx)}")
+        if near is not None and np.any(near.s_star > far.s_star):
+            idx = np.argwhere(near.s_star > far.s_star)[0]
+            raise ConeError(f"near crossing lies past the far one on ray "
+                            f"(theta, phi) = {tuple(int(v) for v in idx)}")
         fJ = f * self.optical()["J"]
         ds = self.ds
         first = 0 if near is None else near.i0 + 1    # first node past near

@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -208,6 +209,12 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _finite_number(v):
+    """True for an int or a finite float; a bool is not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and (isinstance(v, int) or math.isfinite(v))
+
+
 def _merged_section(doc, key, defaults, problems):
     out = dict(defaults)
     section = doc.get(key, {})
@@ -217,13 +224,35 @@ def _merged_section(doc, key, defaults, problems):
     for k, v in section.items():
         if k not in defaults:
             problems.append(f"unknown key '{key}.{k}'")
-        elif not isinstance(v, (int, float)):
-            problems.append(f"'{key}.{k}' must be numeric")
+        elif not _finite_number(v):
+            problems.append(f"'{key}.{k}' must be a finite number")
         elif v <= 0:
             problems.append(f"'{key}.{k}' must be positive")
+        elif isinstance(defaults[k], int) and v != int(v):
+            problems.append(f"'{key}.{k}' must be an integer")
         else:
             out[k] = type(defaults[k])(v)
     return out
+
+
+def _checked_chart(name, params, vertex, problems):
+    """Build the chart and check that the vertex, unless None, lies in it."""
+    try:
+        chart = geometry.make_chart(name, **params)
+        if not all(_finite_number(v) for v in params.values()):
+            raise ValueError("values must be finite numbers")
+    except (TypeError, ValueError) as exc:
+        problems.append(f"bad 'chart.params' {params!r} for chart '{name}': "
+                        f"{exc}")
+        return
+    if vertex is None:
+        return
+    with np.errstate(all="ignore"):
+        d = chart.diagonal(np.asarray(vertex, dtype=float))
+    if not (np.all(np.isfinite(d)) and d[0] < 0 and np.all(d[1:] > 0)):
+        problems.append(f"'vertex' {list(vertex)} lies outside chart "
+                        f"'{name}': metric diagonal {d.tolist()} is not "
+                        f"finite with signature (-,+,+,+)")
 
 
 def parse_config(doc, strict=False):
@@ -240,8 +269,11 @@ def parse_config(doc, strict=False):
     chart = doc.get("chart", {})
     if isinstance(chart, str):
         chart = {"name": chart}
+    if not isinstance(chart, dict):
+        problems.append("'chart' must be a name or an object")
+        chart = {}
     chart_name = chart.get("name")
-    chart_params = dict(chart.get("params", {}))
+    chart_params = chart.get("params", {})
     if chart_name not in CHARTS:
         problems.append(f"unknown chart '{chart_name}'; catalog: {list(CHARTS)}")
 
@@ -261,13 +293,17 @@ def parse_config(doc, strict=False):
         if chart_name in ("schwarzschild",) else [0.0, 0.0, 0.0, 0.0]
     vertex = doc.get("vertex", default_vertex)
     if (not isinstance(vertex, (list, tuple)) or len(vertex) != 4
-            or not all(isinstance(v, (int, float)) for v in vertex)):
-        problems.append("'vertex' must be a list of 4 numbers")
-        vertex = default_vertex
+            or not all(_finite_number(v) for v in vertex)):
+        problems.append("'vertex' must be a list of 4 finite numbers")
+        vertex = None
+    if chart_name in CHARTS:
+        _checked_chart(chart_name, chart_params, vertex, problems)
 
     cone = _merged_section(doc, "cone", _CONE_DEFAULTS, problems)
     if cone["ds"] >= cone["s_max"]:
         problems.append("'cone.ds' must be smaller than 'cone.s_max'")
+    if cone["n_phi"] % 2:
+        problems.append("'cone.n_phi' must be even")
     evo = _merged_section(doc, "evolution", _EVOLUTION_DEFAULTS, problems)
     if evo["dt_factor"] > 1.0:
         problems.append("'evolution.dt_factor' exceeds the stability range")
@@ -283,7 +319,7 @@ def parse_config(doc, strict=False):
                             f"catalog: {list(EXPERIMENTS)}")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         problems.append("'seed' must be a nonnegative integer")
         seed = 0
 
@@ -294,7 +330,7 @@ def parse_config(doc, strict=False):
 
     if problems:
         raise ConfigError(problems)
-    return Scenario(chart_name, chart_params, algebra, profile,
+    return Scenario(chart_name, dict(chart_params), algebra, profile,
                     dict(fld.get("params", {})), np.asarray(vertex, float),
                     cone, evo, bnd, list(experiments), seed, dict(tolerances),
                     doc.get("out_dir"), raw=doc)

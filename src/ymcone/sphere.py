@@ -94,10 +94,6 @@ class SphereGrid:
         self._dtheta_mats = [(self._P[m] * self.gl_weights).T @ self._dP[m]
                              for m in range(self.m_count)]
 
-    @property
-    def n_dirs(self):
-        return self.n_theta * self.n_phi
-
     def directions(self):
         """Unit direction triples omega-hat, shape (n_theta, n_phi, 3)."""
         st, ct = self.sin_theta, self.cos_theta

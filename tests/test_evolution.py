@@ -95,15 +95,6 @@ def test_state_shape_guard(lattice):
                              np.zeros((2, 3, 3, 1)))
 
 
-def test_sample_field_strength_layout(lattice):
-    su2 = liegauge.su2()
-    state = evolution.crossed_stream_data(lattice, su2, amplitude=0.1)
-    F = evolution.sample_field_strength(state)
-    assert F.shape == (lattice.n, lattice.n, 4, 4, su2.dim)
-    assert np.max(np.abs(F + np.swapaxes(F, -3, -2))) == 0.0
-    assert np.max(np.abs(F[..., 0, 1, :] - state.E[0])) == 0.0
-
-
 def test_run_diagnostics_rows(lattice):
     u1 = liegauge.u1()
     state = evolution.abelian_wave_data(lattice, u1)

@@ -112,12 +112,36 @@ def test_closed_forms_match_generic_route(name, params, x):
     gamma = chart.christoffel(pts)
     ref = geometry.generic_christoffel(chart, pts)
     assert np.max(np.abs(gamma - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    dgamma = geometry.christoffel_derivative(chart, pts)
+    ref = geometry.generic_christoffel_derivative(chart, pts)
+    assert np.max(np.abs(dgamma - ref)) \
+        <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
+def test_diagonal_derivatives_match_differences(name, params, x):
+    # each closed-form derivative against a 4th-order central difference of
+    # the quantity one order below, which never reads the chart's own
+    # derivative of it
+    chart = geometry.make_chart(name, **params)
+    rng = np.random.default_rng(11)
+    pts = np.asarray(x) + 0.05 * rng.standard_normal((3, 4))
+    h = 1e-3     # every catalog point has angles and radii of order 1 or more
+    for fn, deriv in ((chart.diagonal, chart.ddiagonal),
+                      (chart.ddiagonal, chart.d2diagonal),
+                      (chart.christoffel, chart.christoffel_derivative)):
+        want = geometry._fd_derivative(fn, pts, h)
+        got = deriv(pts)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) \
+            <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_closed_forms_reject_degenerate_point(schw_chart):
     horizon = np.array([[0.0, 10.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for op in (schw_chart.inverse_metric, schw_chart.christoffel):
+        for op in (schw_chart.inverse_metric, schw_chart.christoffel,
+                   schw_chart.christoffel_derivative):
             with pytest.raises(geometry.DegenerateMetricError):
                 op(horizon)
 

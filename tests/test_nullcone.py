@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ymcone import geometry, nullcone, sphere
+from ymcone import energy, geometry, liegauge, nullcone, runner, sphere
 
 
 def test_flat_expansion_closed_form(flat_bundle):
@@ -125,6 +125,20 @@ def test_cone_integral_rejects_nan(flat_bundle):
     f[3, 1, 2] = np.nan
     with pytest.raises(nullcone.ConeError, match=r"\(3, 1, 2\)"):
         flat_bundle.cone_integral(f, flat_bundle.crossing(-0.6))
+
+
+def test_cone_integral_rejects_swapped_crossings(flat_bundle, flat_chart):
+    # a near ring past the far one names the ray instead of returning a
+    # number (0.0099 here, for a region of volume 0.637)
+    f = np.ones_like(flat_bundle.x[..., 0])
+    far, near = flat_bundle.crossing(-0.4), flat_bundle.crossing(-0.6)
+    with pytest.raises(nullcone.ConeError,
+                       match=r"ray \(theta, phi\) = \(0, 0\)"):
+        flat_bundle.cone_integral(f, far, near)
+    F = runner.plane_wave_field(liegauge.u1())
+    with pytest.raises(nullcone.ConeError, match="near crossing"):
+        energy.divergence_identity_report(flat_chart, F, flat_bundle,
+                                          -0.4, -0.6)
 
 
 def test_mass_aspect_vanishes_flat(flat_bundle):

@@ -44,6 +44,55 @@ def test_negative_step_names_the_field():
     assert any("cone.ds" in p for p in exc.value.problems)
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"cone": {"n_theta": True}}, "cone.n_theta"),
+    ({"seed": True}, "seed"),
+    ({"cone": {"ds": float("nan")}}, "cone.ds"),
+    ({"cone": {"s_max": float("inf")}}, "cone.s_max"),
+    ({"bounds": {"dt": float("inf")}}, "bounds.dt"),
+    ({"cone": {"n_theta": 8.7}}, "cone.n_theta"),
+    ({"cone": {"n_phi": 16.5}}, "cone.n_phi"),
+    ({"evolution": {"n": 31.5}}, "evolution.n"),
+    ({"cone": {"n_phi": 15}}, "cone.n_phi"),
+])
+def test_strict_section_values_name_the_field(doc, field):
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config(dict(MINIMAL, **doc))
+    assert any(field in p for p in exc.value.problems), exc.value.problems
+
+
+@pytest.mark.parametrize("params", [{"massx": 1}, {"mass": "heavy"},
+                                    {"mass": True}, [1.0]])
+def test_bad_chart_params_name_the_field(params):
+    doc = {"chart": {"name": "schwarzschild", "params": params},
+           "experiments": ["cone_geometry"]}
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config(doc)
+    assert any("chart.params" in p for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("chart,vertex", [
+    ({"name": "flrw"}, [0.0, 0.0, 0.0, 0.0]),             # big bang, a = 0
+    ({"name": "schwarzschild"}, [0.0, 2.0, 1.0, 0.0]),    # horizon
+    ({"name": "schwarzschild"}, [0.0, 1.5, 1.0, 0.0]),    # inside: r timelike
+    ({"name": "schwarzschild"}, [0.0, 10.0, 0.0, 0.0]),   # polar axis
+    ({"name": "minkowski"}, [0.0, float("nan"), 0.0, 0.0]),
+])
+def test_vertex_outside_chart_rejected(chart, vertex):
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config({"chart": chart, "vertex": vertex})
+    assert any("vertex" in p for p in exc.value.problems)
+
+
+def test_valid_chart_params_and_vertex_parse():
+    for chart, vertex in (({"name": "flrw", "params": {"power": 0.5}},
+                           [1.0, 0.0, 0.0, 0.0]),
+                          ({"name": "schwarzschild-isotropic",
+                            "params": {"mass": 1}}, [0.0, 8.0, 0.0, 0.0])):
+        scn = runner.parse_config({"chart": chart, "vertex": vertex})
+        assert scn.chart_params == chart["params"]
+
+
 def test_unknown_chart_lists_catalog():
     with pytest.raises(runner.ConfigError) as exc:
         runner.parse_config({"chart": "kerr"})
