@@ -70,6 +70,10 @@ class Chart:
     def d2diagonal(self, x):
         raise NotImplementedError
 
+    def default_vertex(self):
+        """The cone vertex of a scenario that names none; inside the chart."""
+        return np.zeros(4)
+
     def metric(self, x):
         return _embed(self.diagonal(x))
 
@@ -193,6 +197,9 @@ class Schwarzschild(Chart):
         self.mass = float(mass)
         self.coordinate_scale = max(1.0, 10.0 * self.mass)
 
+    def default_vertex(self):
+        return np.array([0.0, self.coordinate_scale, np.pi / 2, 0.0])
+
     def _polar(self, x):
         """The points, r, theta and f = 1 - 2M/r."""
         x = as_points(x)
@@ -243,6 +250,9 @@ class SchwarzschildIsotropic(Chart):
     def __init__(self, mass=1.0):
         self.mass = float(mass)
         self.coordinate_scale = max(1.0, 10.0 * self.mass)
+
+    def default_vertex(self):
+        return np.array([0.0, self.coordinate_scale, 0.0, 0.0])
 
     def _profiles(self, x):
         """rho, the unit radial n = grad rho, and g_tt = N, g_ii = B with
@@ -301,6 +311,10 @@ class FLRW(Chart):
 
     def __init__(self, power=1.0):
         self.power = float(power)
+
+    def default_vertex(self):
+        """t = 2(1 + p): its past light rays reach a = 0 at s = 2."""
+        return np.array([2.0 * (1.0 + self.power), 0.0, 0.0, 0.0])
 
     def diagonal(self, x):
         x = as_points(x)

@@ -9,6 +9,8 @@ differences with a caller-controlled step.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from . import geometry
@@ -217,30 +219,31 @@ def wave_source(chart, x, F, curv):
 # Cartan connection: frame geometry as a matrix-valued gauge field
 # ---------------------------------------------------------------------------
 
-class FrameField:
-    """Smooth orthonormal frame field e_alpha^mu(x), shape (..., 4, 4).
+class FrameField(namedtuple("FrameField", "fn jacobian")):
+    """Smooth orthonormal frame field e_alpha^mu = fn(x), shape (..., 4, 4),
+    with its derivative jacobian(x) = d_mu e_alpha^nu, (..., 4[mu], 4, 4).
 
     Rows are the frame legs; row 0 is the unit timelike leg.
     """
 
-    def __init__(self, fn, step=1e-4):
-        self.fn = fn
-        self.step = step
-
     def __call__(self, x):
-        return np.asarray(self.fn(x), dtype=float)
-
-    def jacobian(self, x):
-        return geometry._fd_derivative(self.fn, np.asarray(x, float), self.step)
+        return self.fn(x)
 
 
 def static_diagonal_frame(chart):
-    """Frame field e_alpha = g_{alpha alpha}^{-1/2} d_alpha for diagonal metrics."""
+    """Frame field e_alpha = |g_{alpha alpha}|^{-1/2} d_alpha for diagonal
+    metrics, differentiated in closed form from ``chart.ddiagonal``."""
+    sign = np.array([-1.0, 1.0, 1.0, 1.0])
+
     def fn(x):
-        d = chart.diagonal(x) * np.array([-1.0, 1.0, 1.0, 1.0])
+        d = chart.diagonal(x) * sign
         return np.einsum("...a,ab->...ab", d ** -0.5, np.eye(4))
 
-    return FrameField(fn, step=1e-4 * chart.coordinate_scale)
+    def jac(x):                 # d_mu e_a = -e_a^3 d_mu |g_aa| / 2
+        return -0.5 * fn(x)[..., None, :, :] ** 3 \
+            * (chart.ddiagonal(x) * sign)[..., :, :, None]
+
+    return FrameField(fn, jac)
 
 
 def cartan_connection(chart, frame_field):

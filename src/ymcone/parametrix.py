@@ -8,10 +8,16 @@ weight lambda solves a parallel-transport equation along the cone rays with
 a 1/s vertex singularity; everything here works with the regular combination
 psi = s * lambda, whose vertex value is the seed itself.
 
+Every cone operator uses one connection, Levi-Civita plus gauge, pulled back
+to L and the sphere tangents Y_b: ``connection`` builds its seed-free
+coefficients once per call and ``_connect`` applies them.
+
 All per-node arrays follow the bundle layout (n_s + 1, n_theta, n_phi, ...).
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,136 +53,125 @@ def pairing(bundle, f, f_up):
 
 
 # ---------------------------------------------------------------------------
-# transport of the weight along the rays
+# the cone connection and the operators built on it: transport along L,
+# D_b and D^b D_b on the spheres
 # ---------------------------------------------------------------------------
 
-def transport_weight(bundle, seed, potential=None, a_nodes=None):
-    """Integrate psi = s * lambda along every ray; psi(0) = seed.
+#: Seed-free coefficients of D_L and D_b = D_{Y_b}; see ``connection``.
+Connection = namedtuple("Connection", "gamma_L gamma_Y a_L a_Y c q")
 
-    lambda solves D_L lambda + (trchi / 2) lambda = 0 gauge- and
-    Levi-Civita-covariantly, so psi obeys
-        dpsi/ds = Gamma(L) hits - [A_L, psi] - (trchi - 2/s)/2 psi
-    which is regular at the vertex; below s_min the expansion deficit is
-    closed to zero.  RK4 with midpoint coefficients averaged from the two
-    bracketing s nodes.  ``a_nodes`` is the potential already sampled at
-    the nodes (``sample_field``); it is sampled here when omitted.
+
+def connection(bundle, potential=None):
+    """The cone connection's coefficients along L and the sphere tangents Y_b.
+
+    ``gamma_L`` (n1, nth, nph, 4[g], 4[a]) = Gamma^g_{m a} L^m, ``gamma_Y``
+    (n1, nth, nph, 2[b], 4, 4) the same along Y_b, ``a_L`` (n1, nth, nph,
+    dim) = A_m L^m and ``a_Y`` (n1, nth, nph, 2, dim); ``c`` holds the
+    structure constants.  A coefficient is None where its term vanishes
+    identically: Gamma on a flat chart, A without a potential, on an abelian
+    algebra or where its pullback is zero.  ``q`` = trchi - 2/s is the
+    expansion deficit, closed to zero below s_min.  Nothing is seed-dependent
+    or stored on the bundle.
     """
-    seed = np.asarray(seed, dtype=float)
-    dim = seed.shape[-1]
-    n1 = bundle.n_s + 1
-    nth, nph = bundle.grid.n_theta, bundle.grid.n_phi
-    psi = np.empty((n1, nth, nph, 4, 4, dim))
-    psi[0] = seed
+    opt = bundle.optical()
+    L = bundle.L[..., None, :]
+    V = np.concatenate([L, opt["Ytilde"] + opt["cb"][..., None] * L], axis=-2)
+
+    def split(w):               # (L part, Y_b part), None where it vanishes
+        if w is None:
+            return None, None
+        return tuple(part if np.any(part) else None
+                     for part in (w[:, :, :, 0], w[:, :, :, 1:]))
+
+    gamma = None
+    if not bundle.chart.flat:
+        gamma = np.empty(V.shape[:-1] + (4, 4))
+        for sl in _chunks(bundle.n_s + 1, bundle.chunk):
+            gamma[sl] = np.einsum(
+                "...gma,...vm->...vga",
+                geometry.christoffel(bundle.chart, bundle.x[sl]), V[sl])
+    a = c = None
+    if potential is not None and np.any(potential.basis.c):
+        c = potential.basis.c
+        a = np.einsum("...mi,...vm->...vi",
+                      sample_field(bundle, potential, (4, c.shape[0])), V)
 
     with np.errstate(invalid="ignore"):
-        q = bundle.optical()["trchi"] - 2.0 / np.where(
+        q = opt["trchi"] - 2.0 / np.where(
             bundle.s > 0, bundle.s, 1.0)[:, None, None]
     q[bundle.s < bundle.s_min] = 0.0
+    return Connection(*split(gamma), *split(a), c, q)
 
-    if bundle.chart.flat:
-        G = None
-    else:
-        G = np.empty((n1, nth, nph, 4, 4))
-        for sl in _chunks(n1, bundle.chunk):
-            gamma = geometry.christoffel(bundle.chart, bundle.x[sl])
-            G[sl] = np.einsum("...gma,...m->...ga", gamma, bundle.L[sl])
 
-    basis = potential.basis if potential is not None else None
-    aL = None
-    if potential is not None:
-        a = _sampled(bundle, potential, a_nodes)
-        aL = np.einsum("...mi,...m->...i", a, bundle.L)
-        if not np.any(aL):
-            aL = None
+def _connect(f, gamma, a, c):
+    """-Gamma(V) on each spacetime index of ``f`` plus [A(V), f].
 
-    def rhs(p, qv, Gv, av):
-        out = -0.5 * qv[..., None, None, None] * p
-        if Gv is not None:
-            out = out + np.einsum("...ga,...gbk->...abk", Gv, p) \
-                      + np.einsum("...gb,...agk->...abk", Gv, p)
-        if av is not None:
-            out = out - np.einsum("ijk,...i,...abj->...abk", basis.c, av, p)
-        return out
+    ``gamma`` = Gamma(V) (..., 4, 4) and ``a`` = A(V) (..., dim) are
+    coefficients of a ``Connection`` (None where they vanish); ``f`` is an
+    algebra-valued scalar (..., dim) or two-tensor (..., 4, 4, dim) whose
+    leading axes broadcast against theirs.  Returns 0.0 when both are None.
+    """
+    out = 0.0
+    if gamma is not None and f.ndim > gamma.ndim:      # a two-tensor
+        out = -(np.einsum("...ga,...gnk->...ank", gamma, f)
+                + np.einsum("...gn,...agk->...ank", gamma, f))
+    if a is not None:
+        a = a.reshape(a.shape[:-1] + (1,) * (f.ndim - a.ndim) + a.shape[-1:])
+        out = out + np.einsum("ijk,...i,...j->...k", c, a, f)
+    return out
+
+
+def transport_weight(bundle, seed, conn):
+    """Integrate psi = s * lambda along every ray; psi(0) = seed.
+
+    lambda solves D_L lambda + (trchi / 2) lambda = 0 with the cone
+    connection ``conn`` (``connection``), so psi obeys
+        dpsi/ds = Gamma(L) hits - [A_L, psi] - (q / 2) psi,  q = trchi - 2/s,
+    which is regular at the vertex.  RK4 with midpoint coefficients
+    averaged from the two bracketing s nodes.
+    """
+    seed = np.asarray(seed, dtype=float)
+    psi = np.empty(bundle.x.shape[:3] + seed.shape)
+    psi[0] = seed
+
+    def rhs(p, i, j):           # coefficients averaged over slices i, j
+        q, gamma, a = (v if v is None else 0.5 * (v[i] + v[j])
+                       for v in (conn.q, conn.gamma_L, conn.a_L))
+        return -0.5 * q[..., None, None, None] * p \
+            - _connect(p, gamma, a, conn.c)
 
     h = bundle.ds
-    for i in range(n1 - 1):
-        q0, q1 = q[i], q[i + 1]
-        qm = 0.5 * (q0 + q1)
-        G0 = G[i] if G is not None else None
-        G1 = G[i + 1] if G is not None else None
-        Gm = 0.5 * (G0 + G1) if G is not None else None
-        a0 = aL[i] if aL is not None else None
-        a1 = aL[i + 1] if aL is not None else None
-        am = 0.5 * (a0 + a1) if aL is not None else None
+    for i in range(bundle.n_s):
         p = psi[i]
-        k1 = rhs(p, q0, G0, a0)
-        k2 = rhs(p + 0.5 * h * k1, qm, Gm, am)
-        k3 = rhs(p + 0.5 * h * k2, qm, Gm, am)
-        k4 = rhs(p + h * k3, q1, G1, a1)
+        k1 = rhs(p, i, i)
+        k2 = rhs(p + 0.5 * h * k1, i, i + 1)
+        k3 = rhs(p + 0.5 * h * k2, i, i + 1)
+        k4 = rhs(p + h * k3, i + 1, i + 1)
         psi[i + 1] = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return psi
 
 
-# ---------------------------------------------------------------------------
-# angular (sphere-intrinsic) covariant operators
-# ---------------------------------------------------------------------------
-
-def _sampled(bundle, potential, a_nodes=None):
-    """The potential at every node: ``a_nodes`` if given, else sampled."""
-    if potential is None or a_nodes is not None:
-        return a_nodes
-    return sample_field(bundle, potential, (4, potential.basis.dim))
-
-
-def _sphere_tangents(bundle):
-    """Coordinate tangents of the fixed-s spheres, shape (..., 2, 4)."""
-    opt = bundle.optical()
-    return opt["Ytilde"] + opt["cb"][..., None] * bundle.L[..., None, :]
-
-
-def angular_gauge_derivative(bundle, f, rank, potential=None, a_nodes=None):
+def angular_gauge_derivative(bundle, f, conn):
     """D_b f along the two sphere tangents for an algebra-valued scalar
-    (``rank`` 0, shape (n1, nth, nph, dim)) or two-tensor (``rank`` 2,
-    (n1, nth, nph, 4, 4, dim)).  Returns (n1, nth, nph, 2, <tensor>, dim):
-    spectral angular derivative plus Levi-Civita terms on the spacetime
-    indices and the bracket with the potential pulled back to the sphere
-    tangents.  ``a_nodes`` as in ``transport_weight``.
+    (n1, nth, nph, dim) or two-tensor (n1, nth, nph, 4, 4, dim).  Returns
+    (n1, nth, nph, 2, <tensor>, dim): the spectral angular derivative plus
+    the cone connection ``conn`` (``connection``) along Y_b.
     """
     f = np.asarray(f)
-    df = bundle._angular(f)                     # (..., <tensor>, dim, 2)
-    df = np.moveaxis(df, -1, 3)                 # (..., 2, <tensor>, dim)
-    Y = _sphere_tangents(bundle)
-    if not bundle.chart.flat and rank == 2:
-        for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-            gamma = geometry.christoffel(bundle.chart, bundle.x[sl])
-            gY = np.einsum("...gma,...bm->...bga", gamma, Y[sl])
-            df[sl] -= np.einsum("...bga,...gnk->...bank", gY, f[sl]) \
-                + np.einsum("...bgn,...agk->...bank", gY, f[sl])
-    if potential is not None:
-        a = _sampled(bundle, potential, a_nodes)
-        aY = np.einsum("...mi,...bm->...bi", a, Y)
-        if np.any(aY):
-            sub = "ijk,...bi,"
-            spec = {0: sub + "...j->...bk", 2: sub + "...anj->...bank"}[rank]
-            df += np.einsum(spec, potential.basis.c, aY, f)
+    df = np.moveaxis(bundle._angular(f), -1, 3)     # (..., 2, <tensor>, dim)
+    df += _connect(f[:, :, :, None], conn.gamma_Y, conn.a_Y, conn.c)
     return df
 
 
-def screen_laplacian(bundle, f, rank=2, potential=None, a_nodes=None,
-                     df=None):
-    """Gauge-covariant Laplace-Beltrami operator of the fixed-s spheres for
-    ``rank`` 0 or 2 data, as in ``angular_gauge_derivative``.
+def screen_laplacian(bundle, df, conn):
+    """Gauge-covariant Laplace-Beltrami operator D^b D_b f of the fixed-s
+    spheres, from ``df`` = ``angular_gauge_derivative(bundle, f, conn)``.
 
     Divergence form with the induced metric: the sphere-index part is exact
-    by construction, the spacetime/algebra indices get connection and
-    bracket corrections in the outer derivative.  Slice 0 is returned as 0.
-    ``df`` is ``angular_gauge_derivative(bundle, f, rank, potential)`` when
-    the caller already has it; ``a_nodes`` as in ``transport_weight``.
+    by construction, the spacetime/algebra indices get the cone connection
+    in the outer derivative.  Slice 0 is returned as 0.
     """
     opt = bundle.optical()
-    a_nodes = _sampled(bundle, potential, a_nodes)
-    if df is None:
-        df = angular_gauge_derivative(bundle, f, rank, potential, a_nodes)
     extra = df.ndim - 4
     mi = opt["minv"]
     # V^b = minv^{bc} D_c f, with the sphere index moved to the end
@@ -193,30 +188,19 @@ def screen_laplacian(bundle, f, rank=2, potential=None, a_nodes=None,
     with np.errstate(divide="ignore", invalid="ignore"):
         out = div / sqm.reshape(sqm.shape + (1,) * extra)
     out[0] = 0.0
-    V = np.moveaxis(Vm, -1, 3)                  # (..., b, <tensor>, dim)
-    Y = _sphere_tangents(bundle)
-    if not bundle.chart.flat and rank == 2:
-        for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-            gamma = geometry.christoffel(bundle.chart, bundle.x[sl])
-            gY = np.einsum("...gma,...bm->...bga", gamma, Y[sl])
-            out[sl] -= np.einsum("...bga,...bgnk->...ank", gY, V[sl]) \
-                + np.einsum("...bgn,...bagk->...ank", gY, V[sl])
-    if potential is not None:
-        aY = np.einsum("...mi,...bm->...bi", a_nodes, Y)
-        if np.any(aY):
-            sub = "ijk,...bi,"
-            spec = {0: sub + "...bj->...k", 2: sub + "...banj->...ank"}[rank]
-            out += np.einsum(spec, potential.basis.c, aY, V)
+    outer = _connect(np.moveaxis(Vm, -1, 3), conn.gamma_Y, conn.a_Y, conn.c)
+    if np.ndim(outer):
+        out += outer.sum(axis=3)                 # sum over the sphere index
     return out
 
 
-def shell_by_parts_residual(bundle, i, f, h, rank=0, potential=None):
+def shell_by_parts_residual(bundle, i, f, h, potential=None):
     """Relative defect of <Lap f, h> + <Df, Dh> integrated over sphere i."""
-    a_nodes = _sampled(bundle, potential)
-    df = angular_gauge_derivative(bundle, f, rank, potential, a_nodes)
-    lap = screen_laplacian(bundle, f, rank, potential, a_nodes, df=df)[i]
+    conn = connection(bundle, potential)
+    df = angular_gauge_derivative(bundle, f, conn)
+    lap = screen_laplacian(bundle, df, conn)[i]
     df = df[i]
-    dh = angular_gauge_derivative(bundle, h, rank, potential, a_nodes)[i]
+    dh = angular_gauge_derivative(bundle, h, conn)[i]
     hi = np.asarray(h)[i]
     mi = bundle.optical()["minv"][i]
     nth, nph = lap.shape[:2]
@@ -271,34 +255,31 @@ def assemble_representation(bundle, seeds, field, potential=None,
     s_col = bundle.s[:, None, None]
     inv_s = np.zeros_like(s_col)
     inv_s[1:] = 1.0 / s_col[1:]
-    chunks = list(_chunks(bundle.n_s + 1, bundle.chunk))
 
-    a_nodes = _sampled(bundle, potential)
+    conn = connection(bundle, potential)
     F_nodes = sample_field(bundle, field, (4, 4, basis.dim))
     F_up = raise_two_form(bundle, F_nodes)
 
     # --- curvature terms, one Riemann evaluation per chunk ----------------
     # the field's wave operator (None: zero on a flat abelian chart) and
-    # K^a_g = g^{ad} R_{d g L Lbar} (None: zero on a flat chart)
+    # K[g, a] = g^{ad} R_{d g L Lbar} / 2 (None: zero on a flat chart)
     box_nodes = None if chart.flat and basis.dim == 1 \
         else np.empty_like(F_nodes)
     K = None if chart.flat else np.empty(bundle.x.shape[:3] + (4, 4))
-    for sl in chunks:
+    for sl in _chunks(bundle.n_s + 1, bundle.chunk):
         x = bundle.x[sl]
         curv = None if chart.flat else geometry.riemann(chart, x)
         if box_nodes is not None:
             box_nodes[sl] = liegauge.wave_source(chart, x, field, curv)
         if K is not None:
-            K[sl] = np.einsum("...gd,...adnm,...m,...n->...ag",
-                              geometry.inverse_metric(chart, x),
-                              curv.riemann, bundle.L[sl], bundle.Lbar[sl])
+            K[sl] = 0.5 * np.einsum("...gd,...adnm,...m,...n->...ga",
+                                    geometry.inverse_metric(chart, x),
+                                    curv.riemann, bundle.L[sl],
+                                    bundle.Lbar[sl])
     box_up = None if box_nodes is None else raise_two_form(bundle, box_nodes)
     del box_nodes
 
     # --- seed-free factors of the cone corrections ------------------------
-    with np.errstate(invalid="ignore"):
-        q = opt["trchi"] - 2.0 * inv_s
-    q[bundle.s < bundle.s_min] = 0.0
     mu, _omega = bundle.mass_aspect()
     mu_half = 0.5 * mu[..., None, None, None]
     F_LLbar = None
@@ -337,28 +318,22 @@ def assemble_representation(bundle, seeds, field, potential=None,
     def one_seed(seed):
         # a function of its own, so one seed's temporaries are freed before
         # the next seed's are built
-        psi = transport_weight(bundle, seed, potential, a_nodes)
+        psi = transport_weight(bundle, seed, conn)
         source = 0.0 if box_up is None else -bundle.cone_integral(
             pairing(bundle, psi, box_up) * inv_s, crossing)
 
         # --- angular / connection corrections on the cone --------------
-        dpsi = angular_gauge_derivative(bundle, psi, 2, potential, a_nodes)
-        lap = screen_laplacian(bundle, psi, 2, potential, a_nodes, df=dpsi)
+        dpsi = angular_gauge_derivative(bundle, psi, conn)
+        lap = screen_laplacian(bundle, dpsi, conn)
         # tangential derivative along the screen: subtract the ray
         # component, using D_L psi = -(q/2) psi on the transport solution
         dpsi_screen = dpsi + 0.5 * np.einsum(
-            "stpb,stp,stpank->stpbank", opt["cb"], q, psi)
+            "stpb,stp,stpank->stpbank", opt["cb"], conn.q, psi)
         zeta_term = 2.0 * np.einsum("stpbc,stpb,stpcank->stpank",
                                     opt["minv"], opt["zeta"], dpsi_screen)
         correction = lap + zeta_term + mu_half * psi
-        if F_LLbar is not None:
-            correction += np.einsum("ijk,stpi,stpabj->stpabk",
-                                    basis.c, F_LLbar, psi)
-        if K is not None:
-            for sl in chunks:
-                correction[sl] -= 0.5 * (
-                    np.einsum("...ag,...gbk->...abk", K[sl], psi[sl])
-                    + np.einsum("...bg,...agk->...abk", K[sl], psi[sl]))
+        # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
+        correction += _connect(psi, K, F_LLbar, basis.c)
         cone_term = bundle.cone_integral(
             pairing(bundle, correction, F_up) * inv_s, crossing)
 
@@ -394,8 +369,7 @@ def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):
     Returns (s values, integrals); the s -> 0 extrapolation of the
     integrals recovers 8 pi <seed, F(p)>.
     """
-    psi = transport_weight(bundle, seed, potential)
-    g_p = bundle.chart.metric(bundle.p)
+    psi = transport_weight(bundle, seed, connection(bundle, potential))
     ginv = geometry.inverse_metric(bundle.chart, bundle.p)
     Fp_up = np.einsum("am,bn,mnk->abk", ginv, ginv, field(bundle.p))
     opt = bundle.optical()

@@ -236,7 +236,8 @@ def _merged_section(doc, key, defaults, problems):
 
 
 def _checked_chart(name, params, vertex, problems):
-    """Build the chart and check that the vertex, unless None, lies in it."""
+    """Build the chart and check that the vertex, the chart's default when
+    None, lies in it; return that vertex."""
     try:
         chart = geometry.make_chart(name, **params)
         if not all(_finite_number(v) for v in params.values()):
@@ -244,15 +245,16 @@ def _checked_chart(name, params, vertex, problems):
     except (TypeError, ValueError) as exc:
         problems.append(f"bad 'chart.params' {params!r} for chart '{name}': "
                         f"{exc}")
-        return
+        return vertex
     if vertex is None:
-        return
+        vertex = chart.default_vertex()
     with np.errstate(all="ignore"):
         d = chart.diagonal(np.asarray(vertex, dtype=float))
     if not (np.all(np.isfinite(d)) and d[0] < 0 and np.all(d[1:] > 0)):
         problems.append(f"'vertex' {list(vertex)} lies outside chart "
                         f"'{name}': metric diagonal {d.tolist()} is not "
                         f"finite with signature (-,+,+,+)")
+    return vertex
 
 
 def parse_config(doc, strict=False):
@@ -289,15 +291,13 @@ def parse_config(doc, strict=False):
         problems.append(f"unknown field profile '{profile}'; "
                         f"catalog: {list(PROFILES)}")
 
-    default_vertex = [0.0, 10.0, np.pi / 2, 0.0] \
-        if chart_name in ("schwarzschild",) else [0.0, 0.0, 0.0, 0.0]
-    vertex = doc.get("vertex", default_vertex)
-    if (not isinstance(vertex, (list, tuple)) or len(vertex) != 4
-            or not all(_finite_number(v) for v in vertex)):
+    vertex = doc.get("vertex")
+    if "vertex" in doc and (not isinstance(vertex, (list, tuple))
+            or len(vertex) != 4 or not all(map(_finite_number, vertex))):
         problems.append("'vertex' must be a list of 4 finite numbers")
         vertex = None
     if chart_name in CHARTS:
-        _checked_chart(chart_name, chart_params, vertex, problems)
+        vertex = _checked_chart(chart_name, chart_params, vertex, problems)
 
     cone = _merged_section(doc, "cone", _CONE_DEFAULTS, problems)
     if cone["ds"] >= cone["s_max"]:
@@ -370,7 +370,8 @@ def _exp_cone_geometry(scn, bundle, basis):
 def _exp_transport(scn, bundle, basis):
     _, potential = make_field(basis, scn.profile, scn.profile_params)
     seed = canonical_seeds(basis)[0]
-    psi = parametrix.transport_weight(bundle, seed, potential)
+    psi = parametrix.transport_weight(
+        bundle, seed, parametrix.connection(bundle, potential))
     norms = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi))
     seed_norm = float(np.sqrt(np.einsum("mnk,mnk->", seed, seed)))
     metrics = {
@@ -447,7 +448,9 @@ def _exp_cartan_check(scn, chart, basis):
     frame = geometry.orthonormal_frame(chart, base).vectors
     pts = base + 0.05 * chart.coordinate_scale \
         * rng.standard_normal((8, 4)) @ frame
-    step = 1e-3 * chart.coordinate_scale    # nested FD: roundoff-limited below
+    # the curvature differences the connection once and the residual twice;
+    # roundoff limits smaller steps
+    step = 1e-3 * chart.coordinate_scale
     res = liegauge.cartan_ym_residual(chart, pts, frame_field, step=step)
     curv = liegauge.cartan_curvature(chart, frame_field, step=step)(pts)
     riem = geometry.riemann(chart, pts).riemann      # fully lowered R_{rsmn}

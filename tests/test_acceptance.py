@@ -155,10 +155,12 @@ def test_criterion_03_frame_pairings(flat_big, schw_big, schw_small):
 def test_criterion_04_transport(flat_big, schw_small, u1, timings):
     t0 = time.perf_counter()
     seed = runner.canonical_seeds(u1)[0]
-    psi = parametrix.transport_weight(flat_big, seed)
+    psi = parametrix.transport_weight(flat_big, seed,
+                                      parametrix.connection(flat_big))
     flat_dev = float(np.max(np.abs(psi - seed)))
 
-    psi_s = parametrix.transport_weight(schw_small, seed)
+    psi_s = parametrix.transport_weight(schw_small, seed,
+                                        parametrix.connection(schw_small))
     seed_norm = float(np.sqrt(np.sum(seed ** 2)))
     ratio = float(np.max(np.sqrt(
         np.einsum("...mnk,...mnk->...", psi_s, psi_s))) / seed_norm)
@@ -328,7 +330,7 @@ def test_criterion_12_screen_laplacian_self_adjoint(flat_big, schw_small):
         for _ in range(3):
             f, h = random_field(), random_field()
             i = int(rng.integers(b.n_s // 4, b.n_s))
-            res = parametrix.shell_by_parts_residual(b, i, f, h, rank=0)
+            res = parametrix.shell_by_parts_residual(b, i, f, h)
             worst = max(worst, float(res))
     ok = worst < 1e-8
     assert _report(12, ok, f"worst integration-by-parts defect {worst:.3e} "

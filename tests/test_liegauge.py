@@ -110,6 +110,18 @@ def test_bianchi_refinement_order_is_four(flat_chart):
     assert np.all(np.abs(orders - 4.0) < 0.5)
 
 
+@pytest.mark.parametrize("name,params,x", [
+    ("schwarzschild", {"mass": 1.0}, [0.0, 9.0, 1.1, 0.2]),
+    ("flrw", {"power": 0.5}, [2.0, 0.3, -0.1, 0.2]),
+])
+def test_static_frame_jacobian_matches_finite_differences(name, params, x):
+    chart = geometry.make_chart(name, **params)
+    ff = liegauge.static_diagonal_frame(chart)
+    x = np.array([x, x]) + np.array([[0.0] * 4, [0.1, 0.2, 0.05, 0.3]])
+    fd = geometry._fd_derivative(ff, x, 1e-4 * chart.coordinate_scale)
+    assert np.max(np.abs(ff.jacobian(x) - fd)) < 1e-9
+
+
 def test_cartan_connection_vanishes_on_flat_chart(flat_chart):
     ff = liegauge.static_diagonal_frame(flat_chart)
     conn = liegauge.cartan_connection(flat_chart, ff)

@@ -16,34 +16,49 @@ def seeds(u1):
     return runner.canonical_seeds(u1)
 
 
+@pytest.fixture(scope="module")
+def su2_constant():
+    """A constant su(2) potential A_m^i, as an array and a GaugePotential."""
+    A = np.array([[0.3, -0.2, 0.1], [0.2, 0.25, 0.0],
+                  [-0.1, 0.15, 0.3], [0.05, -0.2, 0.2]])
+    return A, liegauge.GaugePotential(
+        liegauge.su2(), lambda x: np.broadcast_to(A, np.shape(x)[:-1] + A.shape))
+
+
+def _screen_laplacian(bundle, f):
+    conn = parametrix.connection(bundle)
+    return parametrix.screen_laplacian(
+        bundle, parametrix.angular_gauge_derivative(bundle, f, conn), conn)
+
+
 def test_transport_weight_constant_on_flat_cone(flat_bundle, u1, seeds):
     # with a trivial potential on the flat cone, s * lambda stays equal to
     # the vertex seed along every ray
-    psi = parametrix.transport_weight(flat_bundle, seeds[0])
+    psi = parametrix.transport_weight(flat_bundle, seeds[0],
+                                      parametrix.connection(flat_bundle))
     assert np.max(np.abs(psi - seeds[0])) < 1e-12
 
 
 def test_transport_weight_bounded_schwarzschild(schw_bundle, u1, seeds):
-    psi = parametrix.transport_weight(schw_bundle, seeds[3])
+    psi = parametrix.transport_weight(schw_bundle, seeds[3],
+                                      parametrix.connection(schw_bundle))
     norms = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi))
     seed_norm = np.sqrt(np.einsum("mnk,mnk->", seeds[3], seeds[3]))
     assert np.all(np.isfinite(norms))
     assert np.max(norms) / seed_norm < 1.5
 
 
-def test_transport_weight_gauge_bracket_closed_form(flat_bundle):
+def test_transport_weight_gauge_bracket_closed_form(flat_bundle,
+                                                    su2_constant):
     # a constant su(2) potential on the flat cone leaves only the bracket:
     # dpsi/ds = -[A_L, psi] = -A_L x psi, so psi(s) is the seed rotated by
     # exp(-s ad A_L), i.e. by the angle -s |A_L| about A_L (Rodrigues)
-    su2 = liegauge.su2()
-    A = np.array([[0.3, -0.2, 0.1], [0.2, 0.25, 0.0],
-                  [-0.1, 0.15, 0.3], [0.05, -0.2, 0.2]])
-    potential = liegauge.GaugePotential(
-        su2, lambda x: np.broadcast_to(A, np.shape(x)[:-1] + A.shape))
+    A, potential = su2_constant
     rng = np.random.default_rng(3)
     seed = rng.standard_normal((4, 4, 3))
     seed = seed - np.swapaxes(seed, 0, 1)
-    psi = parametrix.transport_weight(flat_bundle, seed, potential)
+    psi = parametrix.transport_weight(
+        flat_bundle, seed, parametrix.connection(flat_bundle, potential))
 
     aL = np.einsum("mi,stpm->stpi", A, flat_bundle.L)
     norm = np.linalg.norm(aL, axis=-1, keepdims=True)
@@ -60,7 +75,7 @@ def test_screen_laplacian_of_constant_vanishes(flat_bundle, u1):
     shape = (flat_bundle.n_s + 1, flat_bundle.grid.n_theta,
              flat_bundle.grid.n_phi, 1)
     f = np.ones(shape)
-    lap = parametrix.screen_laplacian(flat_bundle, f, rank=0)
+    lap = _screen_laplacian(flat_bundle, f)
     assert np.max(np.abs(lap[1:])) < 1e-8
 
 
@@ -72,7 +87,7 @@ def test_screen_laplacian_harmonic_eigenvalue(flat_bundle, u1):
     y = d[..., 2] * d[..., 0]                 # combination of l = 2 harmonics
     f = np.broadcast_to(y[None, ..., None],
                         (flat_bundle.n_s + 1,) + y.shape + (1,)).copy()
-    lap = parametrix.screen_laplacian(flat_bundle, f, rank=0)
+    lap = _screen_laplacian(flat_bundle, f)
     live = flat_bundle.s >= 0.2
     s2 = flat_bundle.s[live, None, None, None] ** 2
     expected = -6.0 * f[live] / s2
@@ -90,8 +105,45 @@ def test_by_parts_residual_scalar(flat_bundle, u1):
     f = np.broadcast_to(f[None, ..., None], shape).copy()
     h = np.broadcast_to(h[None, ..., None], shape).copy()
     i = flat_bundle.n_s // 2
-    res = parametrix.shell_by_parts_residual(flat_bundle, i, f, h, rank=0)
+    res = parametrix.shell_by_parts_residual(flat_bundle, i, f, h)
     assert abs(res) < 1e-8
+
+
+def test_gauge_bracket_in_screen_operators(flat_bundle, su2_constant):
+    # a constant su(2) potential on the flat cone reaches D_b and D^b D_b
+    # only through the bracket [A(Y_b), .]; with it the screen Laplacian
+    # stays self-adjoint, for algebra-valued scalars and two-tensors
+    A, potential = su2_constant
+    b, grid = flat_bundle, flat_bundle.grid
+    d = grid.directions()
+    ang = np.stack([np.ones_like(d[..., 0]), d[..., 0], d[..., 2],
+                    d[..., 0] * d[..., 1]], axis=-1)
+    nodes = b.x.shape[:3]
+    rng = np.random.default_rng(7)
+    for tail in ((3,), (4, 4, 3)):
+        f, h = (np.broadcast_to(
+            np.tensordot(ang, rng.standard_normal((4,) + tail), 1),
+            nodes + tail).copy() for _ in range(2))
+        res = parametrix.shell_by_parts_residual(b, b.n_s // 2, f, h,
+                                                 potential=potential)
+        assert res <= 1e-12, tail
+
+    # f = seed at every node: D_b f = [A(Y_b), seed] = A(Y_b) x seed, with
+    # the sphere tangents Y_b = s d(0, n)/d(theta, phi) of the flat cone
+    seed = rng.standard_normal((4, 4, 3))
+    f = np.broadcast_to(seed, nodes + seed.shape).copy()
+    df = parametrix.angular_gauge_derivative(
+        b, f, parametrix.connection(b, potential))
+    th, ph = grid.theta[:, None], grid.phi[None, :]
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    zero = 0.0 * st * sp
+    dn = np.stack([np.stack([zero, ct * cp, ct * sp, zero - st], axis=-1),
+                   np.stack([zero, -st * sp, st * cp, zero], axis=-1)],
+                  axis=-2)
+    aY = np.einsum("mi,stpbm->stpbi", A,
+                   b.s[:, None, None, None, None] * dn)
+    expected = np.cross(aY[..., None, None, :], seed)
+    assert np.max(np.abs(df - expected)) < 1e-12
 
 
 def test_representation_constant_field_exact(flat_bundle, u1, seeds):
@@ -140,25 +192,28 @@ def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
                                           monkeypatch):
     # the curvature coupling and the wave source do not depend on the
     # seed and share one Riemann evaluation per chunk, so six seeds cost
-    # as many as one
-    calls = []
-    riemann = geometry.riemann
+    # as many as one; the cone connection is built once per call, so the
+    # Christoffel evaluations do not grow with the seeds either
+    calls = {"riemann": [], "christoffel": []}
+    for name, seen in calls.items():
+        def counting(chart, x, fn=getattr(geometry, name), seen=seen):
+            seen.append(1)
+            return fn(chart, x)
 
-    def counting(chart, x):
-        calls.append(1)
-        return riemann(chart, x)
-
-    monkeypatch.setattr(geometry, "riemann", counting)
+        monkeypatch.setattr(geometry, name, counting)
+    schw_bundle.optical(), schw_bundle.mass_aspect()    # cached on the bundle
     field, potential = runner.make_field(u1, "coulomb", {"charge": 1.0})
     counts = []
     for stack in (seeds[:1], seeds):
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         parametrix.assemble_representation(
             schw_bundle, stack, field, potential=potential,
             t_slice=schw_bundle.p[0] - 0.3)
-        counts.append(len(calls))
+        counts.append({name: len(seen) for name, seen in calls.items()})
     n_chunks = -(-(schw_bundle.n_s + 1) // schw_bundle.chunk)
-    assert counts == [n_chunks, n_chunks]
+    assert [c["riemann"] for c in counts] == [n_chunks, n_chunks]
+    assert counts[1]["christoffel"] == counts[0]["christoffel"]
 
 
 def test_nan_integrand_names_the_node(flat_bundle, u1, seeds):

@@ -93,6 +93,19 @@ def test_valid_chart_params_and_vertex_parse():
         assert scn.chart_params == chart["params"]
 
 
+@pytest.mark.parametrize("chart", [{"name": name} for name in runner.CHARTS]
+                         + [{"name": "schwarzschild", "params": {"mass": 6}}])
+def test_default_vertex_lies_in_chart(chart):
+    # parse_config rejects a vertex outside the chart, the default one too
+    scn = runner.parse_config({"chart": chart})
+    assert scn.vertex.shape == (4,)
+
+
+def test_schwarzschild_default_vertex_kept():
+    scn = runner.parse_config({"chart": "schwarzschild"})
+    assert np.array_equal(scn.vertex, [0.0, 10.0, np.pi / 2, 0.0])
+
+
 def test_unknown_chart_lists_catalog():
     with pytest.raises(runner.ConfigError) as exc:
         runner.parse_config({"chart": "kerr"})
