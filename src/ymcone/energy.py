@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry, parametrix
-from .parametrix import _chunks
+from . import liegauge, parametrix
 
 
 # ---------------------------------------------------------------------------
@@ -28,35 +27,35 @@ from .parametrix import _chunks
 def stress_tensor(chart, x, F):
     """T_{mn} = <F_{ma}, F_n^a> - g_{mn} <F_{ab}, F^{ab}> / 4 per point."""
     x = np.asarray(x, dtype=float)
-    return _stress(chart.metric(x), geometry.inverse_metric(chart, x), F(x))
+    return _stress(chart.diagonal(x), chart.inverse_diagonal(x), F(x))
 
 
-def _stress(g, ginv, f):
-    """``stress_tensor`` from g, g^-1 and F already at the same points."""
-    fmix = np.einsum("...ab,...mak->...mbk", ginv, f)      # F_m{}^b
-    t = np.einsum("...mak,...nbk,...ab->...mn", f, f, ginv)
-    # F_a^b F_b^a = -F_{ab} F^{ab}, hence the plus sign on the trace term
-    tr = np.einsum("...abk,...bak->...", fmix, fmix)
-    return t + 0.25 * g * tr[..., None, None]
+def _stress(d, inv, f):
+    """``stress_tensor`` from g_aa, 1/g_aa and F already at the same points."""
+    fmix = f * inv[..., None, :, None]                      # F_m{}^a
+    t = np.einsum("...mak,...nak->...mn", fmix, f)
+    tr = np.einsum("...abk,...abk,...a->...", fmix, f, inv)  # F_{ab} F^{ab}
+    i = np.arange(4)
+    t[..., i, i] -= 0.25 * d * tr[..., None]
+    return t
 
 
-def frame_energy_density(chart, x, F, time_axis_hint=None):
-    """T_{that that} as an explicit sum of squared frame components.
+def frame_energy_density(chart, x, F):
+    """T_{that that} = (1/4) sum_ab |F_ab|^2 / |g_aa g_bb|, the squared
+    components of F in the static frame |g_aa|^(-1/2) d_a.
 
     Nonnegative by construction; equals the tensor contraction
-    T_{mn} that^m that^n up to roundoff (cross-checked in tests).
+    T_{mn} that^m that^n up to roundoff (``tests/test_energy.py``).
     """
     x = np.asarray(x, dtype=float)
-    frame = geometry.orthonormal_frame(chart, x, time_axis_hint)
+    w = np.abs(chart.inverse_diagonal(x))
     f = F(x)
-    comp = np.einsum("...ia,...jb,...abk->...ijk",
-                     frame.vectors, frame.vectors, f)
-    dens = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dens = dens + 0.5 * np.einsum("...k,...k->...",
-                                          comp[..., i, j, :], comp[..., i, j, :])
-    return dens
+    return 0.25 * np.einsum("...abk,...abk,...a,...b->...", f, f, w, w)
+
+
+def _volume(d):
+    """sqrt|det g| = sqrt|prod_a g_aa| from the metric diagonal."""
+    return np.sqrt(np.abs(np.prod(d, axis=-1)))
 
 
 def slice_region_quadrature(crossing, n_radial=24):
@@ -90,17 +89,15 @@ def slice_region_quadrature(crossing, n_radial=24):
     return pts, w
 
 
-def slice_energy(chart, F, crossing, n_radial=24, time_axis_hint=None):
+def slice_energy(chart, F, crossing, n_radial=24):
     """E(t) over the cone-interior region of the crossing's slice.
 
-    Integrand: T_{that that} sqrt(-g_tt) with the slice metric volume.
+    Integrand: T_{that that} sqrt(-g_tt) with the slice metric volume, i.e.
+    T_{that that} sqrt|det g|.
     """
     pts, w = slice_region_quadrature(crossing, n_radial)
-    g = chart.metric(pts)
-    dens = frame_energy_density(chart, pts, F, time_axis_hint)
-    gspat = np.linalg.det(g[..., 1:, 1:])
-    lapse = np.sqrt(-g[..., 0, 0])
-    return float(np.sum(w * dens * lapse * np.sqrt(gspat)))
+    dens = frame_energy_density(chart, pts, F)
+    return float(np.sum(w * dens * _volume(chart.diagonal(pts))))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +113,7 @@ def flux_density_frame(bundle, F_nodes):
     e = bundle.null_frames()
     L, Lb = bundle.L, bundle.Lbar
     gLt = bundle.gLt
-    lapse = np.sqrt(-bundle.metric_nodes[..., 0, 0])
+    lapse = np.sqrt(-bundle.diagonal_nodes[..., 0])
     F_LLb = np.einsum("...abk,...a,...b->...k", F_nodes, L, Lb)
     F_La = np.einsum("...abk,...a,...cb->...ck", F_nodes, L, e)
     F_12 = np.einsum("...abk,...a,...b->...k", F_nodes, e[..., 0, :],
@@ -129,15 +126,10 @@ def flux_density_frame(bundle, F_nodes):
 
 def flux_density_direct(bundle, F_nodes):
     """-T_{mn} that^m L^n sqrt(-g_tt); must match the frame form."""
-    t = np.empty(F_nodes.shape[:3])
-    for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-        g = bundle.metric_nodes[sl]
-        tmn = _stress(g, geometry.inverse_metric(bundle.chart, bundle.x[sl]),
-                      F_nodes[sl])
-        t[sl] = -np.einsum("...mn,...m,...n->...", tmn,
-                           bundle.that[sl], bundle.L[sl]) \
-            * np.sqrt(-g[..., 0, 0])
-    return t
+    d = bundle.diagonal_nodes
+    tmn = _stress(d, bundle.chart.inverse_diagonal(bundle.x), F_nodes)
+    return -np.einsum("...mn,...m,...n->...", tmn, bundle.that, bundle.L) \
+        * np.sqrt(-d[..., 0])
 
 
 def cone_flux(bundle, F, crossing_far, crossing_near):
@@ -156,66 +148,57 @@ def cone_flux(bundle, F, crossing_far, crossing_near):
 # bulk term and deformation diagnostics
 # ---------------------------------------------------------------------------
 
+def bulk_density(chart, x, F):
+    """pi^{mn}(d/dt) T_{mn} per point.
+
+    On a diagonal chart the deformation tensor of d/dt is diagonal,
+    pi^{mn} = delta^{mn} d_t g_mm / (2 g_mm^2).
+    """
+    x = np.asarray(x, dtype=float)
+    d, inv = chart.diagonal(x), chart.inverse_diagonal(x)
+    pi = 0.5 * chart.ddiagonal(x)[..., 0, :] * inv ** 2
+    return np.einsum("...m,...mm->...", pi, _stress(d, inv, F(x)))
+
+
 def bulk_term(chart, F, bundle, t0, t1, n_time=12, n_radial=16):
     """Integral of pi^{mn}(d/dt) T_{mn} over the cone interior in [t0, t1].
 
     Exactly zero when d/dt is Killing; evaluated by Gauss-Legendre in t over
     star-shaped slice regions.
     """
-    V = geometry.coordinate_time_field()
     tq, wq = np.polynomial.legendre.leggauss(n_time)
     tq = 0.5 * (t1 - t0) * (tq + 1.0) + t0
     wq = 0.5 * (t1 - t0) * wq
     total = 0.0
     for tv, wt in zip(tq, wq):
-        crossing = bundle.crossing(tv)
-        pts, w = slice_region_quadrature(crossing, n_radial)
-        pi = geometry.deformation_tensor(chart, pts, V)
-        tmn = stress_tensor(chart, pts, F)
-        dens = np.einsum("...mn,...mn->...", pi, tmn)
-        g = chart.metric(pts)
-        vol4 = np.sqrt(-np.linalg.det(g))
-        total += wt * float(np.sum(w * dens * vol4))
+        pts, w = slice_region_quadrature(bundle.crossing(tv), n_radial)
+        dens = bulk_density(chart, pts, F) * _volume(chart.diagonal(pts))
+        total += wt * float(np.sum(w * dens))
     return total
 
 
 def deformation_bound(chart, crossing, n_radial=12):
     """max |pi(d/dt)| frame components over the slice region (the measured
-    counterpart of the integrable-deformation hypothesis)."""
+    counterpart of the integrable-deformation hypothesis).  In the static
+    frame the only nonzero ones are pi_aa = d_t g_aa / (2 |g_aa|)."""
     pts, _w = slice_region_quadrature(crossing, n_radial)
-    V = geometry.coordinate_time_field()
-    pi = geometry.deformation_tensor(chart, pts, V)     # pi^{mn}
-    g = chart.metric(pts)
-    frame = geometry.orthonormal_frame(chart, pts)
-    low = np.einsum("...am,...bn,...mn->...ab", g, g, pi)
-    comp = np.einsum("...ia,...jb,...ab->...ij", frame.vectors,
-                     frame.vectors, low)
-    return float(np.max(np.abs(comp)))
+    rate = 0.5 * chart.ddiagonal(pts)[..., 0, :] * chart.inverse_diagonal(pts)
+    return float(np.max(np.abs(rate)))
 
 
 # ---------------------------------------------------------------------------
 # first-order (gradient) energy density
 # ---------------------------------------------------------------------------
 
-def gradient_energy_density(chart, x, F, A, time_axis_hint=None):
-    """(1/2) sum_alpha |D_{e_alpha} F|_h^2 over an orthonormal frame.
-
-    h is the Riemannian companion metric of the slice foliation; every term
-    is nonnegative.
+def gradient_energy_density(chart, x, F, A):
+    """(1/2) sum_eab |D_e F_ab|^2 / |g_ee g_aa g_bb|: the squared components
+    of DF in the static frame |g_aa|^(-1/2) d_a; every term is nonnegative.
     """
-    from . import liegauge
     x = np.asarray(x, dtype=float)
-    frame = geometry.orthonormal_frame(chart, x, time_axis_hint)
-    h = geometry.h_metric(chart, x, frame.that)
-    hinv = np.linalg.inv(h)
+    w = np.abs(chart.inverse_diagonal(x))
     DF = liegauge.gauge_covariant_derivative(chart, x, F, A)
-    comp = np.einsum("...ie,...eabk->...iabk", frame.vectors, DF)
-    dens = 0.0
-    for i in range(4):
-        dens = dens + 0.5 * np.einsum(
-            "...abk,...cdk,...ac,...bd->...",
-            comp[..., i, :, :, :], comp[..., i, :, :, :], hinv, hinv)
-    return dens
+    return 0.5 * np.einsum("...eabk,...eabk,...e,...a,...b->...",
+                           DF, DF, w, w, w)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def as_points(x):
 
     Complex points carry the complex-step twin cone of ``nullcone``; the
     metric, its first derivatives, the inverse metric, the Christoffel
-    symbols and ``orthonormal_frame`` keep them complex.
+    symbols, ``unit_time_field`` and ``orthonormal_frame`` keep them complex.
     """
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)
@@ -47,15 +47,18 @@ class Chart:
 
     Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
     and the first and second derivatives of the diagonal in closed form; the
-    full metric and its derivatives, the inverse metric 1/g_aa and the
-    Christoffel symbols with their derivative follow here.  The only nonzero
-    symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc and
-    Gamma^c_aa = -d_c g_aa / 2 g_cc.
+    reciprocal 1/g_aa (``inverse_diagonal``), the full metric and its
+    derivatives, the inverse metric and the Christoffel symbols with their
+    derivative follow here.  The only nonzero symbols are Gamma^c_ac =
+    Gamma^c_ca = d_a g_cc / 2 g_cc and Gamma^c_aa = -d_c g_aa / 2 g_cc.
+    Code outside this module reads the diagonal; the (..., 4, 4) forms serve
+    ``orthonormal_frame`` and the generic oracles.
     """
 
     name = "chart"
     coordinate_scale = 1.0
-    #: True when the curvature vanishes identically (lets hot loops skip work).
+    #: True when Gamma, hence the curvature, vanishes identically in these
+    #: coordinates (lets hot loops skip work).
     flat = False
 
     # diagonal[..., a] = g_aa
@@ -85,19 +88,21 @@ class Chart:
     def d2metric(self, x):
         return _embed(self.d2diagonal(x))
 
-    def _inverse_diagonal(self, x):
+    def inverse_diagonal(self, x):
+        """1/g_aa, shape (..., 4); raises DegenerateMetricError where
+        |det g| < DEGENERATE_DET."""
         d = self.diagonal(x)
         _require_nondegenerate(np.prod(d, axis=-1), self.name)
         return 1.0 / d
 
     def inverse_metric(self, x):
         """g^{ab} = 1/g_aa on the diagonal, shape (..., 4, 4)."""
-        return _embed(self._inverse_diagonal(x))
+        return _embed(self.inverse_diagonal(x))
 
     def christoffel(self, x):
         """Gamma^c_ab, shape (..., 4, 4, 4)."""
         return _scatter_christoffel(self.ddiagonal(x),
-                                    0.5 * self._inverse_diagonal(x))
+                                    0.5 * self.inverse_diagonal(x))
 
     def christoffel_derivative(self, x):
         """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]).
@@ -105,7 +110,7 @@ class Chart:
         With h_c = 1/2g_cc: d_e Gamma^c_ab = h_c d_e(2 g_cc Gamma^c_ab)
         - Gamma^c_ab d_e g_cc / g_cc.
         """
-        h = 0.5 * self._inverse_diagonal(x)
+        h = 0.5 * self.inverse_diagonal(x)
         dd = self.ddiagonal(x)
         rate = 2.0 * h[..., None, :] * dd       # [e, c] = d_e g_cc / g_cc
         return _scatter_christoffel(self.d2diagonal(x), h[..., None, :]) \
@@ -176,9 +181,6 @@ class Minkowski(Chart):
 
     def d2diagonal(self, x):
         return _zeros(as_points(x), 4, 4, 4)
-
-    def inverse_metric(self, x):
-        return self.metric(x)           # eta is its own inverse
 
     def christoffel(self, x):
         return _zeros(as_points(x), 4, 4, 4)
@@ -450,13 +452,13 @@ def riemann(chart, x):
 def kretschmann(chart, x):
     """Full curvature invariant R_abcd R^abcd, raising each index by 1/g_aa."""
     R = riemann(chart, x).riemann
-    inv = 1.0 / chart.diagonal(x)
+    inv = chart.inverse_diagonal(x)
     return np.einsum("...abcd,...a,...b,...c,...d,...abcd->...",
                      R, inv, inv, inv, inv, R)
 
 
 # ---------------------------------------------------------------------------
-# Vector fields, frames, deformation tensor, Riemannian companion metric
+# Vector fields, frames, deformation tensor
 # ---------------------------------------------------------------------------
 
 class VectorField:
@@ -496,7 +498,8 @@ def unit_time_field(chart):
     Returns the map x -> that(x), shape (..., 4).
     """
     def fn(x):
-        v = np.zeros(np.shape(x)[:-1] + (4,))
+        x = as_points(x)
+        v = _zeros(x, 4)
         v[..., 0] = (-chart.diagonal(x)[..., 0]) ** -0.5
         return v
 
@@ -526,10 +529,6 @@ class Frame:
 
     def __init__(self, vectors):
         self.vectors = as_points(vectors)
-
-    @property
-    def that(self):
-        return self.vectors[..., 0, :]
 
     @property
     def spatial(self):
@@ -570,18 +569,3 @@ def orthonormal_frame(chart, x, time_axis_hint=None):
     if len(vecs) < 4:
         raise FrameError("could not complete orthonormal frame")
     return Frame(np.stack(vecs, axis=-2))
-
-
-def h_metric(chart, x, that):
-    """Riemannian companion metric h_ab = g_ab + 2 that_a that_b.
-
-    ``that`` must be unit timelike; then h is positive definite and
-    h(that, that) = +1.
-    """
-    g = chart.metric(x)
-    that = np.asarray(that, dtype=float)
-    tt = np.einsum("...m,...mn,...n->...", that, g, that)
-    if np.any(np.abs(tt + 1.0) > 1e-8):
-        raise FrameError("h_metric needs a unit timelike vector")
-    tlow = np.einsum("...mn,...n->...m", g, that)
-    return g + 2.0 * tlow[..., :, None] * tlow[..., None, :]

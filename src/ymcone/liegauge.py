@@ -176,9 +176,9 @@ def ym_residual(chart, x, F, A):
 
     Returns (..., 4[b], dim).
     """
-    ginv = geometry.inverse_metric(chart, x)
+    inv = chart.inverse_diagonal(x)
     DF = gauge_covariant_derivative(chart, x, F, A)  # (...,a,m,n,k)
-    return np.einsum("...am,...ambk->...bk", ginv, DF)
+    return np.einsum("...a,...aabk->...bk", inv, DF)
 
 
 def bianchi_residual(chart, x, F, A):
@@ -200,16 +200,16 @@ def wave_source(chart, x, F, curv):
     """
     x = np.asarray(x, dtype=float)
     f = F(x)
-    ginv = geometry.inverse_metric(chart, x)
+    inv = chart.inverse_diagonal(x)
     basis = F.basis
-    comm = -2.0 * np.einsum("ijk,...ab,...ami,...nbj->...mnk",
-                            basis.c, ginv, f, f)
+    comm = -2.0 * np.einsum("ijk,...a,...ami,...naj->...mnk",
+                            basis.c, inv, f, f)
     if chart.flat:
         return comm
     R, Ric = curv.riemann, curv.ricci
-    fupup = np.einsum("...am,...gn,...mni->...agi", ginv, ginv, f)
+    fmixed = f * inv[..., None, :, None]                    # F_n^g
+    fupup = inv[..., :, None, None] * fmixed                # F^{ag}
     t1 = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup)
-    fmixed = np.einsum("...gb,...nbk->...ngk", ginv, f)     # F_n^g
     t2 = -np.einsum("...mg,...ngk->...mnk", Ric, fmixed)
     t3 = +np.einsum("...ng,...mgk->...mnk", Ric, fmixed)    # -R_ng F^g_m
     return t1 + t2 + t3 + comm

@@ -35,8 +35,9 @@ class CausticError(ConeError):
     """The s-sphere area density degenerated along some ray."""
 
 
-def _dot(g, u, v):
-    return np.einsum("...mn,...m,...n->...", g, u, v)
+def _dot(d, u, v):
+    """g(u, v) = sum_a g_aa u^a v^a from the metric diagonal ``d``."""
+    return np.einsum("...m,...m,...m->...", d, u, v)
 
 
 def _hook(gamma, v):
@@ -76,13 +77,10 @@ class NullConeBundle:
         self.s_min = self.vertex_factor * self.ds
         self.renorm_max = 0.0
 
-        g_p = chart.metric(self.p)
         if T_p is None:
-            T_p = np.zeros(4)
-            T_p[0] = (-g_p[0, 0]) ** -0.5
+            T_p = geometry.unit_time_field(chart)(self.p)
         self.T_p = geometry.as_points(T_p)
-        tt = self.T_p @ g_p @ self.T_p
-        if abs(tt + 1.0) > 1e-10:
+        if abs(_dot(chart.diagonal(self.p), self.T_p, self.T_p) + 1.0) > 1e-10:
             raise ConeError("vertex time axis must be unit timelike")
 
         self._cache = {}
@@ -101,16 +99,17 @@ class NullConeBundle:
         return -self.T_p + np.einsum("tpi,im->tpm", omega, triad)
 
     def _geodesic_rhs(self, x, L):
+        if self.chart.flat:                       # straight rays
+            return L, np.zeros_like(L)
         gamma = geometry.christoffel(self.chart, x)
         return L, -np.einsum("...mab,...a,...b->...m", gamma, L, L)
 
     def _renormalize(self, x, L):
         """Project L back onto the null cone of g along the local that axis."""
-        g = self.chart.metric(x)
-        that = np.zeros_like(L)
-        that[..., 0] = (-g[..., 0, 0]) ** -0.5
-        b = _dot(g, L, that)
-        c = _dot(g, L, L)
+        d = self.chart.diagonal(x)
+        that = geometry.unit_time_field(self.chart)(x)
+        b = _dot(d, L, that)
+        c = _dot(d, L, L)
         eps = b - np.sqrt(b * b + c)
         self.renorm_max = max(self.renorm_max, float(np.max(np.abs(eps))))
         return L + eps[..., None] * that
@@ -146,23 +145,23 @@ class NullConeBundle:
         return self._cache[key]
 
     @property
-    def metric_nodes(self):
-        return self._field("g", lambda: self.chart.metric(self.x))
+    def diagonal_nodes(self):
+        """The metric diagonal g_aa at every node, shape (..., 4)."""
+        return self._field("g", lambda: self.chart.diagonal(self.x))
+
+    def dot(self, u, v):
+        """g(u, v) at every node for per-node vectors u, v."""
+        return _dot(self.diagonal_nodes, u, v)
 
     @property
     def that(self):
-        def build():
-            g = self.metric_nodes
-            t = np.zeros_like(self.x)
-            t[..., 0] = (-g[..., 0, 0]) ** -0.5
-            return t
-        return self._field("that", build)
+        return self._field(
+            "that", lambda: geometry.unit_time_field(self.chart)(self.x))
 
     @property
     def gLt(self):
         """g(L, that) > 0; equals 1/phi (inverse null lapse)."""
-        return self._field(
-            "gLt", lambda: _dot(self.metric_nodes, self.L, self.that))
+        return self._field("gLt", lambda: self.dot(self.L, self.that))
 
     @property
     def phi(self):
@@ -238,7 +237,7 @@ class NullConeBundle:
         dLbar_ang = self._angular(self.Lbar)
         dthat_s = self._s_derivative(self.that)
         dthat_ang = self._angular(self.that)
-        g = self.metric_nodes
+        d = self.diagonal_nodes
         Lbar = self.Lbar
         L = self.L
         dLs = self.dL_ds
@@ -249,10 +248,10 @@ class NullConeBundle:
             sl = slice(i0, i1)
             gamma = geometry.christoffel(self.chart, self.x[sl])
             Y = dY[sl]                                    # (..., mu, b)
-            gLbar = (g[sl] @ Lbar[sl][..., None])[..., 0]   # g_mn Lbar^n
+            gLbar = d[sl] * Lbar[sl]                      # g_mn Lbar^n
             cb = -0.5 * (gLbar[..., None, :] @ Y)[..., 0, :]
             Yt = Y - cb[..., None, :] * L[sl][..., :, None]   # (..., mu, b)
-            gYt = g[sl] @ Yt                              # g_mn Ytilde^n_c
+            gYt = d[sl][..., :, None] * Yt                # g_mn Ytilde^n_c
             mt = np.swapaxes(Yt, -1, -2) @ gYt
             det = mt[..., 0, 0] * mt[..., 1, 1] - mt[..., 0, 1] * mt[..., 1, 0]
             # covariant angular derivative of L along Ytilde_b
@@ -335,17 +334,16 @@ class NullConeBundle:
         """
         def build():
             opt = self.optical()
-            g = self.metric_nodes
             L, Lbar = self.L, self.Lbar
             e = np.moveaxis(opt["Ytilde"].copy(), -2, 0)    # (2, ..., mu)
             out = []
             for a in range(2):
                 v = e[a]
-                v = v + 0.5 * _dot(g, v, Lbar)[..., None] * L \
-                      + 0.5 * _dot(g, v, L)[..., None] * Lbar
+                v = v + 0.5 * self.dot(v, Lbar)[..., None] * L \
+                      + 0.5 * self.dot(v, L)[..., None] * Lbar
                 for w in out:
-                    v = v - _dot(g, v, w)[..., None] * w
-                n2 = _dot(g, v, v)
+                    v = v - self.dot(v, w)[..., None] * w
+                n2 = self.dot(v, v)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     v = v / np.sqrt(n2)[..., None]
                 v[0] = 0.0          # the screen degenerates at the vertex
@@ -360,24 +358,24 @@ class NullConeBundle:
         g(Lbar,e_a) = 0 and g(e_a,e_b) = delta_ab at every node past the
         vertex slice.  Returns a dict of per-pairing maxima.
         """
-        g = self.metric_nodes
+        dot = self.dot
         L, Lbar = self.L, self.Lbar
         e = self.null_frames()
         sl = slice(1, None)                     # the screen is 0 at the vertex
         out = {
-            "LL": np.max(np.abs(_dot(g, L, L))),
-            "LbarLbar": np.max(np.abs(_dot(g, Lbar, Lbar)[sl])),
-            "LLbar": np.max(np.abs(_dot(g, L, Lbar)[sl] + 2.0)),
+            "LL": np.max(np.abs(dot(L, L))),
+            "LbarLbar": np.max(np.abs(dot(Lbar, Lbar)[sl])),
+            "LLbar": np.max(np.abs(dot(L, Lbar)[sl] + 2.0)),
         }
         for a in range(2):
             ea = e[..., a, :]
-            out[f"Le{a + 1}"] = np.max(np.abs(_dot(g, L, ea)[sl]))
-            out[f"Lbare{a + 1}"] = np.max(np.abs(_dot(g, Lbar, ea)[sl]))
+            out[f"Le{a + 1}"] = np.max(np.abs(dot(L, ea)[sl]))
+            out[f"Lbare{a + 1}"] = np.max(np.abs(dot(Lbar, ea)[sl]))
             for b in range(a, 2):
                 eb = e[..., b, :]
                 target = 1.0 if a == b else 0.0
                 out[f"e{a + 1}e{b + 1}"] = np.max(
-                    np.abs(_dot(g, ea, eb)[sl] - target))
+                    np.abs(dot(ea, eb)[sl] - target))
         return {k: float(v) for k, v in out.items()}
 
     # ------------------------------------------------------------------
@@ -538,7 +536,7 @@ class NullConeBundle:
                                self.Lbar, self.Lbar) if not self.chart.flat \
             else 0.0
         nab_Lbar = dLbar + gamma_corr
-        omega = -0.25 * _dot(self.metric_nodes, nab_Lbar, self.L)
+        omega = -0.25 * self.dot(nab_Lbar, self.L)
         with np.errstate(invalid="ignore"):
             mu = d_trchi + 0.5 * opt["trchi"] * opt["trchibar"] \
                 + 2.0 * omega * opt["trchi"]

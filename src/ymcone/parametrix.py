@@ -37,13 +37,12 @@ def sample_field(bundle, field, extra_shape):
     return out
 
 
-def raise_two_form(bundle, f):
-    """F_{mu nu} -> F^{mu nu} = (g^-T F g^-1) per algebra component, chunked."""
-    out = np.empty_like(f)
-    for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-        ginv = geometry.inverse_metric(bundle.chart, bundle.x[sl])[..., None, :, :]
-        fk = np.moveaxis(f[sl], -1, -3)                 # (..., k, a, b)
-        out[sl] = np.moveaxis(np.swapaxes(ginv, -1, -2) @ fk @ ginv, -3, -1)
+def raise_two_form(chart, x, f):
+    """F_{mu nu} -> F^{mu nu} = F_{mu nu} / (g_{mu mu} g_{nu nu}) for a batch
+    of points ``x`` (..., 4) and algebra-valued ``f`` (..., 4, 4, dim)."""
+    inv = chart.inverse_diagonal(x)
+    out = f * inv[..., :, None, None]
+    out *= inv[..., None, :, None]
     return out
 
 
@@ -221,12 +220,8 @@ def shell_by_parts_residual(bundle, i, f, h, potential=None):
 
 def representation_target(chart, basis, p, seed, field):
     """4 pi <seed_{ab}, F^{ab}(p)>, the quantity the assembly reconstructs."""
-    return _vertex_pairing(geometry.inverse_metric(chart, p), seed, field(p))
-
-
-def _vertex_pairing(ginv, seed, Fp):
-    up = np.einsum("am,bn,abk->mnk", ginv, ginv, np.asarray(seed, float))
-    return 4.0 * np.pi * float(np.einsum("mnk,mnk->", up, Fp))
+    up = raise_two_form(chart, p, np.asarray(seed, float))
+    return 4.0 * np.pi * float(np.einsum("mnk,mnk->", up, field(p)))
 
 
 def assemble_representation(bundle, seeds, field, potential=None,
@@ -258,11 +253,11 @@ def assemble_representation(bundle, seeds, field, potential=None,
 
     conn = connection(bundle, potential)
     F_nodes = sample_field(bundle, field, (4, 4, basis.dim))
-    F_up = raise_two_form(bundle, F_nodes)
+    F_up = raise_two_form(chart, bundle.x, F_nodes)
 
     # --- curvature terms, one Riemann evaluation per chunk ----------------
     # the field's wave operator (None: zero on a flat abelian chart) and
-    # K[g, a] = g^{ad} R_{d g L Lbar} / 2 (None: zero on a flat chart)
+    # K[g, a] = g^{gg} R_{a g L Lbar} / 2 (None: zero on a flat chart)
     box_nodes = None if chart.flat and basis.dim == 1 \
         else np.empty_like(F_nodes)
     K = None if chart.flat else np.empty(bundle.x.shape[:3] + (4, 4))
@@ -272,11 +267,12 @@ def assemble_representation(bundle, seeds, field, potential=None,
         if box_nodes is not None:
             box_nodes[sl] = liegauge.wave_source(chart, x, field, curv)
         if K is not None:
-            K[sl] = 0.5 * np.einsum("...gd,...adnm,...m,...n->...ga",
-                                    geometry.inverse_metric(chart, x),
+            K[sl] = 0.5 * np.einsum("...g,...agnm,...m,...n->...ga",
+                                    chart.inverse_diagonal(x),
                                     curv.riemann, bundle.L[sl],
                                     bundle.Lbar[sl])
-    box_up = None if box_nodes is None else raise_two_form(bundle, box_nodes)
+    box_up = None if box_nodes is None \
+        else raise_two_form(chart, bundle.x, box_nodes)
     del box_nodes
 
     # --- seed-free factors of the cone corrections ------------------------
@@ -291,9 +287,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # --- initial-data ring ---------------------------------------------
     x_ring = crossing.interpolate(bundle.x)
     s_star = crossing.s_star
-    ginv_ring = geometry.inverse_metric(chart, x_ring)
-    F_ring_up = np.einsum("...am,...bn,...abk->...mnk", ginv_ring, ginv_ring,
-                          field(x_ring))
+    F_ring_up = raise_two_form(chart, x_ring, field(x_ring))
     that_ring = geometry.unit_time_field(chart)(x_ring)
     phi_ring = crossing.interpolate(bundle.phi)
     L_ring = crossing.interpolate(bundle.L)
@@ -303,15 +297,12 @@ def assemble_representation(bundle, seeds, field, potential=None,
     DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, A_for_D)
     DF_T = np.einsum("...mabk,...m->...abk", DF, that_ring)
     DF_N = np.einsum("...mabk,...m->...abk", DF, N_ring)
-    DF_T_up = np.einsum("...am,...bn,...mnk->...abk",
-                        ginv_ring, ginv_ring, DF_T)
-    DF_N_up = np.einsum("...am,...bn,...mnk->...abk",
-                        ginv_ring, ginv_ring, DF_N)
+    DF_T_up = raise_two_form(chart, x_ring, DF_T)
+    DF_N_up = raise_two_form(chart, x_ring, DF_N)
     trchi_ring = crossing.interpolate(opt["trchi"])
     k_ring = crossing.interpolate(opt["kscreen"])
     ring_coef = 0.5 * phi_ring * trchi_ring + k_ring
 
-    ginv_p = geometry.inverse_metric(chart, bundle.p)
     Fp = field(bundle.p)
     Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))
 
@@ -345,7 +336,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
                         + ring_coef * lamF)
         ring_term = crossing.ring_integral(ring_density)
 
-        target = _vertex_pairing(ginv_p, seed, Fp)
+        target = representation_target(chart, basis, bundle.p, seed, field)
         total = source + cone_term + ring_term
         seed_norm = float(np.sqrt(np.sum(seed ** 2)))
         scale = 4.0 * np.pi * seed_norm * Fp_norm + 1e-30
@@ -370,8 +361,7 @@ def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):
     integrals recovers 8 pi <seed, F(p)>.
     """
     psi = transport_weight(bundle, seed, connection(bundle, potential))
-    ginv = geometry.inverse_metric(bundle.chart, bundle.p)
-    Fp_up = np.einsum("am,bn,mnk->abk", ginv, ginv, field(bundle.p))
+    Fp_up = raise_two_form(bundle.chart, bundle.p, field(bundle.p))
     opt = bundle.optical()
     i_first = int(np.searchsorted(bundle.s, bundle.s_min))
     idx = np.unique(np.linspace(i_first + 1, bundle.n_s,

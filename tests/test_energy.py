@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from ymcone import energy, geometry, liegauge, runner
+from ymcone import energy, geometry, liegauge, parametrix, runner
+
+#: curved charts with points where the su(2) bump of width 3 is of order 1
+CURVED_POINTS = [
+    ("schwarzschild", {"mass": 1.0},
+     [[0.3, 3.0, 1.2, 0.3], [0.5, 4.5, 0.9, 1.0]]),
+    ("flrw", {"power": 0.5}, [[2.0, 0.1, 0.2, 0.3], [1.5, -0.3, 0.4, 0.1]]),
+]
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +20,11 @@ def u1():
 
 def _wave(u1):
     return runner.plane_wave_field(u1, omega=1.0, direction=(1.0, 1.0, 0.0))
+
+
+def _su2_bump():
+    A = runner.su2_bump_potential(liegauge.su2(), amplitude=0.3, width=3.0)
+    return liegauge.curvature_from_potential(A)
 
 
 def test_stress_tensor_symmetric_traceless(flat_chart, u1):
@@ -41,8 +53,51 @@ def test_energy_density_nonnegative(flat_chart, u1):
     assert np.all(dens >= -1e-14)
 
 
+@pytest.mark.parametrize("name,params,pts", CURVED_POINTS)
+def test_frame_energy_density_is_stress_on_unit_normal(name, params, pts):
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(pts)
+    F = _su2_bump()
+    dens = energy.frame_energy_density(chart, pts, F)
+    that = geometry.unit_time_field(chart)(pts)
+    want = np.einsum("...mn,...m,...n->...",
+                     energy.stress_tensor(chart, pts, F), that, that)
+    assert np.min(want) > 1e-6
+    assert np.max(np.abs(dens - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name,params,pts", CURVED_POINTS)
+def test_bulk_density_matches_deformation_tensor(name, params, pts):
+    # the closed-form diagonal pi^{mn} against the generic Gamma-based
+    # deformation tensor of d/dt; d/dt is Killing on Schwarzschild only
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(pts)
+    F = _su2_bump()
+    got = energy.bulk_density(chart, pts, F)
+    pi = geometry.deformation_tensor(chart, pts,
+                                     geometry.coordinate_time_field())
+    want = np.einsum("...mn,...mn->...", pi,
+                     energy.stress_tensor(chart, pts, F))
+    if name == "flrw":
+        assert np.min(np.abs(want)) > 1e-6
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_consumers_reject_degenerate_point(schw_chart, u1):
+    # every 1/g_aa goes through the checked Chart.inverse_diagonal
+    horizon = np.array([[0.0, 10.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0]])
+    F = runner.coulomb_field(u1)
+    calls = (lambda: parametrix.raise_two_form(schw_chart, horizon,
+                                               F(horizon)),
+             lambda: energy.stress_tensor(schw_chart, horizon, F),
+             lambda: energy.frame_energy_density(schw_chart, horizon, F))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(geometry.DegenerateMetricError):
+                call()
+
+
 def test_flux_frame_form_matches_direct(schw_bundle, u1):
-    from ymcone import parametrix
     F = runner.coulomb_field(u1)
     F_nodes = parametrix.sample_field(schw_bundle, F, (4, 4, 1))
     d1 = energy.flux_density_frame(schw_bundle, F_nodes)

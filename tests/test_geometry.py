@@ -176,13 +176,6 @@ def test_flrw_time_is_not_killing():
     assert np.max(np.abs(pi)) > 1e-3
 
 
-def test_h_metric_positive_definite(schw_chart):
-    frame = geometry.orthonormal_frame(schw_chart, POINT)
-    h = geometry.h_metric(schw_chart, POINT, frame.that)
-    eig = np.linalg.eigvalsh(h)
-    assert np.all(eig > 0)
-
-
 def test_unit_time_field_normalized(schw_chart):
     that = geometry.unit_time_field(schw_chart)(POINT)
     g = schw_chart.metric(POINT)

@@ -58,8 +58,7 @@ def test_frame_pairings_schwarzschild(schw_bundle):
 
 
 def test_rays_stay_null_schwarzschild(schw_bundle):
-    g = schw_bundle.metric_nodes
-    ll = np.einsum("...m,...mn,...n->...", schw_bundle.L, g, schw_bundle.L)
+    ll = schw_bundle.dot(schw_bundle.L, schw_bundle.L)
     assert np.max(np.abs(ll)) < 1e-10
 
 
@@ -159,8 +158,7 @@ def test_transverse_derivative_pairs_like_lbar(schw_bundle):
     # Dropping the twin's imaginary part would give a residual of 2.  The
     # end slices are left out: the s-difference is one-sided there.
     V = schw_bundle.lbar_derivative(lambda b: b.x)
-    res = np.einsum("...m,...mn,...n->...", V - schw_bundle.Lbar,
-                    schw_bundle.metric_nodes, schw_bundle.L)
+    res = schw_bundle.dot(V - schw_bundle.Lbar, schw_bundle.L)
     assert np.max(np.abs(res[1:-1])) < 1e-6
 
 
