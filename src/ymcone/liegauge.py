@@ -28,12 +28,19 @@ class AlgebraBasis:
         self.c = np.asarray(structure_constants, dtype=float)
         self.dim = self.c.shape[0]
         self.gram = np.eye(self.dim)
+        self._cross = np.array_equal(self.c, _levi_civita())
 
     def bracket(self, X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
+        """[X, Y] of coefficient ndarrays (..., dim), broadcast over the
+        leading axes.  Inputs are used as given (no conversion); the only
+        per-call check is the length of the algebra axis."""
         if X.shape[-1] != self.dim or Y.shape[-1] != self.dim:
             raise AlgebraError("element dimension does not match basis")
+        if self._cross:                         # su(2): [X, Y] = X x Y
+            x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
+            y0, y1, y2 = Y[..., 0], Y[..., 1], Y[..., 2]
+            return np.stack((x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
+                             x0 * y1 - x1 * y0), axis=-1)
         # one (..., dim^2) x (dim^2, dim) product over the pairs (i, j)
         outer = X[..., :, None] * Y[..., None, :]
         return outer.reshape(outer.shape[:-2] + (-1,)) \
@@ -50,14 +57,18 @@ def u1():
     return AlgebraBasis("u1", np.zeros((1, 1, 1)))
 
 
-def su2():
-    """su(2) with <X,Y> = -2 tr(XY) normalization: orthonormal basis with
-    [e_i, e_j] = eps_ijk e_k."""
+def _levi_civita():
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k] = 1.0
         eps[j, i, k] = -1.0
-    return AlgebraBasis("su2", eps)
+    return eps
+
+
+def su2():
+    """su(2) with <X,Y> = -2 tr(XY) normalization: orthonormal basis with
+    [e_i, e_j] = eps_ijk e_k."""
+    return AlgebraBasis("su2", _levi_civita())
 
 
 ALGEBRA_CATALOG = {"u1": u1, "su2": su2}
@@ -256,12 +267,12 @@ def cartan_connection(chart, frame_field):
     """
     def fn(x):
         x_ = np.asarray(x, dtype=float)
-        g = chart.metric(x_)
+        g = chart.diagonal(x_)
         gamma = geometry.christoffel(chart, x_)
         e = frame_field(x_)                    # (..., beta, mu)
         de = frame_field.jacobian(x_)          # (..., mu[deriv], beta, nu)
         nab = de + np.einsum("...smr,...br->...msb", gamma, e)
-        return np.einsum("...rs,...ar,...msb->...mab", g, e, nab)
+        return np.einsum("...r,...ar,...mrb->...mab", g, e, nab)
 
     return fn
 
@@ -298,7 +309,7 @@ def cartan_ym_residual(chart, x, frame_field, step=1e-4):
     conn = cartan_connection(chart, frame_field)
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     x = np.asarray(x, dtype=float)
-    ginv = geometry.inverse_metric(chart, x)
+    inv = chart.inverse_diagonal(x)
     gamma = geometry.christoffel(chart, x)
     f = Fc(x)
     dF = geometry._fd_derivative(Fc, x, step)          # (..., d, m, n, a, b)
@@ -308,4 +319,4 @@ def cartan_ym_residual(chart, x, frame_field, step=1e-4):
           - np.einsum("...rdn,...mrab->...dmnab", gamma, f)
           + np.einsum("...dag,gh,...mnhb->...dmnab", a, eta, f)
           - np.einsum("...mnag,gh,...dhb->...dmnab", f, eta, a))
-    return np.einsum("...dm,...dmnab->...nab", ginv, DF)
+    return np.einsum("...d,...ddnab->...nab", inv, DF)

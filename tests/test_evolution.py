@@ -1,5 +1,7 @@
 """Lattice gauge evolution: conservation, constraint, convergence order."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,41 @@ def test_run_diagnostics_rows(lattice):
     assert rows.shape[1] == 3
     assert abs(rows[-1, 0] - 0.2) < 1e-12
     assert abs(out.time - 0.2) < 1e-12
+
+
+def _roll_deriv(f, axis, dx):
+    r = lambda k: np.roll(f, -k, axis=axis)
+    return (8.0 * (r(1) - r(-1)) - (r(2) - r(-2))) / (12.0 * dx)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_matrix_deriv_matches_roll_stencil(n):
+    lat = evolution.Lattice2D(n, 1.0)
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (n, n, 3)):
+        f = rng.standard_normal(shape)
+        for axis in (0, 1):
+            ref = _roll_deriv(f, axis, lat.dx)
+            err = np.max(np.abs(lat.deriv(f, axis) - ref))
+            assert err < 1e-13 * np.max(np.abs(ref))
+
+
+def test_state_guard_names_bad_E(lattice):
+    u1 = liegauge.u1()
+    A = np.zeros((2, lattice.n, lattice.n, 1))
+    with pytest.raises(evolution.EvolutionError, match=r"E has shape \(3,\)"):
+        evolution.GaugeState(lattice, u1, A, np.zeros(3))
+
+
+def test_blowup_names_interval(lattice):
+    su2 = liegauge.su2()
+    good = evolution.crossed_stream_data(lattice, su2)
+    A = good.A.copy()
+    A[0, 3, 5, 1] = np.inf
+    state = evolution.GaugeState(lattice, su2, A, good.E, time=1.0)
+    dt = 0.1 * lattice.dx
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # no RuntimeWarning flood
+        with pytest.raises(evolution.EvolutionError) as exc:
+            evolution.step(state, dt, n_steps=50)
+    assert f"[1.0000, {1.0 + 50 * dt:.4f}]" in str(exc.value)

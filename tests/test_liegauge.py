@@ -42,6 +42,31 @@ def test_u1_brackets_vanish():
     assert abs(u1.bracket(np.array([2.0]), np.array([3.0]))[0]) == 0.0
 
 
+
+@settings(max_examples=50, deadline=None)
+@given(algebra_vectors, algebra_vectors, st.integers(0, 2**32 - 1))
+def test_su2_cross_bracket_matches_structure_constants(x, y, seed):
+    su2 = liegauge.su2()
+    # batched, broadcast operands around the drawn pair
+    rng = np.random.default_rng(seed)
+    X = np.concatenate((x[None], rng.standard_normal((3, 3))))[:, None]
+    Y = np.concatenate((y[None], rng.standard_normal((4, 3))))
+    ref = np.einsum("ijk,...i,...j->...k", su2.c, X, Y)
+    got = su2.bracket(X, Y)
+    assert got.shape == ref.shape == (4, 5, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name, dims", [("su2", (2, 4)), ("u1", (3,))])
+def test_bracket_rejects_mismatched_last_axis(name, dims):
+    basis = liegauge.make_algebra(name)
+    good = np.ones(basis.dim)
+    for d in dims:
+        bad = np.ones((5, d))
+        for X, Y in ((bad, good), (good, bad)):
+            with pytest.raises(liegauge.AlgebraError):
+                basis.bracket(X, Y)
+
 def test_abelian_curl_curvature():
     # A_y = x e1 gives F_xy = 1 exactly
     u1 = liegauge.u1()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -257,3 +258,28 @@ def test_plane_wave_profile_is_transverse():
     val = F(np.zeros(4))
     assert np.max(np.abs(val + np.swapaxes(val, 0, 1))) < 1e-15
     assert np.max(np.abs(val)) > 0.1
+
+
+SU2_LATTICE_SETUP = """
+import sys
+from ymcone import evolution, liegauge, runner
+runner.parse_config({
+    "chart": "minkowski", "algebra": "su2",
+    "evolution": {"n": 32, "length": 1.0, "dt_factor": 0.05,
+                  "crossings": 3.0, "amplitude": 0.1},
+    "bounds": {"c": 0.1}, "experiments": ["evolution", "bounds"], "seed": 1})
+evolution.Lattice2D(32)
+liegauge.su2()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_lattice_setup_loads_no_scipy():
+    # a fresh process pays for every import on the set-up path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", SU2_LATTICE_SETUP], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
