@@ -3,7 +3,7 @@
 Modules:
     geometry   -- chart catalog, curvature, frames, companion Riemannian metric
     liegauge   -- compact Lie algebras, gauge potentials/curvatures, residuals
-    sphere     -- direction-sphere quadrature and spectral differentiation
+    sphere     -- sphere quadrature; gradient and divergence as node matrices
     nullcone   -- past null cone bundles: rays, frames, optical scalars
     parametrix -- cone transport field and the representation formula
     energy     -- stress tensor, energies, fluxes, divergence identity

@@ -3,7 +3,8 @@
 A bundle is a fan of past-directed null geodesics from a vertex p, one per
 node of a direction sphere grid, integrated at fixed affine step with RK4.
 The affine parameter s is normalized by g(L, T_p) = 1 at the vertex.  All
-transverse (angular) derivatives are spectral on the fixed-s spheres; the
+transverse (angular) derivatives are spectral on the fixed-s spheres, one
+GEMM of the grid's node matrix ``grad`` over every slice at once; the
 optical scalars, null frames, area density and cone quadrature are derived
 from them.  Derivatives transverse to the cone itself (mass aspect, frame
 shift) come from one twin cone by complex-step differentiation.  Let f(d, s)
@@ -186,20 +187,21 @@ class NullConeBundle:
         return self._field("dLds", build)
 
     def _s_derivative(self, f):
-        """Central finite difference along the ray parameter (axis 0)."""
+        """Second-order finite difference along the ray parameter (axis 0)."""
         out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * self.ds)
-        out[0] = (f[1] - f[0]) / self.ds
-        out[-1] = (f[-1] - f[-2]) / self.ds
-        return out
+        out[1:-1] = f[2:] - f[:-2]
+        out[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+        out[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+        return np.divide(out, 2.0 * self.ds, out=out)
 
     def _angular(self, f):
         """Spectral (d_theta, d_phi) of per-node data, new axis at the end.
 
         ``f`` has shape (n_s+1, nth, nph, ...); the sphere axes must be 1, 2.
         """
-        grad = self.grid.angular_gradient(np.moveaxis(f, (1, 2), (-2, -1)))
-        return np.moveaxis(grad, (-3, -2), (1, 2))
+        grad = self.grid.on_nodes(self.grid.grad, f)
+        return np.moveaxis(grad.reshape(f.shape[:1] + (2,) + f.shape[1:]),
+                           1, -1)
 
     # ------------------------------------------------------------------
     # optical scalars
@@ -230,13 +232,12 @@ class NullConeBundle:
             "cb": empty(2), "minv": empty(2, 2),
             "Ytilde": empty(2, 4), "chi_asym": 0.0,
         }
-        # global angular derivatives of positions and L (chunk over s)
-        dY = self._angular(self.x)         # (n1, nth, nph, 4, 2) = d_b x^mu
-        dL = self._angular(self.L)
+        # d_b of the positions (d_b x^mu = Y), L, Lbar and that in one GEMM,
+        # each (n1, nth, nph, 4, 2)
+        dY, dL, dLbar_ang, dthat_ang = np.moveaxis(self._angular(np.stack(
+            [self.x, self.L, self.Lbar, self.that], axis=3)), 3, 0)
         dLbar_s = self._s_derivative(self.Lbar)
-        dLbar_ang = self._angular(self.Lbar)
         dthat_s = self._s_derivative(self.that)
-        dthat_ang = self._angular(self.that)
         d = self.diagonal_nodes
         Lbar = self.Lbar
         L = self.L

@@ -171,23 +171,20 @@ def screen_laplacian(bundle, df, conn):
     in the outer derivative.  Slice 0 is returned as 0.
     """
     opt = bundle.optical()
-    extra = df.ndim - 4
-    mi = opt["minv"]
-    # V^b = minv^{bc} D_c f, with the sphere index moved to the end
-    dfm = np.moveaxis(df, 3, -1)                 # (..., <tensor>, dim, c)
-    mi = mi.reshape(mi.shape[:3] + (1,) * extra + (2, 2))
-    d0, d1 = dfm[..., 0], dfm[..., 1]
+    tail = df.shape[4:]
+    mi = opt["minv"].reshape(opt["minv"].shape[:3] + (1,) * len(tail) + (2, 2))
+    # V^b = minv^{bc} D_c f, with the sphere index b on axis 1
+    d0, d1 = df[:, :, :, 0], df[:, :, :, 1]
     Vm = np.stack([mi[..., 0, 0] * d0 + mi[..., 0, 1] * d1,
-                   mi[..., 1, 0] * d0 + mi[..., 1, 1] * d1], axis=-1)
+                   mi[..., 1, 0] * d0 + mi[..., 1, 1] * d1], axis=1)
     sqm = opt["J"] * bundle.grid.sin_theta[None, :, None]
-    W = Vm * sqm.reshape(sqm.shape + (1,) * (extra + 1))
-    dW = bundle._angular(np.moveaxis(W, -1, 3))  # (..., b=W-index, ..., c=deriv)
-    dW = np.moveaxis(dW, (3, -1), (-2, -1))      # (..., <tensor>, dim, b, c)
-    div = dW[..., 0, 0] + dW[..., 1, 1]
+    sqm = sqm.reshape(sqm.shape + (1,) * len(tail))
+    # d_b W^b as one GEMM with the grid's node matrix ``div``
+    div = bundle.grid.on_nodes(bundle.grid.div, Vm * sqm[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = div / sqm.reshape(sqm.shape + (1,) * extra)
+        out = div.reshape(df.shape[:3] + tail) / sqm
     out[0] = 0.0
-    outer = _connect(np.moveaxis(Vm, -1, 3), conn.gamma_Y, conn.a_Y, conn.c)
+    outer = _connect(np.moveaxis(Vm, 1, 3), conn.gamma_Y, conn.a_Y, conn.c)
     if np.ndim(outer):
         out += outer.sum(axis=3)                 # sum over the sphere index
     return out

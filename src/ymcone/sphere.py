@@ -2,12 +2,13 @@
 
 A ``SphereGrid`` is the product of Gauss-Legendre nodes in cos(theta) and a
 uniform periodic grid in phi.  Scalar fields sampled on it admit exact
-quadrature and spectrally accurate tangential derivatives through a normalized
-associated-Legendre transform (hand-rolled stable recurrences; the transform
-is exact for band-limited data up to degree ``n_theta - 1``).
+quadrature and spectrally accurate tangential derivatives, as real matrices on
+the N = n_theta * n_phi nodes built once in closed form: ``grad`` (2N x N)
+stacks d/dtheta (associated-Legendre transform per order m, exact up to degree
+``n_theta - 1``) over d/dphi (circulant in phi); ``div`` = [d/dtheta d/dphi].
 
 Fields are arrays of shape (..., n_theta, n_phi); all routines broadcast over
-the leading axes.
+the leading axes, and ``on_nodes`` over the first axis of the cone layout.
 """
 
 from __future__ import annotations
@@ -42,29 +43,6 @@ def _legendre_table(lmax, x):
     return tables
 
 
-def _legendre_theta_derivative_table(lmax, x, tables):
-    """d/dtheta Pbar_l^m(cos theta) from the same-m downward recurrence.
-
-    Uses (1-x^2) d/dx Pbar_l^m = c_lm Pbar_{l-1}^m - l x Pbar_l^m with
-    c_lm = sqrt((2l+1)(l-m)(l+m)/(2l-1)), and d/dtheta = -sin(theta) d/dx.
-    """
-    x = np.asarray(x, dtype=float)
-    sx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    out = []
-    for m in range(lmax + 1):
-        P = tables[m]
-        rows = []
-        for i, l in enumerate(range(m, lmax + 1)):
-            if l == 0:
-                rows.append(np.zeros_like(x))
-                continue
-            c = np.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
-            prev = P[i - 1] if i >= 1 else np.zeros_like(x)
-            rows.append((l * x * P[i] - c * prev) / sx)
-        out.append(np.stack(rows, axis=0))
-    return out
-
-
 class SphereGrid:
     """Gauss-Legendre x uniform-phi product grid with spectral transforms."""
 
@@ -85,14 +63,41 @@ class SphereGrid:
                         * np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
         self.lmax = self.n_theta - 1
         self._P = _legendre_table(self.lmax, self.cos_theta)
-        self._dP = _legendre_theta_derivative_table(
-            self.lmax, self.cos_theta, self._P)
-        # FFT m-order used below: 0..n_phi/2 (rfft)
+        # Legendre orders the d/dtheta transform keeps: 0..min(lmax, n_phi/2)
         self.m_count = min(self.lmax, self.n_phi // 2) + 1
-        # d/dtheta of the order-m Fourier coefficient as one matrix per m:
-        # analysis (Pbar_m weighted by w) followed by synthesis with dPbar_m
-        self._dtheta_mats = [(self._P[m] * self.gl_weights).T @ self._dP[m]
-                             for m in range(self.m_count)]
+        self.n_nodes = self.n_theta * self.n_phi
+        self.grad = self._gradient_matrix()
+        # d_theta W_theta + d_phi W_phi: the two blocks of grad side by side
+        self.div = np.hstack(np.split(self.grad, 2))
+
+    def _gradient_matrix(self):
+        """The spectral (d/dtheta; d/dphi) as one real (2N, N) node matrix.
+
+        d/dtheta is sum_m D_m (x) (c_m / n_phi) cos(m (phi_q - phi_p)) with
+        c_m = 2 (1 at m = 0 and Nyquist), D_m the order-m Legendre analysis
+        followed by synthesis with d/dtheta Pbar_l^m = (l x Pbar_l^m - c_lm
+        Pbar_{l-1}^m) / sin.  d/dphi is the circulant -(2 / n_phi) sum_k k
+        sin(k (phi_q - phi_p)) without the unmatched Nyquist mode.
+        """
+        nth, nph, x = self.n_theta, self.n_phi, self.cos_theta
+        D = []
+        for m in range(self.m_count):
+            P = self._P[m]
+            prev = np.concatenate([np.zeros_like(P[:1]), P[:-1]])
+            l = np.arange(m, self.lmax + 1)[:, None]
+            c = np.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
+            D.append((P * self.gl_weights).T
+                     @ ((l * x * P - c * prev) / self.sin_theta))
+        m = np.arange(self.m_count)
+        c_m = np.where((m == 0) | (2 * m == nph), 1.0, 2.0) / nph
+        dphi = self.phi[:, None] - self.phi[None, :]        # phi_q - phi_p
+        cos_m = c_m[:, None, None] * np.cos(m[:, None, None] * dphi)
+        d_theta = np.einsum("mts,mqp->sqtp", np.stack(D), cos_m)
+        k = np.arange(1, nph // 2)
+        circ = -(2.0 / nph) * np.einsum(
+            "k,kqp->qp", k, np.sin(k[:, None, None] * dphi))
+        return np.concatenate([d_theta.reshape(self.n_nodes, -1),
+                               np.kron(np.eye(nth), circ)])
 
     def directions(self):
         """Unit direction triples omega-hat, shape (n_theta, n_phi, 3)."""
@@ -127,44 +132,39 @@ class SphereGrid:
 
     def dtheta(self, f):
         """Spectral d/dtheta of a field on the grid."""
-        return self._derivatives(f, self._dtheta_modes)
+        return self._product(self.grad[:self.n_nodes], f)
 
     def dphi(self, f):
-        """Spectral d/dphi of a field on the grid (periodic FFT)."""
-        return self._derivatives(f, self._dphi_modes)
+        """Spectral d/dphi of a field on the grid."""
+        return self._product(self.grad[self.n_nodes:], f)
 
     def angular_gradient(self, f):
-        """(d/dtheta f, d/dphi f) stacked on a new last axis.
+        """(d/dtheta f, d/dphi f) stacked on a new last axis."""
+        return np.stack([self.dtheta(f), self.dphi(f)], axis=-1)
 
-        One real FFT along phi feeds both derivatives.
-        """
-        return self._derivatives(f, self._dtheta_modes, self._dphi_modes)
-
-    def _derivatives(self, f, *modes):
-        """Apply each rfft-coefficient map in ``modes`` to one rfft of f.
-
-        One map returns its derivative, several are stacked on a new last
-        axis.
-        """
+    def _product(self, block, f):
+        """A block of n_nodes rows of ``grad`` on a field (..., nth, nph)."""
         f = np.asarray(f)
-        if np.iscomplexobj(f):          # the operators are real and linear
-            return self._derivatives(f.real, *modes) \
-                + 1j * self._derivatives(f.imag, *modes)
-        fm = np.fft.rfft(f, axis=-1)
-        out = [np.fft.irfft(op(fm), n=self.n_phi, axis=-1) for op in modes]
-        return out[0] if len(out) == 1 else np.stack(out, axis=-1)
+        out = self.on_nodes(block, f.reshape(-1, self.n_nodes).T[None])
+        return out[0].T.reshape(f.shape)
 
-    def _dtheta_modes(self, fm):
-        out_m = np.zeros_like(fm)
-        for m, D in enumerate(self._dtheta_mats):
-            out_m[..., m] = fm[..., m] @ D
-        return out_m
-
-    def _dphi_modes(self, fm):
-        k = np.arange(self.n_phi // 2 + 1)
-        # zero the unmatched Nyquist mode for a real-valued derivative
-        k[-1] = 0
-        return fm * (1j * k)
+    def on_nodes(self, op, f):
+        """``op`` (rows of ``grad``, or ``div``) over the node axes of f as
+        one GEMM.  f is (n, <op.shape[1] node values>, *tail): (n, n_theta,
+        n_phi, ...) for ``grad``, (n, 2, n_theta, n_phi, ...) for ``div``.
+        Returns (n, op.shape[0], prod(tail)).  A complex f goes through as
+        the float64 view of its memory, in the same one real GEMM.
+        """
+        f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
+        n, k = f.shape[0], op.shape[1]
+        real = f.reshape(n, k // self.n_nodes, self.n_nodes, -1).view(
+            np.float64).transpose(1, 2, 0, 3)
+        # op annihilates constant blocks; differencing each block against its
+        # first node keeps that exact, where 1/s^2 would amplify roundoff
+        x = np.empty(real.shape)
+        np.subtract(real, real[:, :1], out=x)
+        out = op @ x.reshape(k, -1)
+        return out.reshape(op.shape[0], n, -1).transpose(1, 0, 2).view(f.dtype)
 
     def high_mode_fraction(self, f):
         """Energy fraction in the top third of the Legendre spectrum.

@@ -162,6 +162,14 @@ def test_transverse_derivative_pairs_like_lbar(schw_bundle):
     assert np.max(np.abs(res[1:-1])) < 1e-6
 
 
+def test_transverse_derivative_end_slices(schw_bundle):
+    # the one-sided s-differences on the first and last slices are second
+    # order, like the central ones inside
+    V = schw_bundle.lbar_derivative(lambda b: b.x)
+    res = schw_bundle.dot(V - schw_bundle.Lbar, schw_bundle.L)
+    assert np.max(np.abs(res[[0, -1]])) < 1e-6
+
+
 def test_flat_transverse_derivative(flat_bundle):
     # d/dLbar of t: Lbar = -(2 that + L); flat L has L^t = -1, so
     # Lbar^t = -1 and the derivative of t along Lbar is -1.

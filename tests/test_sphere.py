@@ -77,3 +77,67 @@ def test_high_mode_fraction_small_for_smooth(grid):
 def test_directions_are_unit(grid):
     d = grid.directions()
     assert np.max(np.abs(np.einsum("tpm,tpm->tp", d, d) - 1.0)) < 1e-13
+
+
+# -- the node matrices against scipy's harmonics -------------------------
+
+@pytest.fixture(scope="module", params=[(8, 16), (16, 32)],
+                ids=["8x16", "16x32"])
+def node_grid(request):
+    return sphere.SphereGrid(*request.param)
+
+
+def _real_harmonics(grid):
+    """(l, Y, d_theta Y, d_phi Y) on the nodes for every real Y_lm with
+    l <= lmax: the real and imaginary parts of scipy's complex harmonics."""
+    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    for l in range(grid.lmax + 1):
+        for m in range(l + 1):
+            y, dy = sph_harm_y(l, m, th, ph, diff_n=1)
+            yield l, y.real, dy[..., 0].real, dy[..., 1].real
+            if m:
+                yield l, y.imag, dy[..., 0].imag, dy[..., 1].imag
+
+
+def test_grad_matches_every_real_harmonic(node_grid):
+    g = node_grid
+    for l, y, dth, dph in _real_harmonics(g):
+        out = (g.grad @ y.ravel()).reshape(2, g.n_theta, g.n_phi)
+        assert np.max(np.abs(out[0] - dth)) <= 1e-10, l
+        assert np.max(np.abs(out[1] - dph)) <= 1e-10, l
+
+
+def test_complex_input_is_its_real_and_imaginary_parts(node_grid):
+    g = node_grid
+    rng = np.random.default_rng(3)
+    shape = (5, g.n_theta, g.n_phi, 3)
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = g.on_nodes(g.grad, f)
+    assert out.dtype == np.complex128
+    parts = g.on_nodes(g.grad, f.real) + 1j * g.on_nodes(g.grad, f.imag)
+    assert np.max(np.abs(out - parts)) <= 1e-14 * np.max(np.abs(out))
+    field = f[..., 0]
+    grad = g.angular_gradient(field)
+    parts = g.angular_gradient(field.real) \
+        + 1j * g.angular_gradient(field.imag)
+    assert np.max(np.abs(grad - parts)) <= 1e-14 * np.max(np.abs(grad))
+
+
+def test_div_of_harmonic_gradient_is_sphere_laplacian(node_grid):
+    # (1/sin) [d_theta (sin d_theta Y) + d_phi (d_phi Y / sin)] = -l(l+1) Y.
+    # sin(theta) d_theta Y has degree l + 1, so the top degree is left out.
+    g = node_grid
+    st = g.sin_theta[:, None]
+    for l, y, dth, dph in _real_harmonics(g):
+        if l == g.lmax:
+            continue
+        W = np.stack([st * dth, dph / st])
+        lap = g.on_nodes(g.div, W[None]).reshape(g.n_theta, g.n_phi) / st
+        assert np.max(np.abs(lap + l * (l + 1) * y)) <= 1e-9, l
+
+
+def test_derivatives_of_a_constant_are_exactly_zero(node_grid):
+    g = node_grid
+    f = np.full((3, g.n_theta, g.n_phi, 2), 0.7)
+    assert not np.any(g.on_nodes(g.grad, f))
+    assert not np.any(g.angular_gradient(f[..., 0]))
