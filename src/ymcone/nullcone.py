@@ -6,8 +6,13 @@ The affine parameter s is normalized by g(L, T_p) = 1 at the vertex.  All
 transverse (angular) derivatives are spectral on the fixed-s spheres, one
 GEMM of the grid's node matrix ``grad`` over every slice at once; the
 optical scalars, null frames, area density and cone quadrature are derived
-from them.  Derivatives transverse to the cone itself (mass aspect, frame
-shift) come from one twin cone by complex-step differentiation.  Let f(d, s)
+from them.  Only x and L are differentiated, by three identities exact in the
+continuum: nabla_L L = 0 on the rays; the unit normal that = (-g_tt)^(-1/2)
+d_t of the t-slices is orthogonal to the screen, so the screen part of their
+extrinsic curvature is k_bc = g(Gamma(Ytilde_b, that), Ytilde_c); and
+Lbar = -phi (2 that + phi L) gives tr chibar = -phi (2 tr k + phi trchi).
+Derivatives transverse to the cone itself (mass aspect, frame shift)
+come from one twin cone by complex-step differentiation.  Let f(d, s)
 be a per-node field on the cone from the vertex p + d T_p, with that vertex
 moved along the timelike geodesic through p.  The point q(s) + h Lbar is taken
 to lie on the cone from p - 2h T_p at affine parameter s - h, exactly so in
@@ -176,16 +181,6 @@ class NullConeBundle:
             return -(2.0 * self.that + self.L / gLt) / gLt
         return self._field("Lbar", build)
 
-    @property
-    def dL_ds(self):
-        def build():
-            out = np.empty_like(self.L)
-            for i0 in range(0, self.n_s + 1, self.chunk):
-                sl = slice(i0, i0 + self.chunk)
-                out[sl] = self._geodesic_rhs(self.x[sl], self.L[sl])[1]
-            return out
-        return self._field("dLds", build)
-
     def _s_derivative(self, f):
         """Second-order finite difference along the ray parameter (axis 0)."""
         out = np.empty_like(f)
@@ -210,11 +205,12 @@ class NullConeBundle:
     def optical(self):
         """Compute (and cache) optical scalars at every node.
 
-        Returns a dict with keys: trchi, chihat2, zeta, trchibar, J, kscreen,
-        minv, cb, Ytilde and chi_asym (the largest antisymmetric part of chi
-        past the vertex closure, a scalar).  Slices with s < s_min carry the
-        flat-cone closure (trchi = 2/s, chihat = zeta = 0, J continued as s^2
-        times the limit shape).
+        Returns a dict with keys: trchi, chihat2, zeta, J, kscreen, minv, cb,
+        Ytilde and chi_asym (the largest antisymmetric part of chi past the
+        vertex closure, a scalar).  Only x and L are differentiated; the
+        geodesic equation and the closed form of that give the rest.
+        Slices with s < s_min carry the flat-cone closure (trchi = 2/s,
+        chihat = zeta = 0, J continued as s^2 times the limit shape).
         """
         if "optical" in self._cache:
             return self._cache["optical"]
@@ -227,21 +223,16 @@ class NullConeBundle:
             return np.empty(shape + tail, dtype=self.x.dtype)
 
         out = {
-            "trchi": empty(), "chihat2": empty(), "trchibar": empty(),
-            "J": empty(), "kscreen": empty(), "zeta": empty(2),
-            "cb": empty(2), "minv": empty(2, 2),
-            "Ytilde": empty(2, 4), "chi_asym": 0.0,
+            "trchi": empty(), "chihat2": empty(), "J": empty(),
+            "kscreen": empty(), "zeta": empty(2), "cb": empty(2),
+            "minv": empty(2, 2), "Ytilde": empty(2, 4), "chi_asym": 0.0,
         }
-        # d_b of the positions (d_b x^mu = Y), L, Lbar and that in one GEMM,
-        # each (n1, nth, nph, 4, 2)
-        dY, dL, dLbar_ang, dthat_ang = np.moveaxis(self._angular(np.stack(
-            [self.x, self.L, self.Lbar, self.that], axis=3)), 3, 0)
-        dLbar_s = self._s_derivative(self.Lbar)
-        dthat_s = self._s_derivative(self.that)
+        # d_b of the positions (d_b x^mu = Y) and of L in one GEMM, each
+        # (n1, nth, nph, 4, 2)
+        dY, dL = np.moveaxis(
+            self._angular(np.stack([self.x, self.L], axis=3)), 3, 0)
         d = self.diagonal_nodes
-        Lbar = self.Lbar
-        L = self.L
-        dLs = self.dL_ds
+        Lbar, L, that = self.Lbar, self.L, self.that
         sin_th = self.grid.sin_theta[None, :, None]
 
         for i0 in range(0, n1, self.chunk):
@@ -255,9 +246,9 @@ class NullConeBundle:
             gYt = d[sl][..., :, None] * Yt                # g_mn Ytilde^n_c
             mt = np.swapaxes(Yt, -1, -2) @ gYt
             det = mt[..., 0, 0] * mt[..., 1, 1] - mt[..., 0, 1] * mt[..., 1, 0]
-            # covariant angular derivative of L along Ytilde_b
-            dLtil = dL[sl] - cb[..., None, :] * dLs[sl][..., :, None]
-            nabL = dLtil + _hook(gamma, L[sl]) @ Yt
+            # nabla_L L = 0 on the rays, so nabla along Ytilde_b = Y_b - cb L
+            # is nabla along Y_b
+            nabL = dL[sl] + _hook(gamma, L[sl]) @ Y
             chi = np.swapaxes(nabL, -1, -2) @ gYt
             asym = np.abs(chi - np.swapaxes(chi, -1, -2))
             live_chunk = self.s[sl] >= self.s_min
@@ -265,6 +256,10 @@ class NullConeBundle:
                 out["chi_asym"] = max(out["chi_asym"],
                                       float(np.max(asym[live_chunk])))
             chi = 0.5 * (chi + np.swapaxes(chi, -1, -2))
+            # that = (-g_tt)^(-1/2) d_t is orthogonal to the screen, so the
+            # derivative of its normalisation drops out of the t-slice
+            # extrinsic curvature k_bc = g(Gamma(Ytilde_b, that), Ytilde_c)
+            kt = np.swapaxes(_hook(gamma, that[sl]) @ Yt, -1, -2) @ gYt
             minv = np.empty_like(mt)
             minv[..., 0, 0] = mt[..., 1, 1]
             minv[..., 1, 1] = mt[..., 0, 0]
@@ -275,20 +270,10 @@ class NullConeBundle:
                 trchi = _trace2(minv, chi)
                 chi2 = _trace2(chi, minv @ chi @ np.swapaxes(minv, -1, -2))
                 zeta = 0.5 * (gLbar[..., None, :] @ nabL)[..., 0, :]
-                # trace of the Lbar second fundamental form on the screen
-                dLbt = dLbar_ang[sl] - cb[..., None, :] * dLbar_s[sl][..., :, None]
-                nabLb = dLbt + _hook(gamma, Lbar[sl]) @ Yt
-                chib = np.swapaxes(nabLb, -1, -2) @ gYt
-                trchibar = _trace2(minv, chib)
-                # screen trace of the t-slice extrinsic curvature
-                dtt = dthat_ang[sl] - cb[..., None, :] * dthat_s[sl][..., :, None]
-                nabt = dtt + _hook(gamma, self.that[sl]) @ Yt
-                kt = np.swapaxes(nabt, -1, -2) @ gYt
                 out["kscreen"][sl] = _trace2(minv, kt)
             out["trchi"][sl] = trchi
             out["chihat2"][sl] = chi2 - 0.5 * trchi ** 2
             out["zeta"][sl] = zeta
-            out["trchibar"][sl] = trchibar
             out["J"][sl] = np.sqrt(np.where(det.real < 0.0, 0.0, det)) / sin_th
             out["minv"][sl] = minv
             out["cb"][sl] = cb
@@ -306,9 +291,6 @@ class NullConeBundle:
         ilive = min(ilive, self.n_s)
         Jshape = out["J"][ilive] / self.s[ilive] ** 2
         out["J"][near] = self.s[near, None, None] ** 2 * Jshape[None]
-        with np.errstate(divide="ignore"):
-            out["trchibar"][near] = np.broadcast_to(
-                (-2.0 / self.s)[near, None, None], out["trchibar"][near].shape)
         out["minv"][0] = 0.0
         out["kscreen"][0] = out["kscreen"][1]
         live = ~near
@@ -511,9 +493,11 @@ class NullConeBundle:
     def mass_aspect(self):
         """Mass aspect mu and frame shift omega per node.
 
-        mu = nabla_Lbar trchi + trchi trchibar / 2 + 2 omega trchi;
+        mu = nabla_Lbar trchi + trchi tr chibar / 2 + 2 omega trchi;
         omega = -g(nabla_Lbar Lbar, L) / 4.  The Lbar-direction derivatives
-        come from ``lbar_derivative``; below s_min the flat closure gives
+        come from ``lbar_derivative``.  Lbar = -phi (2 that + phi L) with
+        that and L orthogonal to the screen, so tr chibar = -phi (2 k +
+        phi trchi) with k = ``kscreen``.  Below s_min the flat closure gives
         mu = omega = 0.
         """
         if "mass_aspect" in self._cache:
@@ -538,9 +522,10 @@ class NullConeBundle:
             else 0.0
         nab_Lbar = dLbar + gamma_corr
         omega = -0.25 * self.dot(nab_Lbar, self.L)
+        trchi, phi = opt["trchi"], self.phi
         with np.errstate(invalid="ignore"):
-            mu = d_trchi + 0.5 * opt["trchi"] * opt["trchibar"] \
-                + 2.0 * omega * opt["trchi"]
+            tr_chibar = -phi * (2.0 * opt["kscreen"] + phi * trchi)
+            mu = d_trchi + 0.5 * trchi * tr_chibar + 2.0 * omega * trchi
         near = self.s < self.s_min
         mu[near] = 0.0
         omega[near] = 0.0

@@ -281,24 +281,22 @@ def assemble_representation(bundle, seeds, field, potential=None,
                             F_nodes, bundle.L, bundle.Lbar)
     del F_nodes                 # the seed loop needs only F_up and F_LLbar
 
-    # --- initial-data ring ---------------------------------------------
+    # --- initial-data ring: D_T F + D_N F = D_{2 that + phi L} F with
+    # N = that + phi L, plus (phi trchi / 2 + k) F, as one seed-free field
     x_ring = crossing.interpolate(bundle.x)
     s_star = crossing.s_star
-    F_ring_up = raise_two_form(chart, x_ring, field(x_ring))
     that_ring = geometry.unit_time_field(chart)(x_ring)
     phi_ring = crossing.interpolate(bundle.phi)
     L_ring = crossing.interpolate(bundle.L)
-    N_ring = phi_ring[..., None] * L_ring + that_ring
     A_for_D = potential if potential is not None \
         else liegauge.zero_potential(basis)
     DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, A_for_D)
-    DF_T = np.einsum("...mabk,...m->...abk", DF, that_ring)
-    DF_N = np.einsum("...mabk,...m->...abk", DF, N_ring)
-    DF_T_up = raise_two_form(chart, x_ring, DF_T)
-    DF_N_up = raise_two_form(chart, x_ring, DF_N)
-    trchi_ring = crossing.interpolate(opt["trchi"])
-    k_ring = crossing.interpolate(opt["kscreen"])
-    ring_coef = 0.5 * phi_ring * trchi_ring + k_ring
+    ring_coef = 0.5 * phi_ring * crossing.interpolate(opt["trchi"]) \
+        + crossing.interpolate(opt["kscreen"])
+    ring_up = raise_two_form(chart, x_ring, np.einsum(
+        "...mabk,...m->...abk", DF,
+        2.0 * that_ring + phi_ring[..., None] * L_ring)
+        + ring_coef[..., None, None, None] * field(x_ring))
 
     Fp = field(bundle.p)
     Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))
@@ -327,11 +325,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
 
         # --- initial-data ring terms ------------------------------------
         lam_ring = crossing.interpolate(psi) / s_star[..., None, None, None]
-        lamF = np.einsum("...abk,...abk->...", lam_ring, F_ring_up)
-        ring_density = (np.einsum("...abk,...abk->...", lam_ring, DF_T_up)
-                        + np.einsum("...abk,...abk->...", lam_ring, DF_N_up)
-                        + ring_coef * lamF)
-        ring_term = crossing.ring_integral(ring_density)
+        ring_term = crossing.ring_integral(
+            np.einsum("...abk,...abk->...", lam_ring, ring_up))
 
         target = representation_target(chart, basis, bundle.p, seed, field)
         total = source + cone_term + ring_term

@@ -317,6 +317,16 @@ def parse_config(doc, strict=False):
         if e not in EXPERIMENTS:
             problems.append(f"unknown experiment '{e}'; "
                             f"catalog: {list(EXPERIMENTS)}")
+    if profile == "su2_bump":
+        if algebra in ALGEBRAS and make_algebra(algebra).dim < 2:
+            problems.append(f"profile 'su2_bump' needs a non-abelian "
+                            f"algebra, got '{algebra}'")
+        # its curvature does not solve the Yang-Mills equations, which the
+        # reconstruction identity and the energy identity both assume
+        for e in ("parametrix", "energy_balance"):
+            if e in experiments:
+                problems.append(f"experiment '{e}' needs a Yang-Mills "
+                                f"solution; profile 'su2_bump' is not one")
 
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -592,21 +602,6 @@ def _catalog_text():
     return "\n".join(lines)
 
 
-def _set_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        # the BLAS thread pool is sized when numpy loads, which has happened
-        # by now, so setting the environment variables here would do nothing
-        print(f"warning: --threads {n} not applied: threadpoolctl is not "
-              f"installed; set OPENBLAS_NUM_THREADS={n} before launch instead",
-              file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(n)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="ymcone",
@@ -619,7 +614,6 @@ def main(argv=None):
         p.add_argument("--strict", action="store_true")
         if cmd == "run":
             p.add_argument("--out", default=None)
-            p.add_argument("--threads", type=int, default=None)
     sub.add_parser("catalog")
     args = parser.parse_args(argv)
 
@@ -649,7 +643,6 @@ def main(argv=None):
         print(f"valid: {config_path} ({len(scenario.experiments)} experiments)")
         return 0
 
-    _set_threads(args.threads)
     out_dir = args.out or os.environ.get("YMCONE_OUT") \
         or scenario.out_dir or "ymcone_out"
     report = run(scenario)

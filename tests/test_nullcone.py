@@ -140,6 +140,61 @@ def test_cone_integral_rejects_swapped_crossings(flat_bundle, flat_chart):
                                           -0.4, -0.6)
 
 
+@pytest.fixture(scope="module")
+def flrw_bundle():
+    chart = geometry.make_chart("flrw", power=0.5)
+    return nullcone.NullConeBundle(chart, np.array([2.0, 0.0, 0.0, 0.0]),
+                                   sphere.SphereGrid(6, 12), s_max=0.5,
+                                   ds=0.005)
+
+
+def test_static_slices_have_no_extrinsic_curvature(schw_bundle):
+    # d_t is hypersurface-orthogonal and Killing on both Schwarzschild
+    # charts, so the t-slices have no second fundamental form
+    chart = geometry.make_chart("schwarzschild-isotropic", mass=1.0)
+    iso = nullcone.NullConeBundle(chart, chart.default_vertex(),
+                                  schw_bundle.grid, s_max=0.5, ds=0.005)
+    for b in (schw_bundle, iso):
+        assert np.max(np.abs(b.optical()["kscreen"])) < 1e-15
+
+
+def test_flrw_screen_extrinsic_curvature(flrw_bundle):
+    # a = t^p gives K_ij = (p / t) h_ij, so its screen trace is 2p/t
+    b = flrw_bundle
+    live = b.s >= b.s_min
+    k = b.optical()["kscreen"][live]
+    want = 2.0 * b.chart.power / b.x[live][..., 0]
+    assert np.max(np.abs(k - want)) < 1e-13
+
+
+def _trchibar_lbar_route(b):
+    """tr g(nabla_b Lbar, Ytilde_c) with Lbar differentiated on the cone:
+    spectrally along the spheres, by differences along the rays."""
+    opt = b.optical()
+    Yt = np.swapaxes(opt["Ytilde"], -1, -2)             # (..., mu, b)
+    dLbar = b._angular(b.Lbar) \
+        - opt["cb"][..., None, :] * b._s_derivative(b.Lbar)[..., :, None]
+    gamma = geometry.christoffel(b.chart, b.x)
+    nab = dLbar + np.einsum("...mab,...b,...ac->...mc", gamma, b.Lbar, Yt)
+    chib = np.einsum("...mb,...m,...mc->...bc", nab, b.diagonal_nodes, Yt)
+    return np.einsum("...bc,...bc->...", opt["minv"], chib)
+
+
+def test_trchibar_identity_matches_lbar_route(schw_bundle, flrw_bundle):
+    # trchibar = -phi (2 k + phi trchi) from Lbar = -phi (2 that + phi L).
+    # At 6x12 the Lbar route is off by 9e-7 on Schwarzschild, at ds = 5e-3
+    # and 2.5e-3 alike: angular aliasing of Lbar, hence the 10x20 grid
+    schw = nullcone.NullConeBundle(schw_bundle.chart, schw_bundle.p,
+                                   sphere.SphereGrid(10, 20), s_max=0.5,
+                                   ds=0.005)
+    for b, tol in ((schw, 1e-9), (flrw_bundle, 1e-12)):
+        opt = b.optical()
+        trchibar = -b.phi * (2.0 * opt["kscreen"] + b.phi * opt["trchi"])
+        live = b.s >= b.s_min
+        gap = np.abs(trchibar - _trchibar_lbar_route(b))[live]
+        assert np.max(gap) < tol
+
+
 def test_mass_aspect_vanishes_flat(flat_bundle):
     mu, omega = flat_bundle.mass_aspect()
     assert np.max(np.abs(mu)) <= 1e-10

@@ -107,6 +107,24 @@ def test_schwarzschild_default_vertex_kept():
     assert np.array_equal(scn.vertex, [0.0, 10.0, np.pi / 2, 0.0])
 
 
+@pytest.mark.parametrize("algebra,experiments,named", [
+    ("u1", ["transport"], "non-abelian"),
+    ("su2", ["parametrix"], "'parametrix'"),
+    ("su2", ["cone_geometry", "energy_balance"], "'energy_balance'"),
+])
+def test_su2_bump_rejected_where_it_cannot_run(algebra, experiments, named):
+    # the bump needs a bracket, and its curvature solves no Yang-Mills
+    # equation, so the identities of parametrix and energy_balance fail
+    doc = {"chart": "minkowski", "algebra": algebra,
+           "field": "su2_bump", "experiments": experiments}
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config(doc)
+    assert [p for p in exc.value.problems if "su2_bump" in p and named in p]
+    scn = runner.parse_config(dict(doc, algebra="su2",
+                                   experiments=["transport"]))
+    assert scn.profile == "su2_bump"
+
+
 def test_unknown_chart_lists_catalog():
     with pytest.raises(runner.ConfigError) as exc:
         runner.parse_config({"chart": "kerr"})
@@ -189,17 +207,6 @@ def test_cartan_check_samples_near_the_vertex(seed):
                                "experiments": ["cartan_check"]})
     report = runner.run(scn)
     assert report.passed["cartan_check"], report.metrics
-
-
-def test_threads_without_threadpoolctl_warns(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    runner._set_threads(1)
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "not applied" in err and "OPENBLAS_NUM_THREADS=1" in err
-    # numpy has loaded its BLAS already, so the variable would do nothing
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_canonical_seeds_are_antisymmetric_basis():
