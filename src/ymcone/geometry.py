@@ -60,6 +60,8 @@ class Chart:
     #: True when Gamma, hence the curvature, vanishes identically in these
     #: coordinates (lets hot loops skip work).
     flat = False
+    #: True when the Ricci tensor vanishes identically (a vacuum metric)
+    ricci_flat = False
 
     # diagonal[..., a] = g_aa
     def diagonal(self, x):
@@ -76,6 +78,14 @@ class Chart:
     def default_vertex(self):
         """The cone vertex of a scenario that names none; inside the chart."""
         return np.zeros(4)
+
+    def contains(self, x):
+        """True where x lies in the chart: the metric diagonal there is
+        finite with signature (-,+,+,+)."""
+        with np.errstate(all="ignore"):
+            d = self.diagonal(x)
+        return np.isfinite(d).all(axis=-1) & (d.real[..., 0] < 0) \
+            & (d.real[..., 1:] > 0).all(axis=-1)
 
     def metric(self, x):
         return _embed(self.diagonal(x))
@@ -170,6 +180,7 @@ def _zeros(x, *tail):
 class Minkowski(Chart):
     name = "minkowski"
     flat = True
+    ricci_flat = True
 
     def diagonal(self, x):
         d = _zeros(as_points(x), 4) + 1.0
@@ -194,6 +205,7 @@ class Schwarzschild(Chart):
     """
 
     name = "schwarzschild"
+    ricci_flat = True
 
     def __init__(self, mass=1.0):
         self.mass = float(mass)
@@ -248,6 +260,7 @@ class SchwarzschildIsotropic(Chart):
     """
 
     name = "schwarzschild-isotropic"
+    ricci_flat = True
 
     def __init__(self, mass=1.0):
         self.mass = float(mass)

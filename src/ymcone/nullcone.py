@@ -41,6 +41,11 @@ class CausticError(ConeError):
     """The s-sphere area density degenerated along some ray."""
 
 
+class ChartDomainError(ConeError):
+    """A ray left the chart: the metric diagonal at one of its nodes is not
+    finite with signature (-,+,+,+)."""
+
+
 def _dot(d, u, v):
     """g(u, v) = sum_a g_aa u^a v^a from the metric diagonal ``d``."""
     return np.einsum("...m,...m,...m->...", d, u, v)
@@ -136,6 +141,12 @@ class NullConeBundle:
             k4x, k4L = self._geodesic_rhs(xc + h * k3x, Lc + h * k3L)
             xc = xc + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Lc = Lc + (h / 6.0) * (k1L + 2 * k2L + 2 * k3L + k4L)
+            inside = self.chart.contains(xc)
+            if not inside.all():
+                th, ph = np.argwhere(~inside)[0]
+                raise ChartDomainError(
+                    f"ray (theta, phi) = ({th}, {ph}) leaves chart "
+                    f"'{self.chart.name}' at s = {self.s[i]:.6g}")
             if i % self.renorm_every == 0:
                 Lc = self._renormalize(xc, Lc)
             x[i], L[i] = xc, Lc

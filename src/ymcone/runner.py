@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,6 @@ SCHEMA_VERSION = 1
 
 CHARTS = tuple(geometry.CHART_CATALOG)
 ALGEBRAS = tuple(liegauge.ALGEBRA_CATALOG)
-PROFILES = ("none", "plane_wave", "constant", "coulomb", "su2_bump")
-EXPERIMENTS = ("cone_geometry", "transport", "parametrix", "energy_balance",
-               "bounds", "cartan_check", "evolution")
 
 
 class ConfigError(ValueError):
@@ -67,8 +65,6 @@ def plane_wave_field(basis, omega=1.0, amplitude=1.0, direction=(1.0, 0.0, 0.0))
     pol3 = trial - np.dot(trial, khat) * khat
     pol = np.concatenate([[0.0], pol3 / np.linalg.norm(pol3)])
     two_form = amplitude * (np.outer(k, pol) - np.outer(pol, k))
-    kup = k.copy()
-    kup[0] = -kup[0]
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -109,10 +105,10 @@ def constant_field(basis, components=((0, 1, 1.0),)):
 
 
 def coulomb_field(basis, charge=1.0):
-    """Static radial field F_tr = charge / r^2 on the polar static charts.
+    """Static radial field F_tr = charge / r^2, x[1] read as r.
 
-    An exact source-free solution there, including the Schwarzschild chart
-    (the metric determinant factors cancel in the divergence).
+    An exact source-free solution on the Schwarzschild chart (the metric
+    determinant factors cancel in the divergence).
     """
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -128,7 +124,7 @@ def coulomb_field(basis, charge=1.0):
 def su2_bump_potential(basis, amplitude=0.1, width=1.0):
     """Smooth localized non-abelian potential for convergence studies."""
     if basis.dim < 2:
-        raise ConfigError(["profile 'su2_bump' needs a non-abelian algebra"])
+        raise ValueError("profile 'su2_bump' needs a non-abelian algebra")
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -144,22 +140,29 @@ def su2_bump_potential(basis, amplitude=0.1, width=1.0):
     return liegauge.GaugePotential(basis, fn, step=1e-3)
 
 
+class Profile(NamedTuple):
+    """``build(basis, **params)`` gives F, a potential A or None, and
+    ``solves_on`` the charts on which F solves Yang-Mills, D^a F_ab = 0."""
+    build: Callable
+    solves_on: tuple = ()
+
+
+PROFILES = {
+    "none": Profile(lambda basis: None),
+    "plane_wave": Profile(plane_wave_field, ("minkowski",)),
+    "constant": Profile(constant_field, ("minkowski",)),
+    "coulomb": Profile(coulomb_field, ("schwarzschild",)),
+    "su2_bump": Profile(su2_bump_potential),
+}
+
+
 def make_field(basis, profile, params):
-    """Build (field_strength, potential) for a named profile."""
-    params = dict(params or {})
-    if profile == "none":
-        return None, liegauge.zero_potential(basis)
-    if profile == "plane_wave":
-        return plane_wave_field(basis, **params), liegauge.zero_potential(basis)
-    if profile == "constant":
-        comps = [tuple(c) for c in params.pop("components", [(0, 1, 1.0)])]
-        return constant_field(basis, comps), liegauge.zero_potential(basis)
-    if profile == "coulomb":
-        return coulomb_field(basis, **params), liegauge.zero_potential(basis)
-    if profile == "su2_bump":
-        A = su2_bump_potential(basis, **params)
-        return liegauge.curvature_from_potential(A), A
-    raise ConfigError([f"unknown field profile '{profile}'; catalog: {PROFILES}"])
+    """Build (field_strength, potential) for a named profile; the potential
+    is zero unless the profile gives one, and the field is then its curvature."""
+    built = PROFILES[profile].build(basis, **(params or {}))
+    if isinstance(built, liegauge.GaugePotential):
+        return liegauge.curvature_from_potential(built), built
+    return built, liegauge.zero_potential(basis)
 
 
 def canonical_seeds(basis):
@@ -202,6 +205,11 @@ class Scenario:
     seed: int
     tolerances: dict
     out_dir: str | None
+    # built once by parse_config; the experiments share them
+    chart: geometry.Chart = dc_field(repr=False)
+    basis: liegauge.AlgebraBasis = dc_field(repr=False)
+    field: liegauge.FieldStrength | None = dc_field(repr=False)
+    potential: liegauge.GaugePotential = dc_field(repr=False)
     raw: dict = dc_field(repr=False, default_factory=dict)
 
     def config_hash(self):
@@ -237,7 +245,7 @@ def _merged_section(doc, key, defaults, problems):
 
 def _checked_chart(name, params, vertex, problems):
     """Build the chart and check that the vertex, the chart's default when
-    None, lies in it; return that vertex."""
+    None, lies in it; return (chart, vertex), chart None for bad params."""
     try:
         chart = geometry.make_chart(name, **params)
         if not all(_finite_number(v) for v in params.values()):
@@ -245,28 +253,51 @@ def _checked_chart(name, params, vertex, problems):
     except (TypeError, ValueError) as exc:
         problems.append(f"bad 'chart.params' {params!r} for chart '{name}': "
                         f"{exc}")
-        return vertex
+        return None, vertex
     if vertex is None:
         vertex = chart.default_vertex()
-    with np.errstate(all="ignore"):
-        d = chart.diagonal(np.asarray(vertex, dtype=float))
-    if not (np.all(np.isfinite(d)) and d[0] < 0 and np.all(d[1:] > 0)):
-        problems.append(f"'vertex' {list(vertex)} lies outside chart "
-                        f"'{name}': metric diagonal {d.tolist()} is not "
-                        f"finite with signature (-,+,+,+)")
-    return vertex
+    vertex = np.asarray(vertex, dtype=float)
+    if not chart.contains(vertex):
+        problems.append(f"'vertex' {vertex.tolist()} lies outside chart "
+                        f"'{name}': the metric diagonal there is not finite "
+                        f"with signature (-,+,+,+)")
+    return chart, vertex
 
 
-def parse_config(doc, strict=False):
-    """Validate a scenario document; every violation is reported at once."""
+def _checked_field(profile, params, basis, vertex, problems):
+    """Build the profile's (F, A) and evaluate both at the vertex."""
+    try:
+        with np.errstate(all="ignore"):
+            fields = make_field(basis, profile, params)
+            values = [f(vertex) for f in fields if f is not None]
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError(f"not finite at the vertex {vertex.tolist()}")
+    except (TypeError, ValueError, IndexError, ArithmeticError) as exc:
+        problems.append(f"bad 'field.params' {params!r} for profile "
+                        f"'{profile}' on algebra '{basis.name}': {exc}")
+        return None, None
+    return fields
+
+
+def _unmet_needs(spec, chart, basis, profile):
+    """What the experiment ``spec`` needs that the scenario lacks."""
+    if spec.solution and chart.name not in PROFILES[profile].solves_on:
+        yield "a field that solves Yang-Mills on the chart"
+    if spec.ricci_flat and not chart.ricci_flat:
+        yield "a Ricci-flat chart"
+    if spec.lattice and not (chart.flat and basis.dim > 1):
+        yield "a non-abelian algebra on a flat chart"
+
+
+def parse_config(doc):
+    """Validate a scenario document and build its chart, algebra and field;
+    every violation is reported at once."""
     if not isinstance(doc, dict):
         raise ConfigError(["top-level document must be a JSON object"])
     problems = []
     unknown = sorted(set(doc) - _TOP_KEYS)
     if unknown:
-        msg = "unknown top-level keys: " + ", ".join(unknown)
-        if strict:
-            problems.append(msg)
+        problems.append("unknown top-level keys: " + ", ".join(unknown))
 
     chart = doc.get("chart", {})
     if isinstance(chart, str):
@@ -286,22 +317,33 @@ def parse_config(doc, strict=False):
     fld = doc.get("field", {"profile": "none"})
     if isinstance(fld, str):
         fld = {"profile": fld}
+    if not isinstance(fld, dict):
+        problems.append("'field' must be a profile name or an object")
+        fld = {}
     profile = fld.get("profile", "none")
-    if profile not in PROFILES:
+    params = fld.get("params", {})
+    if not (isinstance(profile, str) and profile in PROFILES):
         problems.append(f"unknown field profile '{profile}'; "
                         f"catalog: {list(PROFILES)}")
+    problems += [f"unknown key '{key}.{k}'" for key, obj, known in (
+        ("chart", chart, {"name", "params"}),
+        ("field", fld, {"profile", "params"})) for k in sorted(set(obj) - known)]
 
     vertex = doc.get("vertex")
     if "vertex" in doc and (not isinstance(vertex, (list, tuple))
             or len(vertex) != 4 or not all(map(_finite_number, vertex))):
         problems.append("'vertex' must be a list of 4 finite numbers")
         vertex = None
+    chart_obj = None
     if chart_name in CHARTS:
-        vertex = _checked_chart(chart_name, chart_params, vertex, problems)
+        chart_obj, vertex = _checked_chart(chart_name, chart_params, vertex,
+                                           problems)
 
     cone = _merged_section(doc, "cone", _CONE_DEFAULTS, problems)
-    if cone["ds"] >= cone["s_max"]:
-        problems.append("'cone.ds' must be smaller than 'cone.s_max'")
+    closure = nullcone.NullConeBundle.vertex_factor * cone["ds"]
+    if cone["s_max"] <= max(0.1, closure):
+        problems.append("'cone.s_max' must exceed 0.1 and the vertex closure "
+                        "region, 10 'cone.ds'")
     if cone["n_phi"] % 2:
         problems.append("'cone.n_phi' must be even")
     evo = _merged_section(doc, "evolution", _EVOLUTION_DEFAULTS, problems)
@@ -314,19 +356,9 @@ def parse_config(doc, strict=False):
         problems.append("'experiments' must be a list")
         experiments = []
     for e in experiments:
-        if e not in EXPERIMENTS:
+        if not (isinstance(e, str) and e in EXPERIMENTS):
             problems.append(f"unknown experiment '{e}'; "
                             f"catalog: {list(EXPERIMENTS)}")
-    if profile == "su2_bump":
-        if algebra in ALGEBRAS and make_algebra(algebra).dim < 2:
-            problems.append(f"profile 'su2_bump' needs a non-abelian "
-                            f"algebra, got '{algebra}'")
-        # its curvature does not solve the Yang-Mills equations, which the
-        # reconstruction identity and the energy identity both assume
-        for e in ("parametrix", "energy_balance"):
-            if e in experiments:
-                problems.append(f"experiment '{e}' needs a Yang-Mills "
-                                f"solution; profile 'su2_bump' is not one")
 
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -337,26 +369,46 @@ def parse_config(doc, strict=False):
     if not isinstance(tolerances, dict):
         problems.append("'tolerances' must be an object")
         tolerances = {}
+    for k, v in tolerances.items():
+        if k not in EXPERIMENTS:
+            problems.append(f"unknown key 'tolerances.{k}'; catalog: "
+                            f"{list(EXPERIMENTS)}")
+        elif not (_finite_number(v) and v > 0):
+            problems.append(f"'tolerances.{k}' must be a finite positive "
+                            f"number")
 
+    out_dir = doc.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        problems.append("'out_dir' must be a path string")
+
+    if not problems:        # chart, algebra, profile and experiments known
+        basis = make_algebra(algebra)
+        field, potential = _checked_field(profile, params, basis, vertex,
+                                          problems)
+        problems += [f"experiment '{e}' cannot run with profile '{profile}' "
+                     f"on chart '{chart_name}' (algebra '{algebra}'): it "
+                     f"needs {need}" for e in experiments
+                     for need in _unmet_needs(EXPERIMENTS[e], chart_obj,
+                                              basis, profile)]
     if problems:
         raise ConfigError(problems)
     return Scenario(chart_name, dict(chart_params), algebra, profile,
-                    dict(fld.get("params", {})), np.asarray(vertex, float),
-                    cone, evo, bnd, list(experiments), seed, dict(tolerances),
-                    doc.get("out_dir"), raw=doc)
+                    dict(params), vertex, cone, evo, bnd, list(experiments),
+                    seed, dict(tolerances), out_dir, chart_obj,
+                    basis, field, potential, raw=doc)
 
 
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
 
-def _build_bundle(scn, chart):
+def _build_bundle(scn):
     grid = sphere.SphereGrid(scn.cone["n_theta"], scn.cone["n_phi"])
-    return nullcone.NullConeBundle(chart, scn.vertex, grid,
+    return nullcone.NullConeBundle(scn.chart, scn.vertex, grid,
                                    scn.cone["s_max"], scn.cone["ds"])
 
 
-def _exp_cone_geometry(scn, bundle, basis):
+def _exp_cone_geometry(scn, bundle):
     opt = bundle.optical()
     live = bundle.s >= 0.1
     dev = np.abs(bundle.s[live, None, None] * opt["trchi"][live] / 2.0 - 1.0)
@@ -377,11 +429,10 @@ def _exp_cone_geometry(scn, bundle, basis):
     return metrics, rows, metrics["expansion_deviation_max"] < tol
 
 
-def _exp_transport(scn, bundle, basis):
-    _, potential = make_field(basis, scn.profile, scn.profile_params)
-    seed = canonical_seeds(basis)[0]
-    psi = parametrix.transport_weight(
-        bundle, seed, parametrix.connection(bundle, potential))
+def _exp_transport(scn, bundle):
+    seed = canonical_seeds(scn.basis)[0]
+    conn = parametrix.connection(bundle, scn.potential)
+    psi = parametrix.transport_weight(bundle, seed, conn)
     norms = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi))
     seed_norm = float(np.sqrt(np.einsum("mnk,mnk->", seed, seed)))
     metrics = {
@@ -391,18 +442,17 @@ def _exp_transport(scn, bundle, basis):
     rows = [("s", "max_norm_ratio")] + [
         (float(s), float(np.max(norms[i]) / seed_norm))
         for i, s in enumerate(bundle.s)]
-    flat = bundle.chart.flat
-    tol = scn.tolerances.get("transport", 1e-10 if flat else 1.5)
-    key = "max_deviation_from_seed" if flat else "sup_norm_ratio"
+    # without a connection along L, psi stays the seed; otherwise it is
+    # rotated (gauge) or reweighted (curvature) and only its size is checked
+    parallel = conn.gamma_L is None and conn.a_L is None
+    tol = scn.tolerances.get("transport", 1e-10 if parallel else 1.5)
+    key = "max_deviation_from_seed" if parallel else "sup_norm_ratio"
     return metrics, rows, metrics[key] <= tol
 
 
-def _exp_parametrix(scn, bundle, basis):
-    field, potential = make_field(basis, scn.profile, scn.profile_params)
-    if field is None:
-        raise ConfigError(["parametrix experiment needs a field profile"])
+def _exp_parametrix(scn, bundle):
     reps = parametrix.assemble_representation(
-        bundle, canonical_seeds(basis), field, potential=potential)
+        bundle, canonical_seeds(scn.basis), scn.field, potential=scn.potential)
     errs = [rep["rel_error"] for rep in reps]
     metrics = {"relative_error_max": float(np.max(errs)),
                "relative_error_mean": float(np.mean(errs))}
@@ -412,22 +462,19 @@ def _exp_parametrix(scn, bundle, basis):
     return metrics, rows, metrics["relative_error_max"] < tol
 
 
-def _exp_energy_balance(scn, bundle, basis):
-    field, _ = make_field(basis, scn.profile, scn.profile_params)
-    if field is None:
-        raise ConfigError(["energy_balance experiment needs a field profile"])
+def _exp_energy_balance(scn, bundle):
     t_far = scn.vertex[0] - 0.9 * scn.cone["s_max"] / max(
         1.0, float(np.max(np.abs(bundle.phi[-1]))))
     t_near = scn.vertex[0] + 0.5 * (t_far - scn.vertex[0])
-    report = energy.divergence_identity_report(bundle.chart, field, bundle,
-                                               t_far, t_near)
+    report = energy.divergence_identity_report(bundle.chart, scn.field,
+                                               bundle, t_far, t_near)
     metrics = {k: float(v) for k, v in report.items()}
     rows = [("term", "value")] + [(k, float(v)) for k, v in report.items()]
     tol = scn.tolerances.get("energy_balance", 1e-2)
     return metrics, rows, metrics["relative_residual"] < tol
 
 
-def _exp_bounds(scn, chart, basis):
+def _exp_bounds(scn, bundle):
     c, t1, dt = scn.bounds["c"], scn.bounds["t1"], scn.bounds["dt"]
     ric = bounds.BoundSpec("quadratic", 1.0, 0.0, 2.0, dt, double_coef=0.0)
     blow = bounds.pachpatte_envelope(ric)
@@ -448,7 +495,8 @@ def _exp_bounds(scn, chart, basis):
     return metrics, rows, passed
 
 
-def _exp_cartan_check(scn, chart, basis):
+def _exp_cartan_check(scn, bundle):
+    chart = scn.chart
     frame_field = liegauge.static_diagonal_frame(chart)
     rng = np.random.default_rng(scn.seed)
     base = np.asarray(scn.vertex, dtype=float)
@@ -470,14 +518,18 @@ def _exp_cartan_check(scn, chart, basis):
         "ym_residual_max": float(np.max(np.abs(res))),
         "curvature_match_max": float(np.max(np.abs(curv - frame_riem))),
     }
+    if not all(map(math.isfinite, metrics.values())):
+        raise geometry.GeometryError("the residual is not finite: the samples "
+                                     "or their difference stencils leave "
+                                     "the chart")
     rows = [("metric", "value")] + [(k, v) for k, v in metrics.items()]
     tol = scn.tolerances.get("cartan_check", 1e-6)
     return metrics, rows, max(metrics.values()) < tol
 
 
-def _exp_evolution(scn, chart, basis):
+def _exp_evolution(scn, bundle):
     lat = evolution.Lattice2D(scn.evolution["n"], scn.evolution["length"])
-    state = evolution.crossed_stream_data(lat, basis,
+    state = evolution.crossed_stream_data(lat, scn.basis,
                                           amplitude=scn.evolution["amplitude"])
     e0 = evolution.total_energy(state)
     c0 = evolution.constraint_residual(state)
@@ -490,22 +542,33 @@ def _exp_evolution(scn, chart, basis):
                "initial_energy": float(e0)}
     rows = [("t", "energy", "constraint")] + [tuple(map(float, r))
                                               for r in hist]
-    tol = scn.tolerances.get("energy_balance_drift", 1e-4)
+    tol = scn.tolerances.get("evolution", 1e-4)
     return metrics, rows, drift < tol
 
 
-# experiments that run on the scenario's null cone; they share one bundle
-_CONE_EXPERIMENTS = ("cone_geometry", "transport", "parametrix",
-                     "energy_balance")
+class Experiment(NamedTuple):
+    """``run(scn, bundle) -> (metrics, rows, passed)`` and what it needs:
+    ``cone``, the shared null cone as ``bundle`` (None before the first such
+    experiment); ``solution``, F solving Yang-Mills on the chart, as the
+    parametrix and energy identities assume; ``ricci_flat``, the only charts
+    where the frame curvature solves Yang-Mills; ``lattice``, a non-abelian
+    algebra on a flat chart, as the lattice is flat whatever the chart."""
+    run: Callable
+    cone: bool = False
+    solution: bool = False
+    ricci_flat: bool = False
+    lattice: bool = False
 
-_EXPERIMENT_FNS = {
-    "cone_geometry": _exp_cone_geometry,
-    "transport": _exp_transport,
-    "parametrix": _exp_parametrix,
-    "energy_balance": _exp_energy_balance,
-    "bounds": _exp_bounds,
-    "cartan_check": _exp_cartan_check,
-    "evolution": _exp_evolution,
+
+EXPERIMENTS = {
+    "cone_geometry": Experiment(_exp_cone_geometry, cone=True),
+    "transport": Experiment(_exp_transport, cone=True),
+    "parametrix": Experiment(_exp_parametrix, cone=True, solution=True),
+    "energy_balance": Experiment(_exp_energy_balance, cone=True,
+                                 solution=True),
+    "bounds": Experiment(_exp_bounds),
+    "cartan_check": Experiment(_exp_cartan_check, ricci_flat=True),
+    "evolution": Experiment(_exp_evolution, lattice=True),
 }
 
 
@@ -536,20 +599,15 @@ class RunReport:
 
 def run(scenario):
     """Execute the scenario's experiments; failures mark the report partial."""
-    chart = geometry.make_chart(scenario.chart_name, **scenario.chart_params)
-    basis = make_algebra(scenario.algebra)
     metrics, passed, rows = {}, {}, {}
     partial = False
-    bundle = None               # built by the first cone experiment
+    bundle = None
     for name in scenario.experiments:
-        fn = _EXPERIMENT_FNS[name]
+        spec = EXPERIMENTS[name]
         try:
-            if name in _CONE_EXPERIMENTS:
-                if bundle is None:
-                    bundle = _build_bundle(scenario, chart)
-                m, r, ok = fn(scenario, bundle, basis)
-            else:
-                m, r, ok = fn(scenario, chart, basis)
+            if spec.cone and bundle is None:
+                bundle = _build_bundle(scenario)
+            m, r, ok = spec.run(scenario, bundle)
         except Exception as exc:  # continue with the other experiments
             metrics[name] = {"error": f"{type(exc).__name__}: {exc}"}
             passed[name] = False
@@ -591,14 +649,11 @@ def load_report(path):
 # ----------------------------------------------------------------------
 
 def _catalog_text():
-    lines = ["charts:"]
-    lines += [f"  {c}" for c in CHARTS]
-    lines.append("algebras:")
-    lines += [f"  {a}" for a in ALGEBRAS]
-    lines.append("field profiles:")
-    lines += [f"  {p}" for p in PROFILES]
-    lines.append("experiments:")
-    lines += [f"  {e}" for e in EXPERIMENTS]
+    lines = []
+    for title, names in (("charts", CHARTS), ("algebras", ALGEBRAS),
+                         ("field profiles", PROFILES),
+                         ("experiments", EXPERIMENTS)):
+        lines += [f"{title}:"] + [f"  {n}" for n in names]
     return "\n".join(lines)
 
 
@@ -609,9 +664,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in ("run", "validate"):
         p = sub.add_parser(cmd)
-        p.add_argument("config", nargs="?", default=None)
-        p.add_argument("--config", dest="config_flag", default=None)
-        p.add_argument("--strict", action="store_true")
+        p.add_argument("config")
         if cmd == "run":
             p.add_argument("--out", default=None)
     sub.add_parser("catalog")
@@ -621,10 +674,7 @@ def main(argv=None):
         print(_catalog_text())
         return 0
 
-    config_path = args.config_flag or args.config
-    if config_path is None:
-        print("error: a config path is required", file=sys.stderr)
-        return 2
+    config_path = args.config
     try:
         with open(config_path) as fh:
             doc = json.load(fh)
@@ -633,7 +683,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     try:
-        scenario = parse_config(doc, strict=args.strict)
+        scenario = parse_config(doc)
     except ConfigError as exc:
         for p in exc.problems:
             print(f"config error: {p}", file=sys.stderr)

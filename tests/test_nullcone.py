@@ -271,3 +271,14 @@ def test_flrw_area_law_conformal_closed_form():
     # dev / s^2 = c0 + c1 s + O(s^2); c0 is the s -> 0 coefficient
     c1, c0 = np.polyfit(b.s[sel], dev / b.s[sel] ** 2, 1)
     assert abs(c0 / target - 1.0) < 0.02
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ray_leaving_the_chart_names_ray_and_s(schw_chart):
+    # the vertex at r = 2.5 lies in the chart, but its ingoing rays cross
+    # the horizon r = 2M before s = 2
+    with pytest.raises(nullcone.ChartDomainError,
+                       match=r"ray \(theta, phi\) = \(\d+, \d+\) leaves chart "
+                             r"'schwarzschild' at s = 1\.\d+"):
+        nullcone.NullConeBundle(schw_chart, [0.0, 2.5, np.pi / 2, 0.0],
+                                sphere.SphereGrid(6, 12), s_max=2.0, ds=0.01)

@@ -1,14 +1,17 @@
 """Config parsing, report emission, determinism, and the CLI entry point."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ymcone import nullcone, runner
+from ymcone import evolution, geometry, liegauge, nullcone, runner
 
 MINIMAL = {
     "chart": {"name": "minkowski"},
@@ -55,6 +58,12 @@ def test_negative_step_names_the_field():
     ({"cone": {"n_phi": 16.5}}, "cone.n_phi"),
     ({"evolution": {"n": 31.5}}, "evolution.n"),
     ({"cone": {"n_phi": 15}}, "cone.n_phi"),
+    ({"cone": {"s_max": 0.3, "ds": 0.05}}, "cone.s_max"),
+    ({"cone": {"s_max": 0.08, "ds": 0.001}}, "cone.s_max"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"field": {"profile": "plane_wave", "param": {"omega": 2.0}}},
+     "field.param"),
+    ({"chart": {"name": "minkowski", "parms": {}}}, "chart.parms"),
 ])
 def test_strict_section_values_name_the_field(doc, field):
     with pytest.raises(runner.ConfigError) as exc:
@@ -133,9 +142,108 @@ def test_unknown_chart_lists_catalog():
 
 def test_strict_mode_rejects_unknown_keys():
     doc = dict(MINIMAL, extra_key=1)
-    runner.parse_config(doc)                       # lenient by default
     with pytest.raises(runner.ConfigError):
-        runner.parse_config(doc, strict=True)
+        runner.parse_config(doc)
+
+
+def _near_vertex(chart, n=16):
+    """n points within about 0.05 coordinate_scale of the default vertex."""
+    v = chart.default_vertex()
+    frame = geometry.orthonormal_frame(chart, v).vectors
+    offsets = np.random.default_rng(0).standard_normal((n, 4)) @ frame
+    return v + 0.05 * chart.coordinate_scale * offsets
+
+
+@pytest.mark.parametrize("profile", [p for p in runner.PROFILES if p != "none"])
+@pytest.mark.parametrize("chart_name", runner.CHARTS)
+def test_profile_table_matches_yang_mills_residual(profile, chart_name):
+    chart = geometry.make_chart(chart_name)
+    F, A = runner.make_field(liegauge.su2(), profile, {})
+    pts = _near_vertex(chart)
+    res = np.max(np.abs(liegauge.ym_residual(chart, pts, F, A)))
+    f_max = np.max(np.abs(F(pts)))
+    if chart_name in runner.PROFILES[profile].solves_on:
+        assert res <= 1e-12 * max(1.0, f_max)
+    elif profile != "su2_bump":
+        assert res / f_max >= 1e-3
+
+
+@pytest.mark.parametrize("chart_name", runner.CHARTS)
+def test_ricci_flat_flag_matches_curvature(chart_name):
+    chart = geometry.make_chart(chart_name)
+    ricci = np.max(np.abs(geometry.riemann(chart, _near_vertex(chart)).ricci))
+    assert (ricci < 1e-10) == chart.ricci_flat, ricci
+
+
+@pytest.mark.parametrize("chart,algebra,profile,experiment", [
+    # these passed: the identities do not hold off a solution
+    ("schwarzschild", "u1", "plane_wave", "parametrix"),
+    ("flrw", "u1", "constant", "parametrix"),
+    ("schwarzschild", "u1", "constant", "energy_balance"),
+    ("schwarzschild-isotropic", "su2", "coulomb", "energy_balance"),
+    # this passed on the flat lattice under a curved chart's name
+    ("schwarzschild", "su2", "none", "evolution"),
+    # these failed whatever the field, or could not run
+    ("flrw", "u1", "none", "cartan_check"),
+    ("minkowski", "su2", "none", "parametrix"),
+    ("minkowski", "u1", "none", "energy_balance"),
+    ("minkowski", "u1", "none", "evolution"),
+])
+def test_unmet_needs_rejected_in_one_message(chart, algebra, profile,
+                                             experiment):
+    doc = {"chart": chart, "algebra": algebra, "field": profile,
+           "experiments": ["bounds", experiment]}
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config(doc)
+    [problem] = exc.value.problems
+    for name in (experiment, profile, chart):
+        assert f"'{name}'" in problem
+
+
+@pytest.mark.parametrize("field", [
+    {"profile": "plane_wave", "params": {"omega": 1.0, "phase": 0.5}},
+    {"profile": "plane_wave", "params": {"omega": "fast"}},
+    {"profile": "plane_wave", "params": {"direction": [0, 0, 0]}},
+    {"profile": "constant", "params": {"components": [[0, 4, 1.0]]}},
+    {"profile": "coulomb", "params": [1.0]},
+    {"profile": "coulomb"},                   # singular at the default vertex
+])
+def test_bad_field_params_name_the_field(field):
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config({"chart": "minkowski", "field": field})
+    assert any("field.params" in p for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("tolerances,key", [
+    ({"bounds": "tight"}, "bounds"),
+    ({"parametrix": 0.0}, "parametrix"),
+    ({"cone_geometry": float("inf")}, "cone_geometry"),
+    ({"energy_balance_drift": 1e-4}, "energy_balance_drift"),
+])
+def test_bad_tolerances_name_the_key(tolerances, key):
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config(dict(MINIMAL, tolerances=tolerances))
+    assert any(f"tolerances.{key}" in p for p in exc.value.problems)
+
+
+def test_evolution_reads_its_own_tolerance():
+    doc = {"chart": "minkowski", "algebra": "su2",
+           "evolution": {"n": 8, "crossings": 0.25},
+           "experiments": ["evolution"]}
+    for tol, ok in ((1.0, True), (1e-300, False)):
+        scn = runner.parse_config(dict(doc, tolerances={"evolution": tol}))
+        assert runner.run(scn).passed["evolution"] is ok
+
+
+def test_transport_gauge_rotation_passes():
+    # the bump's potential rotates psi away from the seed at unchanged size
+    scn = runner.parse_config({
+        "chart": "minkowski", "algebra": "su2", "field": "su2_bump",
+        "cone": {"n_theta": 4, "n_phi": 8, "s_max": 1.2, "ds": 0.05},
+        "experiments": ["transport"]})
+    report = runner.run(scn)
+    assert report.passed["transport"], report.metrics
+    assert report.metrics["transport"]["max_deviation_from_seed"] > 1e-3
 
 
 def test_empty_experiment_list_gives_empty_report():
@@ -155,12 +263,14 @@ def test_run_and_emit_deterministic(tmp_path):
 
 
 def test_failed_experiment_marks_partial():
-    # parametrix without a field profile cannot run
-    scn = runner.parse_config({"chart": "minkowski",
+    # on this short cone the rays never reach the initial-data slice
+    scn = runner.parse_config({"chart": "minkowski", "field": "plane_wave",
+                               "cone": {"s_max": 0.5, "ds": 0.01},
                                "experiments": ["parametrix", "bounds"]})
     report = runner.run(scn)
     assert report.partial
     assert report.passed["parametrix"] is False
+    assert "never reach" in report.metrics["parametrix"]["error"]
     assert report.passed["bounds"] is True        # the others still ran
 
 
@@ -290,3 +400,43 @@ def test_lattice_setup_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", SU2_LATTICE_SETUP], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# a ConfigError is no run-time error: parse_config raises every one
+YMCONE_ERRORS = {name for mod in (evolution, geometry, liegauge, nullcone)
+                 for name, obj in vars(mod).items()
+                 if isinstance(obj, type) and issubclass(obj, Exception)
+                 and obj.__module__ == mod.__name__}
+
+
+@st.composite
+def catalog_docs(draw):
+    chart = draw(st.sampled_from(runner.CHARTS))
+    doc = {"chart": chart,
+           "algebra": draw(st.sampled_from(runner.ALGEBRAS)),
+           "field": draw(st.sampled_from(list(runner.PROFILES))),
+           "experiments": draw(st.lists(st.sampled_from(
+               list(runner.EXPERIMENTS)), unique=True, max_size=3)),
+           "cone": {"n_theta": 4, "n_phi": 8,
+                    "ds": draw(st.sampled_from([0.02, 0.05])),
+                    "s_max": draw(st.sampled_from([0.3, 1.2]))},
+           "evolution": {"n": 8, "crossings": 0.25},
+           "seed": draw(st.integers(0, 1000))}
+    if chart == "schwarzschild":
+        doc["vertex"] = [0.0, draw(st.floats(2.2, 12.0)), math.pi / 2, 0.0]
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(catalog_docs())
+def test_accepted_configs_run_or_name_their_error(doc):
+    try:
+        scn = runner.parse_config(doc)
+    except runner.ConfigError:
+        return
+    report = runner.run(scn)
+    for name, metrics in report.metrics.items():
+        if "error" in metrics:
+            assert metrics["error"].split(":")[0] in YMCONE_ERRORS, metrics
+        else:
+            assert all(map(math.isfinite, metrics.values())), (name, metrics)
