@@ -394,11 +394,17 @@ class NullConeBundle:
         gives ds/2 to both of its end nodes, and each crossing adds its
         fractional end cell up to the interpolated ring; a ray whose two
         crossings fall in one cell gets the single trapezoid between the rings.
-        The directions use the grid's product quadrature.  A NaN in ``f``
-        raises ``ConeError`` naming the node, and so does a ``near`` ring that
-        lies past the ``far`` one, naming the first such ray.
+        The directions use the grid's product quadrature.  ``f`` covers the
+        slices 0 .. n - 1 for any n from ``far.stop``, the slices the
+        integral reads, up to all of them.  A NaN in ``f`` raises
+        ``ConeError`` naming the node, and so does a ``near`` ring that lies
+        past the ``far`` one, naming the first such ray.
         """
         f = np.asarray(f, dtype=float)
+        n = f.shape[0]
+        if n < far.stop:
+            raise ValueError(f"integrand covers {n} slices; the crossing "
+                             f"reads {far.stop}")
         if np.any(np.isnan(f)):
             idx = np.argwhere(np.isnan(f))[0]
             raise ConeError(f"NaN integrand at node (s_index, theta, phi) = "
@@ -407,10 +413,10 @@ class NullConeBundle:
             idx = np.argwhere(near.s_star > far.s_star)[0]
             raise ConeError(f"near crossing lies past the far one on ray "
                             f"(theta, phi) = {tuple(int(v) for v in idx)}")
-        fJ = f * self.optical()["J"]
+        fJ = f * self.optical()["J"][:n]
         ds = self.ds
         first = 0 if near is None else near.i0 + 1    # first node past near
-        idx = np.arange(self.n_s + 1)[:, None, None]
+        idx = np.arange(n)[:, None, None]
         starts = (idx >= first) & (idx < far.i0)      # left ends of the cells
         ends = (idx > first) & (idx <= far.i0)        # right ends
         W = 0.5 * ds * (starts.astype(float) + ends)
@@ -526,12 +532,15 @@ class NullConeBundle:
         with np.errstate(divide="ignore"):
             d_trchi = (2.0 / self.s ** 2)[:, None, None] \
                 + self.lbar_derivative(smooth_expansion)
-        dLbar = self.lbar_derivative(lambda b: b.Lbar)
-        gamma_corr = np.einsum("...mab,...a,...b->...m",
-                               geometry.christoffel(self.chart, self.x),
-                               self.Lbar, self.Lbar) if not self.chart.flat \
-            else 0.0
-        nab_Lbar = dLbar + gamma_corr
+        nab_Lbar = self.lbar_derivative(lambda b: b.Lbar)
+        if not self.chart.flat:             # + Gamma(Lbar, Lbar), chunked
+            Lbar = self.Lbar
+            for i0 in range(0, self.n_s + 1, self.chunk):
+                sl = slice(i0, i0 + self.chunk)
+                nab_Lbar[sl] += np.einsum(
+                    "...mab,...a,...b->...m",
+                    geometry.christoffel(self.chart, self.x[sl]),
+                    Lbar[sl], Lbar[sl])
         omega = -0.25 * self.dot(nab_Lbar, self.L)
         trchi, phi = opt["trchi"], self.phi
         with np.errstate(invalid="ignore"):
@@ -555,6 +564,11 @@ class Crossing:
     @property
     def s_star(self):
         return (self.i0 + self.frac) * self.bundle.ds
+
+    @property
+    def stop(self):
+        """One past the last slice ``interpolate`` reads on any ray."""
+        return min(int(np.max(self.i0)) + 3, self.bundle.n_s + 1)
 
     def interpolate(self, f):
         """Interpolate per-node data (n_s+1, nth, nph, ...) to the ring."""

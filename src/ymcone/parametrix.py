@@ -13,6 +13,13 @@ to L and the sphere tangents Y_b: ``connection`` builds its seed-free
 coefficients once per call and ``_connect`` applies them.
 
 All per-node arrays follow the bundle layout (n_s + 1, n_theta, n_phi, ...).
+The identity is linear in the seed, so a stack of n seeds goes through as one
+array: its seed axis sits right after the node axes, psi has shape
+(n_s + 1, n_theta, n_phi, n, 4, 4, dim), and the connection's coefficients
+broadcast over it.  ``assemble_representation`` transports and differentiates
+only the slices the identity reads, 0 .. ``Crossing.stop`` - 1, in s-chunks
+of ``NullConeBundle.chunk // n`` slices, so a chunk of the stack holds as many
+values as one geometry chunk of a single seed.
 """
 
 from __future__ import annotations
@@ -108,39 +115,52 @@ def _connect(f, gamma, a, c):
     ``gamma`` = Gamma(V) (..., 4, 4) and ``a`` = A(V) (..., dim) are
     coefficients of a ``Connection`` (None where they vanish); ``f`` is an
     algebra-valued scalar (..., dim) or two-tensor (..., 4, 4, dim) whose
-    leading axes broadcast against theirs.  Returns 0.0 when both are None.
+    leading axes broadcast against theirs.  Axes of ``f`` past those of the
+    coefficients (a seed axis) broadcast against size-1 axes.  Returns 0.0
+    when both are None.
     """
     out = 0.0
     if gamma is not None and f.ndim > gamma.ndim:      # a two-tensor
-        out = -(np.einsum("...ga,...gnk->...ank", gamma, f)
-                + np.einsum("...gn,...agk->...ank", gamma, f))
+        gamma = gamma.reshape(gamma.shape[:-2]
+                              + (1,) * (f.ndim - gamma.ndim - 1)
+                              + gamma.shape[-2:])
+        # Gamma^g_a f_gnk + Gamma^g_n f_agk as batched 4x4 products
+        left = np.swapaxes(gamma, -1, -2) @ f.reshape(f.shape[:-2] + (-1,))
+        right = np.swapaxes(f, -1, -2) @ gamma[..., None, :, :]
+        out = -(left.reshape(left.shape[:-1] + f.shape[-2:])
+                + np.swapaxes(right, -1, -2))
     if a is not None:
         a = a.reshape(a.shape[:-1] + (1,) * (f.ndim - a.ndim) + a.shape[-1:])
         out = out + np.einsum("ijk,...i,...j->...k", c, a, f)
     return out
 
 
-def transport_weight(bundle, seed, conn):
+def transport_weight(bundle, seed, conn, stop=None):
     """Integrate psi = s * lambda along every ray; psi(0) = seed.
 
     lambda solves D_L lambda + (trchi / 2) lambda = 0 with the cone
     connection ``conn`` (``connection``), so psi obeys
         dpsi/ds = Gamma(L) hits - [A_L, psi] - (q / 2) psi,  q = trchi - 2/s,
     which is regular at the vertex.  RK4 with midpoint coefficients
-    averaged from the two bracketing s nodes.
+    averaged from the two bracketing s nodes.  ``seed`` is one seed
+    two-form (4, 4, dim) or a stack (n, 4, 4, dim) marched together; psi
+    has shape (stop, nth, nph) + seed.shape and covers slices 0 .. stop - 1,
+    every slice when ``stop`` is None.
     """
     seed = np.asarray(seed, dtype=float)
-    psi = np.empty(bundle.x.shape[:3] + seed.shape)
+    n1 = bundle.n_s + 1 if stop is None else stop
+    psi = np.empty((n1,) + bundle.x.shape[1:3] + seed.shape)
     psi[0] = seed
+    q_axes = (1,) * seed.ndim
 
     def rhs(p, i, j):           # coefficients averaged over slices i, j
         q, gamma, a = (v if v is None else 0.5 * (v[i] + v[j])
                        for v in (conn.q, conn.gamma_L, conn.a_L))
-        return -0.5 * q[..., None, None, None] * p \
+        return -0.5 * q.reshape(q.shape + q_axes) * p \
             - _connect(p, gamma, a, conn.c)
 
     h = bundle.ds
-    for i in range(bundle.n_s):
+    for i in range(n1 - 1):
         p = psi[i]
         k1 = rhs(p, i, i)
         k2 = rhs(p + 0.5 * h * k1, i, i + 1)
@@ -150,41 +170,53 @@ def transport_weight(bundle, seed, conn):
     return psi
 
 
-def angular_gauge_derivative(bundle, f, conn):
+def _on_slices(sl, *coefs):
+    """Each per-node coefficient on the slices ``sl``; None stays None."""
+    return tuple(v if v is None else v[sl] for v in coefs)
+
+
+def angular_gauge_derivative(bundle, f, conn, sl=slice(None)):
     """D_b f along the two sphere tangents for an algebra-valued scalar
-    (n1, nth, nph, dim) or two-tensor (n1, nth, nph, 4, 4, dim).  Returns
-    (n1, nth, nph, 2, <tensor>, dim): the spectral angular derivative plus
-    the cone connection ``conn`` (``connection``) along Y_b.
+    (n1, nth, nph, dim) or two-tensor (n1, nth, nph, 4, 4, dim), with any
+    seed axes after the node axes.  ``f`` holds the bundle's slices ``sl``
+    (all of them by default).  Returns (n1, nth, nph, 2, <tensor>, dim): the
+    spectral angular derivative plus the cone connection ``conn``
+    (``connection``) along Y_b.
     """
     f = np.asarray(f)
     df = np.moveaxis(bundle._angular(f), -1, 3)     # (..., 2, <tensor>, dim)
-    df += _connect(f[:, :, :, None], conn.gamma_Y, conn.a_Y, conn.c)
+    df += _connect(f[:, :, :, None], *_on_slices(sl, conn.gamma_Y, conn.a_Y),
+                   conn.c)
     return df
 
 
-def screen_laplacian(bundle, df, conn):
+def screen_laplacian(bundle, df, conn, sl=slice(None)):
     """Gauge-covariant Laplace-Beltrami operator D^b D_b f of the fixed-s
-    spheres, from ``df`` = ``angular_gauge_derivative(bundle, f, conn)``.
+    spheres, from ``df`` = ``angular_gauge_derivative(bundle, f, conn, sl)``.
 
     Divergence form with the induced metric: the sphere-index part is exact
     by construction, the spacetime/algebra indices get the cone connection
-    in the outer derivative.  Slice 0 is returned as 0.
+    in the outer derivative.  The vertex slice s = 0, where the screen
+    degenerates, is returned as 0.
     """
     opt = bundle.optical()
     tail = df.shape[4:]
-    mi = opt["minv"].reshape(opt["minv"].shape[:3] + (1,) * len(tail) + (2, 2))
+    minv = opt["minv"][sl]
+    mi = minv.reshape(minv.shape[:3] + (1,) * len(tail) + (2, 2))
     # V^b = minv^{bc} D_c f, with the sphere index b on axis 1
     d0, d1 = df[:, :, :, 0], df[:, :, :, 1]
     Vm = np.stack([mi[..., 0, 0] * d0 + mi[..., 0, 1] * d1,
                    mi[..., 1, 0] * d0 + mi[..., 1, 1] * d1], axis=1)
-    sqm = opt["J"] * bundle.grid.sin_theta[None, :, None]
+    sqm = opt["J"][sl] * bundle.grid.sin_theta[None, :, None]
     sqm = sqm.reshape(sqm.shape + (1,) * len(tail))
     # d_b W^b as one GEMM with the grid's node matrix ``div``
     div = bundle.grid.on_nodes(bundle.grid.div, Vm * sqm[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         out = div.reshape(df.shape[:3] + tail) / sqm
-    out[0] = 0.0
-    outer = _connect(np.moveaxis(Vm, 1, 3), conn.gamma_Y, conn.a_Y, conn.c)
+    if not sl.start:                             # the vertex slice
+        out[0] = 0.0
+    outer = _connect(np.moveaxis(Vm, 1, 3),
+                     *_on_slices(sl, conn.gamma_Y, conn.a_Y), conn.c)
     if np.ndim(outer):
         out += outer.sum(axis=3)                 # sum over the sphere index
     return out
@@ -225,28 +257,32 @@ def assemble_representation(bundle, seeds, field, potential=None,
                             t_slice=None):
     """Evaluate every term of the reconstruction identity on one bundle.
 
-    ``seeds`` is a stack of seed two-forms, shape (n, 4, 4, dim).  Returns
-    one dict per seed, in seed order, with the individual terms, their sum,
-    the vertex target and the relative error.  The identity is linear in
-    the seed, so every term that does not involve the transported weight
-    (the field and its wave operator at the nodes, the curvature coupling,
-    the mass aspect, the ring data) is computed once for all seeds.  The
-    field is assumed to solve the Yang-Mills system, for which its wave
-    operator reduces to curvature couplings and self-interaction (zero on a
-    flat abelian background).
+    ``seeds`` is a stack of seed two-forms, shape (n, 4, 4, dim), n >= 1.
+    Returns one dict per seed, in seed order, with the individual terms,
+    their sum, the vertex target and the relative error.  The identity is
+    linear in the seed, so every term that does not involve the transported
+    weight (the field and its wave operator at the nodes, the curvature
+    coupling, the mass aspect, the ring data) is computed once for all
+    seeds, and the weight of the whole stack in one pass: one transport
+    march with the seed axis after the node axes, psi (stop, nth, nph, n, 4,
+    4, dim), then the sphere operators on s-chunks of ``bundle.chunk // n``
+    slices, each reduced at once to per-node, per-seed pairings.  The pass
+    covers slices 0 .. stop - 1, ``stop`` = ``Crossing.stop``: the cone
+    weights vanish past the ring and the ring interpolation reads up to
+    slice i0 + 2.  The field is assumed to solve the Yang-Mills system, for
+    which its wave operator reduces to curvature couplings and
+    self-interaction (zero on a flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim != 4 or seeds.shape[1:] != (4, 4, basis.dim):
-        raise ValueError(f"seeds must have shape (n, 4, 4, {basis.dim}), "
-                         f"got {seeds.shape}")
+    if seeds.ndim != 4 or seeds.shape[1:] != (4, 4, basis.dim) \
+            or not len(seeds):
+        raise ValueError(f"seeds must have shape (n, 4, 4, {basis.dim}) "
+                         f"with n >= 1, got {seeds.shape}")
     if t_slice is None:
         t_slice = bundle.p[0] - 1.0
     crossing = bundle.crossing(t_slice)
     opt = bundle.optical()
-    s_col = bundle.s[:, None, None]
-    inv_s = np.zeros_like(s_col)
-    inv_s[1:] = 1.0 / s_col[1:]
 
     conn = connection(bundle, potential)
     F_nodes = sample_field(bundle, field, (4, 4, basis.dim))
@@ -274,12 +310,11 @@ def assemble_representation(bundle, seeds, field, potential=None,
 
     # --- seed-free factors of the cone corrections ------------------------
     mu, _omega = bundle.mass_aspect()
-    mu_half = 0.5 * mu[..., None, None, None]
     F_LLbar = None
     if np.any(basis.c):
         F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
                             F_nodes, bundle.L, bundle.Lbar)
-    del F_nodes                 # the seed loop needs only F_up and F_LLbar
+    del F_nodes                 # the seed pass needs only F_up and F_LLbar
 
     # --- initial-data ring: D_T F + D_N F = D_{2 that + phi L} F with
     # N = that + phi L, plus (phi trchi / 2 + k) F, as one seed-free field
@@ -298,41 +333,55 @@ def assemble_representation(bundle, seeds, field, potential=None,
         2.0 * that_ring + phi_ring[..., None] * L_ring)
         + ring_coef[..., None, None, None] * field(x_ring))
 
-    Fp = field(bundle.p)
-    Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))
-
-    def one_seed(seed):
-        # a function of its own, so one seed's temporaries are freed before
-        # the next seed's are built
-        psi = transport_weight(bundle, seed, conn)
-        source = 0.0 if box_up is None else -bundle.cone_integral(
-            pairing(bundle, psi, box_up) * inv_s, crossing)
+    # --- the seed stack, on the slices the identity reads -----------------
+    stop = crossing.stop
+    psi = transport_weight(bundle, seeds, conn, stop)
+    # per-node factors get a size-1 seed axis, as in psi's layout
+    inv_s = np.zeros((stop, 1, 1, 1))
+    inv_s[1:, 0, 0, 0] = 1.0 / bundle.s[1:stop]
+    mu_half = 0.5 * mu[..., None, None, None, None]
+    cone_vals = np.empty(psi.shape[:4])
+    source_vals = None if box_up is None else np.empty(psi.shape[:4])
+    for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
+        p = psi[sl]
+        if source_vals is not None:
+            source_vals[sl] = pairing(bundle, p, box_up[sl, :, :, None]) \
+                * inv_s[sl]
 
         # --- angular / connection corrections on the cone --------------
-        dpsi = angular_gauge_derivative(bundle, psi, conn)
-        lap = screen_laplacian(bundle, dpsi, conn)
+        dpsi = angular_gauge_derivative(bundle, p, conn, sl)
+        correction = screen_laplacian(bundle, dpsi, conn, sl)
         # tangential derivative along the screen: subtract the ray
         # component, using D_L psi = -(q/2) psi on the transport solution
-        dpsi_screen = dpsi + 0.5 * np.einsum(
-            "stpb,stp,stpank->stpbank", opt["cb"], conn.q, psi)
-        zeta_term = 2.0 * np.einsum("stpbc,stpb,stpcank->stpank",
-                                    opt["minv"], opt["zeta"], dpsi_screen)
-        correction = lap + zeta_term + mu_half * psi
+        dpsi += 0.5 * np.einsum("stpb,stp,stpjank->stpbjank",
+                                opt["cb"][sl], conn.q[sl], p)
+        correction += 2.0 * np.einsum("stpbc,stpb,stpcjank->stpjank",
+                                      opt["minv"][sl], opt["zeta"][sl], dpsi)
+        del dpsi
+        correction += mu_half[sl] * p
         # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
-        correction += _connect(psi, K, F_LLbar, basis.c)
-        cone_term = bundle.cone_integral(
-            pairing(bundle, correction, F_up) * inv_s, crossing)
+        correction += _connect(p, *_on_slices(sl, K, F_LLbar), basis.c)
+        cone_vals[sl] = pairing(bundle, correction, F_up[sl, :, :, None]) \
+            * inv_s[sl]
 
-        # --- initial-data ring terms ------------------------------------
-        lam_ring = crossing.interpolate(psi) / s_star[..., None, None, None]
-        ring_term = crossing.ring_integral(
-            np.einsum("...abk,...abk->...", lam_ring, ring_up))
+    # --- initial-data ring terms, all seeds in one contraction ------------
+    lam_ring = crossing.interpolate(psi) \
+        / s_star[..., None, None, None, None]
+    ring_vals = np.einsum("...jabk,...abk->...j", lam_ring, ring_up)
 
+    Fp = field(bundle.p)
+    Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))
+    reps = []
+    for j, seed in enumerate(seeds):
+        source = 0.0 if source_vals is None else -bundle.cone_integral(
+            source_vals[..., j], crossing)
+        cone_term = bundle.cone_integral(cone_vals[..., j], crossing)
+        ring_term = crossing.ring_integral(ring_vals[..., j])
         target = representation_target(chart, basis, bundle.p, seed, field)
         total = source + cone_term + ring_term
         seed_norm = float(np.sqrt(np.sum(seed ** 2)))
         scale = 4.0 * np.pi * seed_norm * Fp_norm + 1e-30
-        return {
+        reps.append({
             "source_term": source,
             "cone_correction_term": cone_term,
             "initial_data_term": ring_term,
@@ -341,9 +390,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
             "abs_error": abs(total - target),
             "rel_error": abs(total - target) / scale,
             "crossing_s_mean": float(np.mean(s_star)),
-        }
-
-    return [one_seed(seed) for seed in seeds]
+        })
+    return reps
 
 
 def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):

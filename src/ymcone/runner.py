@@ -264,11 +264,22 @@ def _checked_chart(name, params, vertex, problems):
     return chart, vertex
 
 
+def _holds_bool(v):
+    """True for a bool, or for a list that holds one at any depth."""
+    if isinstance(v, (list, tuple)):
+        return any(map(_holds_bool, v))
+    return isinstance(v, bool)
+
+
 def _checked_field(profile, params, basis, vertex, problems):
     """Build the profile's (F, A) and evaluate both at the vertex."""
     try:
         with np.errstate(all="ignore"):
             fields = make_field(basis, profile, params)
+            for k, v in (params or {}).items():
+                if _holds_bool(v):
+                    raise ValueError(f"'field.params.{k}' holds a bool; "
+                                     f"a bool is not a number here")
             values = [f(vertex) for f in fields if f is not None]
         if not all(np.isfinite(v).all() for v in values):
             raise ValueError(f"not finite at the vertex {vertex.tolist()}")

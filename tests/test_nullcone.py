@@ -119,6 +119,19 @@ def test_cone_integral_one_cell(flat_bundle):
     assert abs(vol / _cone_volume(a, b) - 1.0) < 1e-4
 
 
+def test_cone_integral_reads_only_up_to_the_ring(flat_bundle):
+    # data over slices 0 .. stop - 1 give the whole-cone value; fewer
+    # slices than the ring interpolation reads are refused
+    far = flat_bundle.crossing(-0.6)
+    f = np.cos(flat_bundle.x[..., 1]) + flat_bundle.s[:, None, None]
+    assert far.stop == int(np.max(far.i0)) + 3 < flat_bundle.n_s + 1
+    whole = flat_bundle.cone_integral(f, far)
+    assert flat_bundle.cone_integral(f[:far.stop], far) == pytest.approx(
+        whole, rel=1e-14)
+    with pytest.raises(ValueError, match="covers"):
+        flat_bundle.cone_integral(f[:far.stop - 1], far)
+
+
 def test_cone_integral_rejects_nan(flat_bundle):
     f = np.ones_like(flat_bundle.x[..., 0])
     f[3, 1, 2] = np.nan

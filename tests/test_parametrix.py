@@ -71,6 +71,33 @@ def test_transport_weight_gauge_bracket_closed_form(flat_bundle,
     assert np.max(np.abs(psi - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("case", ["flat", "schwarzschild", "su2_bump"])
+def test_stacked_transport_matches_single_seeds(case, request, u1, seeds):
+    # one RK4 march of a seed stack equals the single-seed marches exactly,
+    # through the Gamma(L) term on Schwarzschild and the A(L) bracket of a
+    # non-constant su(2) potential
+    potential = None
+    if case == "schwarzschild":
+        bundle = request.getfixturevalue("schw_bundle")
+    else:
+        bundle = request.getfixturevalue("flat_bundle")
+    if case == "su2_bump":
+        _, potential = runner.make_field(liegauge.su2(), "su2_bump", {})
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, 4, 4, 3))
+        stack = stack - np.swapaxes(stack, 1, 2)
+    else:
+        stack = np.asarray(seeds)
+    conn = parametrix.connection(bundle, potential)
+    assert (conn.gamma_L is not None) == (case == "schwarzschild")
+    assert (conn.a_L is not None) == (case == "su2_bump")
+    psi = parametrix.transport_weight(bundle, stack, conn)
+    assert psi.shape == bundle.x.shape[:3] + stack.shape
+    for j, seed in enumerate(stack):
+        alone = parametrix.transport_weight(bundle, seed, conn)
+        assert np.array_equal(psi[:, :, :, j], alone), j
+
+
 def test_screen_laplacian_of_constant_vanishes(flat_bundle, u1):
     shape = (flat_bundle.n_s + 1, flat_bundle.grid.n_theta,
              flat_bundle.grid.n_phi, 1)
@@ -229,6 +256,32 @@ def test_nan_integrand_names_the_node(flat_bundle, u1, seeds):
     field = liegauge.FieldStrength(u1, fn)
     with pytest.raises(nullcone.ConeError, match=r"\(5, 2, 3\)"):
         parametrix.assemble_representation(flat_bundle, seeds[:1], field)
+
+
+@pytest.mark.parametrize("name", ["flat", "schwarzschild"])
+def test_nothing_past_the_ring_is_read(name, request, u1, seeds):
+    # a field that is NaN only at nodes past the slices the ring reads
+    # (Crossing.stop) leaves every term as it is and raises nothing
+    bundle, field, potential, t_slice = _reconstruction_case(name, request, u1)
+    if t_slice is None:
+        t_slice = bundle.p[0] - 0.5        # the ring at mid-cone
+    crossing = bundle.crossing(t_slice)
+    stop = crossing.stop
+    assert stop == int(np.max(crossing.i0)) + 3
+    t_cut = np.min(bundle.x[:stop, ..., 0])  # earliest time the pass reads
+
+    def masked(x):
+        f = field(x)
+        f[np.asarray(x)[..., 0] < t_cut] = np.nan
+        return f
+
+    nan_field = liegauge.FieldStrength(u1, masked, jac=field.jacobian)
+    assert np.isnan(parametrix.sample_field(bundle, nan_field,
+                                            (4, 4, 1))[-1]).all()
+    clean, nans = (parametrix.assemble_representation(
+        bundle, seeds, f, potential=potential, t_slice=t_slice)
+        for f in (field, nan_field))
+    assert nans == clean
 
 
 def test_seed_stack_shape_checked(flat_bundle, u1, seeds):

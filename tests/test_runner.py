@@ -207,6 +207,8 @@ def test_unmet_needs_rejected_in_one_message(chart, algebra, profile,
     {"profile": "constant", "params": {"components": [[0, 4, 1.0]]}},
     {"profile": "coulomb", "params": [1.0]},
     {"profile": "coulomb"},                   # singular at the default vertex
+    {"profile": "plane_wave", "params": {"omega": True}},   # would run as 1
+    {"profile": "constant", "params": {"components": [[0, True, 1.0]]}},
 ])
 def test_bad_field_params_name_the_field(field):
     with pytest.raises(runner.ConfigError) as exc:
