@@ -30,21 +30,29 @@ class AlgebraBasis:
         self.gram = np.eye(self.dim)
         self._cross = np.array_equal(self.c, _levi_civita())
 
-    def bracket(self, X, Y):
-        """[X, Y] of coefficient ndarrays (..., dim), broadcast over the
-        leading axes.  Inputs are used as given (no conversion); the only
-        per-call check is the length of the algebra axis."""
-        if X.shape[-1] != self.dim or Y.shape[-1] != self.dim:
+    def bracket(self, X, Y, axis=-1):
+        """[X, Y] of coefficient ndarrays whose algebra axis is ``axis``
+        (negative: counted from the end, so operands of different rank
+        broadcast), broadcast over the other axes; the result has its
+        algebra axis in the same place.  Inputs are used as given (no
+        conversion); the per-call checks are on ``axis`` and the length of
+        the algebra axis."""
+        if axis >= 0:
+            raise AlgebraError(f"axis must count from the end, got {axis}")
+        if X.shape[axis] != self.dim or Y.shape[axis] != self.dim:
             raise AlgebraError("element dimension does not match basis")
         if self._cross:                         # su(2): [X, Y] = X x Y
-            x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
-            y0, y1, y2 = Y[..., 0], Y[..., 1], Y[..., 2]
+            tail = (slice(None),) * (-1 - axis)
+            x0, x1, x2 = (X[(Ellipsis, i) + tail] for i in range(3))
+            y0, y1, y2 = (Y[(Ellipsis, i) + tail] for i in range(3))
             return np.stack((x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
-                             x0 * y1 - x1 * y0), axis=-1)
+                             x0 * y1 - x1 * y0), axis=axis)
         # one (..., dim^2) x (dim^2, dim) product over the pairs (i, j)
+        X, Y = np.moveaxis(X, axis, -1), np.moveaxis(Y, axis, -1)
         outer = X[..., :, None] * Y[..., None, :]
-        return outer.reshape(outer.shape[:-2] + (-1,)) \
+        out = outer.reshape(outer.shape[:-2] + (-1,)) \
             @ self.c.reshape(-1, self.dim)
+        return np.moveaxis(out, -1, axis)
 
     def inner(self, X, Y):
         return np.einsum("...i,...i->...", X, Y)

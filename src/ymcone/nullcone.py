@@ -303,7 +303,9 @@ class NullConeBundle:
         Jshape = out["J"][ilive] / self.s[ilive] ** 2
         out["J"][near] = self.s[near, None, None] ** 2 * Jshape[None]
         out["minv"][0] = 0.0
-        out["kscreen"][0] = out["kscreen"][1]
+        # kt is 0/0 at the vertex: extrapolate k quadratically from slices 1-3
+        k = out["kscreen"]
+        k[0] = 3.0 * k[1] - 3.0 * k[2] + k[3] if self.n_s >= 3 else k[1]
         live = ~near
         if np.any(out["J"][live].real <= 0.0):
             bad = np.argwhere(out["J"].real <= 0.0)

@@ -170,3 +170,23 @@ def test_wave_source_vanishes_flat_abelian(flat_chart):
     F = runner.plane_wave_field(u1)
     src = liegauge.wave_source(flat_chart, np.zeros((3, 4)), F, None)
     assert np.max(np.abs(src)) < 1e-12
+
+
+@pytest.mark.parametrize("basis", [
+    liegauge.su2(), liegauge.AlgebraBasis("scaled", 2 * liegauge.su2().c)],
+    ids=["cross", "generic"])
+def test_bracket_on_algebra_planes_matches_structure_constants(basis):
+    # the lattice kernel's route: a reversed (2, 3, n, n) view of potential
+    # planes against (3, n, n) field planes, algebra axis -3
+    assert basis._cross == (basis.name == "su2")
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((2, 3, 8, 8))
+    F = rng.standard_normal((3, 8, 8))
+    ref = np.einsum("ijk,aixy,jxy->akxy", basis.c, A[::-1], F)
+    got = basis.bracket(A[::-1], F, axis=-3)
+    assert got.shape == ref.shape == (2, 3, 8, 8)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    last = basis.bracket(np.moveaxis(A[::-1], 1, -1), np.moveaxis(F, 0, -1))
+    assert np.array_equal(np.moveaxis(last, -1, 1), got)
+    with pytest.raises(liegauge.AlgebraError, match="count from the end"):
+        basis.bracket(F, F, axis=0)

@@ -180,6 +180,14 @@ def test_flrw_screen_extrinsic_curvature(flrw_bundle):
     assert np.max(np.abs(k - want)) < 1e-13
 
 
+def test_flrw_vertex_slice_extrinsic_curvature(flrw_bundle):
+    # the vertex slice has no screen; its k is extrapolated from slices 1-3
+    # (a copy of slice 1 is 1.25e-3 off here)
+    b = flrw_bundle
+    k = b.optical()["kscreen"][0]
+    assert np.max(np.abs(k - 2.0 * b.chart.power / b.p[0])) < 1e-6
+
+
 def _trchibar_lbar_route(b):
     """tr g(nabla_b Lbar, Ytilde_c) with Lbar differentiated on the cone:
     spectrally along the spheres, by differences along the rays."""
