@@ -51,7 +51,8 @@ class Chart:
     derivatives, the inverse metric and the Christoffel symbols with their
     derivative follow here.  The only nonzero symbols are Gamma^c_ac =
     Gamma^c_ca = d_a g_cc / 2 g_cc and Gamma^c_aa = -d_c g_aa / 2 g_cc.
-    Code outside this module reads the diagonal; the (..., 4, 4) forms serve
+    Code outside this module reads the diagonal and contracts Gamma with a
+    vector by ``christoffel_along``; the (..., 4, 4) forms serve
     ``orthonormal_frame`` and the generic oracles.
     """
 
@@ -62,6 +63,8 @@ class Chart:
     flat = False
     #: True when the Ricci tensor vanishes identically (a vacuum metric)
     ricci_flat = False
+    #: where ``contains`` holds, for error messages
+    domain = "the metric diagonal is finite with signature (-,+,+,+)"
 
     # diagonal[..., a] = g_aa
     def diagonal(self, x):
@@ -80,12 +83,15 @@ class Chart:
         return np.zeros(4)
 
     def contains(self, x):
-        """True where x lies in the chart: the metric diagonal there is
-        finite with signature (-,+,+,+)."""
+        """True where x lies in the chart, as ``domain`` says."""
         with np.errstate(all="ignore"):
             d = self.diagonal(x)
         return np.isfinite(d).all(axis=-1) & (d.real[..., 0] < 0) \
             & (d.real[..., 1:] > 0).all(axis=-1)
+
+    def rays_outside(self, x):
+        """Mask of the rays of one cone slice ``x`` that left the chart."""
+        return ~self.contains(x)
 
     def metric(self, x):
         return _embed(self.diagonal(x))
@@ -113,6 +119,20 @@ class Chart:
         """Gamma^c_ab, shape (..., 4, 4, 4)."""
         return _scatter_christoffel(self.ddiagonal(x),
                                     0.5 * self.inverse_diagonal(x))
+
+    def christoffel_along(self, x, v):
+        """Gamma^c_ab v^b, shape (..., 4[c], 4[a]), for ``v`` (..., 4)
+        broadcasting against ``x``: with h_c = 1/2g_cc, h_c (v^c d_a g_cc -
+        v^a d_c g_aa) off the diagonal and h_c (v . d) g_cc on it."""
+        dd = self.ddiagonal(x)                  # [a, c] = d_a g_cc
+        h = 0.5 * self.inverse_diagonal(x)
+        v = np.asarray(v)
+        out = np.swapaxes(dd, -1, -2) * v[..., :, None] \
+            - dd * v[..., None, :]
+        i = np.arange(4)
+        out[..., i, i] = (v[..., None, :] @ dd)[..., 0, :]
+        out *= h[..., :, None]
+        return out
 
     def christoffel_derivative(self, x):
         """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]).
@@ -193,8 +213,9 @@ class Minkowski(Chart):
     def d2diagonal(self, x):
         return _zeros(as_points(x), 4, 4, 4)
 
-    def christoffel(self, x):
-        return _zeros(as_points(x), 4, 4, 4)
+    def christoffel_along(self, x, v):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(v)) + (4,)
+        return np.zeros(shape, dtype=np.result_type(as_points(x), v))
 
 
 class Schwarzschild(Chart):
@@ -206,6 +227,7 @@ class Schwarzschild(Chart):
 
     name = "schwarzschild"
     ricci_flat = True
+    domain = Chart.domain + " and 0 < theta < pi"
 
     def __init__(self, mass=1.0):
         self.mass = float(mass)
@@ -213,6 +235,21 @@ class Schwarzschild(Chart):
 
     def default_vertex(self):
         return np.array([0.0, self.coordinate_scale, np.pi / 2, 0.0])
+
+    def contains(self, x):
+        th = as_points(x)[..., 2].real
+        return super().contains(x) & (th > 0.0) & (th < np.pi)
+
+    def rays_outside(self, x):
+        """Also the ray nearest the polar axis once the slice's azimuths
+        leave no gap of pi or more: the axis then pierces the hull of its
+        points, so rays between them cross it."""
+        out = super().rays_outside(x)
+        phi = np.sort(np.mod(x[..., 3].real, 2.0 * np.pi), axis=None)
+        if np.max(np.diff(phi, append=phi[0] + 2.0 * np.pi)) < np.pi:
+            near = np.argmin(np.abs(np.sin(x[..., 2].real)))
+            out[np.unravel_index(near, out.shape)] = True
+        return out
 
     def _polar(self, x):
         """The points, r, theta and f = 1 - 2M/r."""
@@ -519,19 +556,12 @@ def unit_time_field(chart):
     return fn
 
 
-def covariant_jacobian(chart, x, field):
-    """nabla_a V^mu = d_a V^mu + Gamma^mu_ab V^b, shape (..., 4[a], 4[mu])."""
-    gamma = christoffel(chart, x)
-    v = field(x)
-    dv = field.jacobian(x)
-    return dv + np.einsum("...mab,...b->...am", gamma, v)
-
-
 def deformation_tensor(chart, x, field):
-    """pi^{mu nu} = (nabla^mu V^nu + nabla^nu V^mu)/2 for a vector field V."""
-    ginv = inverse_metric(chart, x)
-    nab = covariant_jacobian(chart, x, field)      # (..., a, mu)
-    up = np.einsum("...ma,...an->...mn", ginv, nab)
+    """pi^{mu nu} = (nabla^mu V^nu + nabla^nu V^mu)/2 for a vector field V,
+    with nabla_a V^mu = d_a V^mu + Gamma^mu_ab V^b."""
+    nab = field.jacobian(x) \
+        + np.swapaxes(chart.christoffel_along(x, field(x)), -1, -2)
+    up = np.einsum("...ma,...an->...mn", inverse_metric(chart, x), nab)
     return 0.5 * (up + np.swapaxes(up, -1, -2))
 
 

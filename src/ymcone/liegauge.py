@@ -27,7 +27,6 @@ class AlgebraBasis:
         self.name = name
         self.c = np.asarray(structure_constants, dtype=float)
         self.dim = self.c.shape[0]
-        self.gram = np.eye(self.dim)
         self._cross = np.array_equal(self.c, _levi_civita())
 
     def bracket(self, X, Y, axis=-1):
@@ -56,9 +55,6 @@ class AlgebraBasis:
 
     def inner(self, X, Y):
         return np.einsum("...i,...i->...", X, Y)
-
-    def norm(self, X):
-        return np.sqrt(np.maximum(self.inner(X, X), 0.0))
 
 
 def u1():
@@ -95,11 +91,10 @@ def make_algebra(name):
 # Analytic field containers
 # ---------------------------------------------------------------------------
 
-class GaugePotential:
-    """Algebra-valued 1-form A_mu(x) as an analytic callable.
-
-    ``fn(x) -> (..., 4, dim)``; optional analytic jacobian
-    ``jac(x) -> (..., 4[a], 4[mu], dim) = d_a A_mu``.
+class _AnalyticField:
+    """Algebra-valued tensor field ``fn(x)`` as a callable; ``jacobian(x)``
+    puts d_a on a new axis right after the point axes, from the analytic
+    ``jac`` when given, else by 4th-order central differences of ``step``.
     """
 
     def __init__(self, basis, fn, jac=None, step=1e-4):
@@ -115,6 +110,17 @@ class GaugePotential:
         if self._jac is not None:
             return np.asarray(self._jac(x), dtype=float)
         return geometry._fd_derivative(self.fn, np.asarray(x, float), self.step)
+
+
+class GaugePotential(_AnalyticField):
+    """Algebra-valued 1-form A_mu(x): ``fn(x) -> (..., 4, dim)``, jacobian
+    d_a A_mu of shape (..., 4[a], 4[mu], dim)."""
+
+
+class FieldStrength(_AnalyticField):
+    """Algebra-valued 2-form F_{mu nu}(x), antisymmetric in the two slots:
+    ``fn(x) -> (..., 4, 4, dim)``, jacobian d_a F_{mu nu} of shape
+    (..., 4[a], 4, 4, dim)."""
 
 
 def zero_potential(basis):
@@ -127,28 +133,6 @@ def zero_potential(basis):
         return np.zeros(x.shape[:-1] + (4, 4, basis.dim))
 
     return GaugePotential(basis, fn, jac=jac)
-
-
-class FieldStrength:
-    """Algebra-valued antisymmetric 2-form F_{mu nu}(x) as a callable.
-
-    ``fn(x) -> (..., 4, 4, dim)``, antisymmetric in the two slots.
-    """
-
-    def __init__(self, basis, fn, jac=None, step=1e-4):
-        self.basis = basis
-        self.fn = fn
-        self._jac = jac
-        self.step = step
-
-    def __call__(self, x):
-        return np.asarray(self.fn(x), dtype=float)
-
-    def jacobian(self, x):
-        """d_a F_{mu nu}, shape (..., 4[a], 4, 4, dim)."""
-        if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=float)
-        return geometry._fd_derivative(self.fn, np.asarray(x, float), self.step)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +159,41 @@ def curvature_from_potential(A, step=None):
     return FieldStrength(basis, fn, step=A.step)
 
 
+def connect(f, gamma, a, c):
+    """-Gamma(V) on each spacetime index of ``f`` plus [A(V), f], for
+    ``gamma`` = Gamma^g_ab V^b (..., 4[g], 4[a]) and ``a`` = A(V) (..., dim),
+    None where they vanish, and the structure constants ``c``.  ``f`` is an
+    algebra-valued scalar (..., dim) or two-tensor (..., 4, 4, dim) whose
+    leading axes broadcast against theirs; its axes past theirs (a seed
+    axis) broadcast against size-1 axes.  Returns 0.0 when both are None.
+    """
+    out = 0.0
+    if gamma is not None and f.ndim > gamma.ndim:      # a two-tensor
+        gamma = gamma.reshape(gamma.shape[:-2]
+                              + (1,) * (f.ndim - gamma.ndim - 1)
+                              + gamma.shape[-2:])
+        # Gamma^g_a f_gnk + Gamma^g_n f_agk as batched 4x4 products
+        left = np.swapaxes(gamma, -1, -2) @ f.reshape(f.shape[:-2] + (-1,))
+        right = np.swapaxes(f, -1, -2) @ gamma[..., None, :, :]
+        out = -(left.reshape(left.shape[:-1] + f.shape[-2:])
+                + np.swapaxes(right, -1, -2))
+    if a is not None:
+        a = a.reshape(a.shape[:-1] + (1,) * (f.ndim - a.ndim) + a.shape[-1:])
+        out = out + np.einsum("ijk,...i,...j->...k", c, a, f)
+    return out
+
+
 def gauge_covariant_derivative(chart, x, field, A):
-    """D_a F_{mn} for an algebra-valued 2-form field.
+    """D_a F_{mn} = d_a F_{mn} + ``connect`` along each coordinate vector
+    d_a, whose Gamma(d_a)^g_m = Gamma^g_am.
 
     Returns (..., 4[a], 4[m], 4[n], dim).  ``field`` must expose
     ``__call__`` and ``jacobian`` like FieldStrength.
     """
     x = np.asarray(x, dtype=float)
-    psi = field(x)
-    out = field.jacobian(x) + np.einsum("ijk,...ai,...mnj->...amnk",
-                                        A.basis.c, A(x), psi)
-    gamma = geometry.christoffel(chart, x)
-    return out - np.einsum("...ram,...rnk->...amnk", gamma, psi) \
-        - np.einsum("...ran,...mrk->...amnk", gamma, psi)
+    gamma = np.swapaxes(geometry.christoffel(chart, x), -3, -2)
+    return field.jacobian(x) + connect(field(x)[..., None, :, :, :], gamma,
+                                       A(x), A.basis.c)
 
 
 def ym_residual(chart, x, F, A):
@@ -275,12 +281,13 @@ def cartan_connection(chart, frame_field):
     """
     def fn(x):
         x_ = np.asarray(x, dtype=float)
-        g = chart.diagonal(x_)
-        gamma = geometry.christoffel(chart, x_)
         e = frame_field(x_)                    # (..., beta, mu)
-        de = frame_field.jacobian(x_)          # (..., mu[deriv], beta, nu)
-        nab = de + np.einsum("...smr,...br->...msb", gamma, e)
-        return np.einsum("...r,...ar,...mrb->...mab", g, e, nab)
+        # nabla_mu e_beta^nu = d_mu e_beta^nu + Gamma^nu_{mu r} e_beta^r in
+        # the jacobian's layout (..., mu, beta, nu)
+        nab = frame_field.jacobian(x_) + np.moveaxis(
+            chart.christoffel_along(x_[..., None, :], e), -1, -3)
+        g = chart.diagonal(x_)
+        return np.einsum("...r,...ar,...mbr->...mab", g, e, nab)
 
     return fn
 

@@ -42,18 +42,12 @@ class CausticError(ConeError):
 
 
 class ChartDomainError(ConeError):
-    """A ray left the chart: the metric diagonal at one of its nodes is not
-    finite with signature (-,+,+,+)."""
+    """A ray left the chart (``Chart.rays_outside``)."""
 
 
 def _dot(d, u, v):
     """g(u, v) = sum_a g_aa u^a v^a from the metric diagonal ``d``."""
     return np.einsum("...m,...m,...m->...", d, u, v)
-
-
-def _hook(gamma, v):
-    """Gamma^m_ab v^b, shape (..., 4[m], 4[a])."""
-    return np.einsum("...mab,...b->...ma", gamma, v)
 
 
 def _trace2(a, b):
@@ -112,8 +106,7 @@ class NullConeBundle:
     def _geodesic_rhs(self, x, L):
         if self.chart.flat:                       # straight rays
             return L, np.zeros_like(L)
-        gamma = geometry.christoffel(self.chart, x)
-        return L, -np.einsum("...mab,...a,...b->...m", gamma, L, L)
+        return L, -(self.chart.christoffel_along(x, L) @ L[..., None])[..., 0]
 
     def _renormalize(self, x, L):
         """Project L back onto the null cone of g along the local that axis."""
@@ -141,9 +134,9 @@ class NullConeBundle:
             k4x, k4L = self._geodesic_rhs(xc + h * k3x, Lc + h * k3L)
             xc = xc + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Lc = Lc + (h / 6.0) * (k1L + 2 * k2L + 2 * k3L + k4L)
-            inside = self.chart.contains(xc)
-            if not inside.all():
-                th, ph = np.argwhere(~inside)[0]
+            outside = self.chart.rays_outside(xc)
+            if outside.any():
+                th, ph = np.argwhere(outside)[0]
                 raise ChartDomainError(
                     f"ray (theta, phi) = ({th}, {ph}) leaves chart "
                     f"'{self.chart.name}' at s = {self.s[i]:.6g}")
@@ -191,6 +184,14 @@ class NullConeBundle:
             gLt = self.gLt[..., None]
             return -(2.0 * self.that + self.L / gLt) / gLt
         return self._field("Lbar", build)
+
+    @property
+    def expansion_deficit(self):
+        """q = trchi - 2/s, 0 below s_min (where trchi = 2/s); not cached."""
+        q = self.optical()["trchi"] \
+            - 2.0 / np.where(self.s > 0, self.s, 1.0)[:, None, None]
+        q[self.s < self.s_min] = 0.0
+        return q
 
     def _s_derivative(self, f):
         """Second-order finite difference along the ray parameter (axis 0)."""
@@ -249,7 +250,10 @@ class NullConeBundle:
         for i0 in range(0, n1, self.chunk):
             i1 = min(i0 + self.chunk, n1)
             sl = slice(i0, i1)
-            gamma = geometry.christoffel(self.chart, self.x[sl])
+            # Gamma(L) and Gamma(that), each (..., 4[m], 4[a])
+            gL, gT = np.moveaxis(self.chart.christoffel_along(
+                self.x[sl][..., None, :],
+                np.stack([L[sl], that[sl]], axis=-2)), -3, 0)
             Y = dY[sl]                                    # (..., mu, b)
             gLbar = d[sl] * Lbar[sl]                      # g_mn Lbar^n
             cb = -0.5 * (gLbar[..., None, :] @ Y)[..., 0, :]
@@ -259,7 +263,7 @@ class NullConeBundle:
             det = mt[..., 0, 0] * mt[..., 1, 1] - mt[..., 0, 1] * mt[..., 1, 0]
             # nabla_L L = 0 on the rays, so nabla along Ytilde_b = Y_b - cb L
             # is nabla along Y_b
-            nabL = dL[sl] + _hook(gamma, L[sl]) @ Y
+            nabL = dL[sl] + gL @ Y
             chi = np.swapaxes(nabL, -1, -2) @ gYt
             asym = np.abs(chi - np.swapaxes(chi, -1, -2))
             live_chunk = self.s[sl] >= self.s_min
@@ -270,7 +274,7 @@ class NullConeBundle:
             # that = (-g_tt)^(-1/2) d_t is orthogonal to the screen, so the
             # derivative of its normalisation drops out of the t-slice
             # extrinsic curvature k_bc = g(Gamma(Ytilde_b, that), Ytilde_c)
-            kt = np.swapaxes(_hook(gamma, that[sl]) @ Yt, -1, -2) @ gYt
+            kt = np.swapaxes(gT @ Yt, -1, -2) @ gYt
             minv = np.empty_like(mt)
             minv[..., 0, 0] = mt[..., 1, 1]
             minv[..., 1, 1] = mt[..., 0, 0]
@@ -522,27 +526,15 @@ class NullConeBundle:
         if "mass_aspect" in self._cache:
             return self._cache["mass_aspect"]
         opt = self.optical()
-
-        def smooth_expansion(b):
-            # differentiate only the regular part of trchi; the universal 2/s
-            # vertex singularity would wreck the s-difference near s=0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = b.optical()["trchi"] - 2.0 / b.s[:, None, None]
-            q[0] = 0.0
-            return q
-
+        # differentiate only the regular part of trchi; the universal 2/s
+        # vertex singularity would wreck the s-difference near s=0
         with np.errstate(divide="ignore"):
             d_trchi = (2.0 / self.s ** 2)[:, None, None] \
-                + self.lbar_derivative(smooth_expansion)
+                + self.lbar_derivative(lambda b: b.expansion_deficit)
         nab_Lbar = self.lbar_derivative(lambda b: b.Lbar)
-        if not self.chart.flat:             # + Gamma(Lbar, Lbar), chunked
-            Lbar = self.Lbar
-            for i0 in range(0, self.n_s + 1, self.chunk):
-                sl = slice(i0, i0 + self.chunk)
-                nab_Lbar[sl] += np.einsum(
-                    "...mab,...a,...b->...m",
-                    geometry.christoffel(self.chart, self.x[sl]),
-                    Lbar[sl], Lbar[sl])
+        for i0 in range(0, self.n_s + 1, self.chunk):   # + Gamma(Lbar, Lbar)
+            sl = slice(i0, i0 + self.chunk)
+            nab_Lbar[sl] -= self._geodesic_rhs(self.x[sl], self.Lbar[sl])[1]
         omega = -0.25 * self.dot(nab_Lbar, self.L)
         trchi, phi = opt["trchi"], self.phi
         with np.errstate(invalid="ignore"):

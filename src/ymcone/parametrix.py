@@ -10,7 +10,8 @@ psi = s * lambda, whose vertex value is the seed itself.
 
 Every cone operator uses one connection, Levi-Civita plus gauge, pulled back
 to L and the sphere tangents Y_b: ``connection`` builds its seed-free
-coefficients once per call and ``_connect`` applies them.
+coefficients once per call, Gamma by ``Chart.christoffel_along``, and
+``liegauge.connect``, the package's one covariant action, applies them.
 
 All per-node arrays follow the bundle layout (n_s + 1, n_theta, n_phi, ...).
 The identity is linear in the seed, so a stack of n seeds goes through as one
@@ -75,9 +76,9 @@ def connection(bundle, potential=None):
     dim) = A_m L^m and ``a_Y`` (n1, nth, nph, 2, dim); ``c`` holds the
     structure constants.  A coefficient is None where its term vanishes
     identically: Gamma on a flat chart, A without a potential, on an abelian
-    algebra or where its pullback is zero.  ``q`` = trchi - 2/s is the
-    expansion deficit, closed to zero below s_min.  Nothing is seed-dependent
-    or stored on the bundle.
+    algebra or where its pullback is zero.  ``q`` is the bundle's
+    ``expansion_deficit`` trchi - 2/s.  Nothing is seed-dependent or stored
+    on the bundle.
     """
     opt = bundle.optical()
     L = bundle.L[..., None, :]
@@ -93,46 +94,14 @@ def connection(bundle, potential=None):
     if not bundle.chart.flat:
         gamma = np.empty(V.shape[:-1] + (4, 4))
         for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-            gamma[sl] = np.einsum(
-                "...gma,...vm->...vga",
-                geometry.christoffel(bundle.chart, bundle.x[sl]), V[sl])
+            gamma[sl] = bundle.chart.christoffel_along(
+                bundle.x[sl][..., None, :], V[sl])
     a = c = None
     if potential is not None and np.any(potential.basis.c):
         c = potential.basis.c
         a = np.einsum("...mi,...vm->...vi",
                       sample_field(bundle, potential, (4, c.shape[0])), V)
-
-    with np.errstate(invalid="ignore"):
-        q = opt["trchi"] - 2.0 / np.where(
-            bundle.s > 0, bundle.s, 1.0)[:, None, None]
-    q[bundle.s < bundle.s_min] = 0.0
-    return Connection(*split(gamma), *split(a), c, q)
-
-
-def _connect(f, gamma, a, c):
-    """-Gamma(V) on each spacetime index of ``f`` plus [A(V), f].
-
-    ``gamma`` = Gamma(V) (..., 4, 4) and ``a`` = A(V) (..., dim) are
-    coefficients of a ``Connection`` (None where they vanish); ``f`` is an
-    algebra-valued scalar (..., dim) or two-tensor (..., 4, 4, dim) whose
-    leading axes broadcast against theirs.  Axes of ``f`` past those of the
-    coefficients (a seed axis) broadcast against size-1 axes.  Returns 0.0
-    when both are None.
-    """
-    out = 0.0
-    if gamma is not None and f.ndim > gamma.ndim:      # a two-tensor
-        gamma = gamma.reshape(gamma.shape[:-2]
-                              + (1,) * (f.ndim - gamma.ndim - 1)
-                              + gamma.shape[-2:])
-        # Gamma^g_a f_gnk + Gamma^g_n f_agk as batched 4x4 products
-        left = np.swapaxes(gamma, -1, -2) @ f.reshape(f.shape[:-2] + (-1,))
-        right = np.swapaxes(f, -1, -2) @ gamma[..., None, :, :]
-        out = -(left.reshape(left.shape[:-1] + f.shape[-2:])
-                + np.swapaxes(right, -1, -2))
-    if a is not None:
-        a = a.reshape(a.shape[:-1] + (1,) * (f.ndim - a.ndim) + a.shape[-1:])
-        out = out + np.einsum("ijk,...i,...j->...k", c, a, f)
-    return out
+    return Connection(*split(gamma), *split(a), c, bundle.expansion_deficit)
 
 
 def transport_weight(bundle, seed, conn, stop=None):
@@ -157,7 +126,7 @@ def transport_weight(bundle, seed, conn, stop=None):
         q, gamma, a = (v if v is None else 0.5 * (v[i] + v[j])
                        for v in (conn.q, conn.gamma_L, conn.a_L))
         return -0.5 * q.reshape(q.shape + q_axes) * p \
-            - _connect(p, gamma, a, conn.c)
+            - liegauge.connect(p, gamma, a, conn.c)
 
     h = bundle.ds
     for i in range(n1 - 1):
@@ -185,8 +154,8 @@ def angular_gauge_derivative(bundle, f, conn, sl=slice(None)):
     """
     f = np.asarray(f)
     df = np.moveaxis(bundle._angular(f), -1, 3)     # (..., 2, <tensor>, dim)
-    df += _connect(f[:, :, :, None], *_on_slices(sl, conn.gamma_Y, conn.a_Y),
-                   conn.c)
+    df += liegauge.connect(f[:, :, :, None],
+                           *_on_slices(sl, conn.gamma_Y, conn.a_Y), conn.c)
     return df
 
 
@@ -215,8 +184,8 @@ def screen_laplacian(bundle, df, conn, sl=slice(None)):
         out = div.reshape(df.shape[:3] + tail) / sqm
     if not sl.start:                             # the vertex slice
         out[0] = 0.0
-    outer = _connect(np.moveaxis(Vm, 1, 3),
-                     *_on_slices(sl, conn.gamma_Y, conn.a_Y), conn.c)
+    outer = liegauge.connect(np.moveaxis(Vm, 1, 3),
+                             *_on_slices(sl, conn.gamma_Y, conn.a_Y), conn.c)
     if np.ndim(outer):
         out += outer.sum(axis=3)                 # sum over the sphere index
     return out
@@ -360,7 +329,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
         del dpsi
         correction += mu_half[sl] * p
         # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
-        correction += _connect(p, *_on_slices(sl, K, F_LLbar), basis.c)
+        correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar),
+                                       basis.c)
         cone_vals[sl] = pairing(bundle, correction, F_up[sl, :, :, None]) \
             * inv_s[sl]
 

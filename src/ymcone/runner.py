@@ -259,8 +259,8 @@ def _checked_chart(name, params, vertex, problems):
     vertex = np.asarray(vertex, dtype=float)
     if not chart.contains(vertex):
         problems.append(f"'vertex' {vertex.tolist()} lies outside chart "
-                        f"'{name}': the metric diagonal there is not finite "
-                        f"with signature (-,+,+,+)")
+                        f"'{name}', which holds the points where "
+                        f"{chart.domain}")
     return chart, vertex
 
 

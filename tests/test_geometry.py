@@ -119,6 +119,26 @@ def test_closed_forms_match_generic_route(name, params, x):
 
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
+def test_christoffel_along_matches_generic_route(name, params, x):
+    # Gamma^c_ab v^b in closed form against the generic symbols contracted
+    # with v, at real and complex (twin-cone) points, three vectors per point
+    # broadcast against it
+    chart = geometry.make_chart(name, **params)
+    rng = np.random.default_rng(13)
+    pts = np.asarray(x) + 0.05 * rng.standard_normal((6, 1, 4))
+    v = rng.standard_normal((6, 3, 4))
+    for z, w in ((pts, v), (pts + 1e-20j * rng.standard_normal(pts.shape),
+                            v + 1j * rng.standard_normal(v.shape))):
+        got = chart.christoffel_along(z, w)
+        ref = np.einsum("...cab,...b->...ca",
+                        geometry.generic_christoffel(chart, z), w)
+        assert got.shape == ref.shape == (6, 3, 4, 4)
+        assert got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) \
+            <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_diagonal_derivatives_match_differences(name, params, x):
     # each closed-form derivative against a 4th-order central difference of
     # the quantity one order below, which never reads the chart's own

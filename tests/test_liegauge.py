@@ -165,6 +165,71 @@ def test_cartan_curvature_matches_riemann(schw_chart):
     assert np.max(np.abs(curv - frame_riem)) < 1e-7
 
 
+def _rotated_static_frame(chart):
+    """The static frame rotated in legs 1-2 by the angle 0.7 r, with its
+    exact jacobian d_mu e_alpha^nu; not diagonal, unlike the static one."""
+    static = liegauge.static_diagonal_frame(chart)
+
+    def rotation(x):
+        a = 0.7 * np.asarray(x, dtype=float)[..., 1]
+        c, s = np.cos(a), np.sin(a)
+        R = np.zeros(a.shape + (4, 4))
+        R[..., 0, 0] = R[..., 3, 3] = 1.0
+        R[..., 1, 1], R[..., 1, 2], R[..., 2, 1], R[..., 2, 2] = c, -s, s, c
+        dR = np.zeros(a.shape + (4, 4, 4))     # only d_r is nonzero
+        dR[..., 1, 1:3, 1:3] = 0.7 * np.stack(
+            [np.stack([-s, -c], -1), np.stack([c, -s], -1)], -2)
+        return R, dR
+
+    def fn(x):
+        return rotation(x)[0] @ static(x)
+
+    def jac(x):
+        R, dR = rotation(x)
+        return dR @ static(x)[..., None, :, :] \
+            + R[..., None, :, :] @ static.jacobian(x)
+
+    return liegauge.FrameField(fn, jac)
+
+
+def test_cartan_connection_of_a_rotated_frame(schw_chart):
+    # a frame whose jacobian is not symmetric in its last two axes: the
+    # connection stays antisymmetric and Ricci-flat Schwarzschild keeps the
+    # Cartan Yang-Mills residual at the static frame's level
+    ff = _rotated_static_frame(schw_chart)
+    x = np.array([[0.0, 10.0, 1.2, 0.3], [0.1, 8.0, 1.7, 2.0]])
+    fd = geometry._fd_derivative(ff, x, 1e-4)
+    assert np.max(np.abs(ff.jacobian(x) - fd)) < 1e-9
+    conn = liegauge.cartan_connection(schw_chart, ff)(x)
+    assert np.max(np.abs(conn + np.swapaxes(conn, -1, -2))) <= 1e-12
+    res = liegauge.cartan_ym_residual(schw_chart, x, ff, step=1e-2)
+    assert np.max(np.abs(res)) <= 1e-9
+
+
+def _three_einsum_covariant_derivative(chart, x, field, A):
+    """D_a F_mn = d_a F_mn + [A_a, F_mn] - Gamma^r_am F_rn - Gamma^r_an F_mr
+    written out index by index, the reference for ``connect``."""
+    psi = field(x)
+    out = field.jacobian(x) + np.einsum("ijk,...ai,...mnj->...amnk",
+                                        A.basis.c, A(x), psi)
+    gamma = geometry.christoffel(chart, x)
+    return out - np.einsum("...ram,...rnk->...amnk", gamma, psi) \
+        - np.einsum("...ran,...mrk->...amnk", gamma, psi)
+
+
+def test_gauge_covariant_derivative_matches_index_formula(schw_chart):
+    su2 = liegauge.su2()
+    A = runner.su2_bump_potential(su2, amplitude=0.3, width=4.0)
+    F = liegauge.curvature_from_potential(A, step=1e-3)
+    rng = np.random.default_rng(5)
+    x = np.array([0.2, 4.0, 1.1, 0.4]) \
+        + np.array([0.3, 1.0, 0.3, 0.5]) * rng.standard_normal((3, 2, 4))
+    ref = _three_einsum_covariant_derivative(schw_chart, x, F, A)
+    got = liegauge.gauge_covariant_derivative(schw_chart, x, F, A)
+    assert got.shape == ref.shape == (3, 2, 4, 4, 4, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_wave_source_vanishes_flat_abelian(flat_chart):
     u1 = liegauge.u1()
     F = runner.plane_wave_field(u1)

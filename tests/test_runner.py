@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -92,6 +93,27 @@ def test_vertex_outside_chart_rejected(chart, vertex):
     with pytest.raises(runner.ConfigError) as exc:
         runner.parse_config({"chart": chart, "vertex": vertex})
     assert any("vertex" in p for p in exc.value.problems)
+
+
+def test_cone_around_the_polar_axis_names_the_ray():
+    # the vertex lies in the chart, but its cone surrounds the polar axis
+    # 0.5 away: no ray reaches theta = 0 (the nearest passes at 0.012), yet
+    # rays between them cross it, so the fan stops there instead of
+    # reporting the expansion and the reconstruction of a broken cone
+    doc = {"chart": "schwarzschild", "algebra": "u1",
+           "field": {"profile": "coulomb"},
+           "vertex": [0.0, 10.0, 0.05, 0.0],
+           "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.0, "ds": 0.01},
+           "experiments": ["cone_geometry", "parametrix"]}
+    report = runner.run(runner.parse_config(doc))
+    for name in doc["experiments"]:
+        assert re.fullmatch(r"ChartDomainError: ray \(theta, phi\) = \(\d+, "
+                            r"\d+\) leaves chart 'schwarzschild' at s = "
+                            r"0\.5\d*", report.metrics[name]["error"])
+    doc["vertex"][2] = -0.1                 # sin^2 theta > 0, off the patch
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config(doc)
+    assert any("0 < theta < pi" in p for p in exc.value.problems)
 
 
 def test_valid_chart_params_and_vertex_parse():
