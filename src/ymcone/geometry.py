@@ -1,6 +1,6 @@
 """Lorentzian chart catalog and pointwise geometric operators.
 
-Charts carry an analytic diagonal metric with analytic first and second
+Charts carry an analytic diagonal metric and its analytic first
 derivatives, vectorized over trailing point axes: every operator accepts
 ``x`` of shape ``(..., 4)`` and returns arrays with matching leading axes.
 Signature is (-,+,+,+) and units have c = 1.
@@ -13,6 +13,9 @@ from collections import namedtuple
 import numpy as np
 
 DEGENERATE_DET = 1e-12
+#: imaginary step of every complex-step derivative: ``Chart.d2diagonal`` and
+#: the twin cone of ``nullcone``
+COMPLEX_STEP = 1e-20
 
 
 class GeometryError(ValueError):
@@ -33,6 +36,8 @@ def as_points(x):
     Complex points carry the complex-step twin cone of ``nullcone``; the
     metric, its first derivatives, the inverse metric, the Christoffel
     symbols, ``unit_time_field`` and ``orthonormal_frame`` keep them complex.
+    ``d2diagonal``, ``christoffel_derivative`` and ``riemann`` take real
+    points only.
     """
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)
@@ -46,14 +51,14 @@ class Chart:
     """Analytic metric, diagonal in its coordinates, on a coordinate patch.
 
     Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
-    and the first and second derivatives of the diagonal in closed form; the
-    reciprocal 1/g_aa (``inverse_diagonal``), the full metric and its
-    derivatives, the inverse metric and the Christoffel symbols with their
-    derivative follow here.  The only nonzero symbols are Gamma^c_ac =
-    Gamma^c_ca = d_a g_cc / 2 g_cc and Gamma^c_aa = -d_c g_aa / 2 g_cc.
-    Code outside this module reads the diagonal and contracts Gamma with a
-    vector by ``christoffel_along``; the (..., 4, 4) forms serve
-    ``orthonormal_frame`` and the generic oracles.
+    and the diagonal's first derivatives in closed form; the second
+    derivatives are the complex-step derivative of the first.  The
+    reciprocal 1/g_aa (``inverse_diagonal``), the full metric, the inverse
+    metric and the Christoffel symbols with their derivative follow here.
+    The only nonzero symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc
+    and Gamma^c_aa = -d_c g_aa / 2 g_cc.  Code outside this module reads the
+    diagonal and contracts Gamma with a vector by ``christoffel_along``; the
+    (..., 4, 4) forms serve ``orthonormal_frame`` and the test oracles.
     """
 
     name = "chart"
@@ -74,9 +79,18 @@ class Chart:
     def ddiagonal(self, x):
         raise NotImplementedError
 
-    # d2diagonal[..., e, f, a] = d_e d_f g_aa
     def d2diagonal(self, x):
-        raise NotImplementedError
+        """d_e d_f g_aa, shape (..., 4[e], 4[f], 4[a]): for each f the
+        complex step Im ddiagonal(x + i h e_f) / h, h = COMPLEX_STEP, which
+        is exact to roundoff."""
+        x = np.asarray(x, dtype=float)
+        out = _zeros(x, 4, 4, 4)
+        z = x.astype(complex)
+        for f in range(4):
+            z[..., f] += 1j * COMPLEX_STEP
+            out[..., :, f, :] = self.ddiagonal(z).imag / COMPLEX_STEP
+            z[..., f] = x[..., f]
+        return out
 
     def default_vertex(self):
         """The cone vertex of a scenario that names none; inside the chart."""
@@ -95,14 +109,6 @@ class Chart:
 
     def metric(self, x):
         return _embed(self.diagonal(x))
-
-    # dmetric[..., a, m, n] = d_a g_mn
-    def dmetric(self, x):
-        return _embed(self.ddiagonal(x))
-
-    # d2metric[..., a, b, m, n] = d_a d_b g_mn
-    def d2metric(self, x):
-        return _embed(self.d2diagonal(x))
 
     def inverse_diagonal(self, x):
         """1/g_aa, shape (..., 4); raises DegenerateMetricError where
@@ -210,9 +216,6 @@ class Minkowski(Chart):
     def ddiagonal(self, x):
         return _zeros(as_points(x), 4, 4)
 
-    def d2diagonal(self, x):
-        return _zeros(as_points(x), 4, 4, 4)
-
     def christoffel_along(self, x, v):
         shape = np.broadcast_shapes(np.shape(x), np.shape(v)) + (4,)
         return np.zeros(shape, dtype=np.result_type(as_points(x), v))
@@ -271,22 +274,6 @@ class Schwarzschild(Chart):
         dd[..., 2, 3] = 2.0 * r ** 2 * np.sin(th) * np.cos(th)
         return dd
 
-    def d2diagonal(self, x):
-        x, r, th, f = self._polar(x)
-        M = self.mass
-        s, c = np.sin(th), np.cos(th)
-        d2 = _zeros(x, 4, 4, 4)
-        d2[..., 1, 1, 0] = 4.0 * M / r ** 3
-        # d/dr of -(2M/r^2) f^-2: (4M/r^3) f^-2 + (2M/r^2)(2)(2M/r^2) f^-3
-        d2[..., 1, 1, 1] = (4.0 * M / r ** 3) / f ** 2 \
-            + 2.0 * (2.0 * M / r ** 2) ** 2 / f ** 3
-        d2[..., 1, 1, 2] = 2.0
-        d2[..., 1, 1, 3] = 2.0 * s ** 2
-        d2[..., 1, 2, 3] = 4.0 * r * s * c
-        d2[..., 2, 1, 3] = 4.0 * r * s * c
-        d2[..., 2, 2, 3] = 2.0 * r ** 2 * (c ** 2 - s ** 2)
-        return d2
-
 
 class SchwarzschildIsotropic(Chart):
     """Schwarzschild metric in isotropic Cartesian coordinates (t, x, y, z).
@@ -307,53 +294,32 @@ class SchwarzschildIsotropic(Chart):
         return np.array([0.0, self.coordinate_scale, 0.0, 0.0])
 
     def _profiles(self, x):
-        """rho, the unit radial n = grad rho, and g_tt = N, g_ii = B with
-        their first and second rho derivatives."""
+        """The unit radial n = grad rho, and g_tt = N, g_ii = B with their
+        rho derivatives."""
         rho = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
         m = self.mass / (2.0 * rho)
         dm = -self.mass / (2.0 * rho ** 2)
-        d2m = self.mass / rho ** 3
         q = (1.0 - m) / (1.0 + m)
         # dq/dm = -2/(1+m)^2
         N = -q ** 2
         dN_dm = -2.0 * q * (-2.0 / (1.0 + m) ** 2)
-        d2N_dm = -2.0 * (-2.0 / (1.0 + m) ** 2) ** 2 \
-            + (-2.0 * q) * (4.0 / (1.0 + m) ** 3)
         B = (1.0 + m) ** 4
         dB_dm = 4.0 * (1.0 + m) ** 3
-        d2B_dm = 12.0 * (1.0 + m) ** 2
-        # chain rule to rho
-        dN = dN_dm * dm
-        d2N = d2N_dm * dm ** 2 + dN_dm * d2m
-        dB = dB_dm * dm
-        d2B = d2B_dm * dm ** 2 + dB_dm * d2m
         n = x[..., 1:] / rho[..., None]
-        return rho, n, (N, dN, d2N), (B, dB, d2B)
+        # chain rule to rho
+        return n, (N, dN_dm * dm), (B, dB_dm * dm)
 
     def diagonal(self, x):
-        _, _, (N, _, _), (B, _, _) = self._profiles(as_points(x))
+        _, (N, _), (B, _) = self._profiles(as_points(x))
         return np.stack([N, B, B, B], axis=-1)
 
     def ddiagonal(self, x):
         x = as_points(x)
-        _, n, (_, dN, _), (_, dB, _) = self._profiles(x)
+        n, (_, dN), (_, dB) = self._profiles(x)
         dd = _zeros(x, 4, 4)
         dd[..., 1:, 0] = dN[..., None] * n
         dd[..., 1:, 1:] = (dB[..., None] * n)[..., None]
         return dd
-
-    def d2diagonal(self, x):
-        x = as_points(x)
-        rho, n, (_, dN, d2N), (_, dB, d2B) = self._profiles(x)
-        # d_a d_b rho = (delta_ab - n_a n_b)/rho
-        nn = n[..., :, None] * n[..., None, :]
-        hess_rho = (np.eye(3) - nn) / rho[..., None, None]
-        d2 = _zeros(x, 4, 4, 4)
-        d2[..., 1:, 1:, 0] = d2N[..., None, None] * nn \
-            + dN[..., None, None] * hess_rho
-        d2[..., 1:, 1:, 1:] = (d2B[..., None, None] * nn
-                               + dB[..., None, None] * hess_rho)[..., None]
-        return d2
 
 
 class FLRW(Chart):
@@ -379,14 +345,6 @@ class FLRW(Chart):
         dd = _zeros(x, 4, 4)
         dd[..., 0, 1:] = (2.0 * p * x[..., 0] ** (2.0 * p - 1.0))[..., None]
         return dd
-
-    def d2diagonal(self, x):
-        x = as_points(x)
-        p = self.power
-        d2 = _zeros(x, 4, 4, 4)
-        d2[..., 0, 0, 1:] = (2.0 * p * (2.0 * p - 1.0)
-                             * x[..., 0] ** (2.0 * p - 2.0))[..., None]
-        return d2
 
 
 #: chart factory map used by the runner config layer
@@ -421,29 +379,6 @@ def _require_nondegenerate(det, name):
         )
 
 
-def _lowered_christoffel(dg):
-    """t_abd = d_a g_db + d_b g_da - d_d g_ab, so Gamma^c_ab = g^cd t_abd / 2."""
-    return np.einsum("...adb->...abd", dg) + np.einsum("...bda->...abd", dg) \
-        - np.einsum("...dab->...abd", dg)
-
-
-def generic_inverse_metric(chart, x):
-    """g^{ab} by batched LAPACK inversion; valid on any chart.
-
-    Raises DegenerateMetricError where |det g| < DEGENERATE_DET.
-    """
-    g = chart.metric(x)
-    _require_nondegenerate(np.linalg.det(g), chart.name)
-    return np.linalg.inv(g)
-
-
-def generic_christoffel(chart, x):
-    """Gamma^c_ab from the LAPACK inverse and ``dmetric``; valid on any chart."""
-    ginv = generic_inverse_metric(chart, x)
-    t = _lowered_christoffel(chart.dmetric(x))
-    return 0.5 * np.einsum("...cd,...abd->...cab", ginv, t)
-
-
 def inverse_metric(chart, x):
     """g^{ab}, shape (..., 4, 4), by the chart's own (closed-form) route."""
     return chart.inverse_metric(x)
@@ -457,22 +392,6 @@ def christoffel(chart, x):
 def christoffel_derivative(chart, x):
     """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]), in closed form."""
     return chart.christoffel_derivative(x)
-
-
-def generic_christoffel_derivative(chart, x):
-    """d_e Gamma^c_ab from the LAPACK inverse, ``dmetric`` and ``d2metric``;
-    valid on any chart."""
-    ginv = generic_inverse_metric(chart, x)
-    dg = chart.dmetric(x)
-    d2g = chart.d2metric(x)
-    t = _lowered_christoffel(dg)
-    # d_e t_abd
-    dt = np.einsum("...eadb->...eabd", d2g) + np.einsum("...ebda->...eabd", d2g) \
-        - np.einsum("...edab->...eabd", d2g)
-    # d_e g^cd = - g^cm (d_e g_mn) g^nd
-    dginv = -np.einsum("...cm,...emn,...nd->...ecd", ginv, dg, ginv)
-    return 0.5 * (np.einsum("...ecd,...abd->...ecab", dginv, t)
-                  + np.einsum("...cd,...eabd->...ecab", ginv, dt))
 
 
 #: lowered Riemann tensor R_abcd and Ricci tensor R_ab at a point batch
@@ -499,48 +418,9 @@ def riemann(chart, x):
     return CurvatureTensors(low, ricci)
 
 
-def kretschmann(chart, x):
-    """Full curvature invariant R_abcd R^abcd, raising each index by 1/g_aa."""
-    R = riemann(chart, x).riemann
-    inv = chart.inverse_diagonal(x)
-    return np.einsum("...abcd,...a,...b,...c,...d,...abcd->...",
-                     R, inv, inv, inv, inv, R)
-
-
 # ---------------------------------------------------------------------------
-# Vector fields, frames, deformation tensor
+# Time normal and frames
 # ---------------------------------------------------------------------------
-
-class VectorField:
-    """Vector field with value and Jacobian access.
-
-    ``fn(x) -> (..., 4)``; ``jac(x) -> (..., 4[a], 4[mu]) = d_a V^mu``.
-    """
-
-    def __init__(self, fn, jac):
-        self.fn = fn
-        self._jac = jac
-
-    def __call__(self, x):
-        return np.asarray(self.fn(x), dtype=float)
-
-    def jacobian(self, x):
-        return np.asarray(self._jac(x), dtype=float)
-
-
-def coordinate_time_field():
-    """The coordinate vector field d/dt."""
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        v = np.zeros(x.shape[:-1] + (4,))
-        v[..., 0] = 1.0
-        return v
-
-    def jac(x):
-        return _zeros(np.asarray(x, dtype=float), 4, 4)
-
-    return VectorField(fn, jac=jac)
-
 
 def unit_time_field(chart):
     """Future unit timelike field aligned with d/dt: that = (-g_tt)^(-1/2) d/dt.
@@ -554,15 +434,6 @@ def unit_time_field(chart):
         return v
 
     return fn
-
-
-def deformation_tensor(chart, x, field):
-    """pi^{mu nu} = (nabla^mu V^nu + nabla^nu V^mu)/2 for a vector field V,
-    with nabla_a V^mu = d_a V^mu + Gamma^mu_ab V^b."""
-    nab = field.jacobian(x) \
-        + np.swapaxes(chart.christoffel_along(x, field(x)), -1, -2)
-    up = np.einsum("...ma,...an->...mn", inverse_metric(chart, x), nab)
-    return 0.5 * (up + np.swapaxes(up, -1, -2))
 
 
 class Frame:

@@ -17,9 +17,10 @@ be a per-node field on the cone from the vertex p + d T_p, with that vertex
 moved along the timelike geodesic through p.  The point q(s) + h Lbar is taken
 to lie on the cone from p - 2h T_p at affine parameter s - h, exactly so in
 flat space; then d_Lbar f = -2 d_d f - d_s f.  The twin cone from the complex
-vertex p + i eps T_p gives d_d f = Im f(i eps, s) / eps with no step size and
-no subtractive cancellation (Squire & Trapp, SIAM Rev. 40, 1998).  On curved
-charts the twin relation is only approximate; see ``lbar_derivative``.
+vertex p + i eps T_p, eps = ``geometry.COMPLEX_STEP``, gives d_d f =
+Im f(i eps, s) / eps with no step size and no subtractive cancellation
+(Squire & Trapp, SIAM Rev. 40, 1998).  On curved charts the twin relation is
+only approximate; see ``lbar_derivative``.
 
 Array layout: per-node fields have shape (n_s + 1, n_theta, n_phi, ...) with
 slice index 0 at the vertex.
@@ -68,8 +69,6 @@ class NullConeBundle:
     vertex_factor = 10.0
     #: s slices per batch of the pointwise geometry
     chunk = 64
-    #: imaginary vertex offset of the complex-step twin cone
-    twin_eps = 1e-20
 
     def __init__(self, chart, vertex, grid: SphereGrid, s_max, ds,
                  T_p=None):
@@ -493,7 +492,7 @@ class NullConeBundle:
         step sees.
         """
         def build():
-            eps = self.twin_eps
+            eps = geometry.COMPLEX_STEP
             accel = self._geodesic_rhs(self.p, self.T_p)[1]
             return NullConeBundle(self.chart, self.p + 1j * eps * self.T_p,
                                   self.grid, s_max=self.s[-1], ds=self.ds,
@@ -510,7 +509,7 @@ class NullConeBundle:
         family direction it yields differs from Lbar by an L component of
         order s^2 times the curvature.
         """
-        d_vertex = np.imag(extract(self._twin())) / self.twin_eps
+        d_vertex = np.imag(extract(self._twin())) / geometry.COMPLEX_STEP
         return -2.0 * d_vertex - self._s_derivative(extract(self))
 
     def mass_aspect(self):

@@ -6,6 +6,8 @@ import sympy as sp
 
 from ymcone import geometry
 
+import oracles
+
 POINT = np.array([0.3, 7.3, 1.1, 0.4])
 
 
@@ -68,7 +70,7 @@ def test_christoffel_t_tr_closed_form(schw_chart):
 def test_kretschmann_closed_form(schw_chart):
     # 48 M^2 / r^6 = 4.8e-5 at r = 10
     x = np.array([0.0, 10.0, np.pi / 2, 0.0])
-    k = geometry.kretschmann(schw_chart, x)
+    k = oracles.kretschmann(schw_chart, x)
     assert abs(k - 4.8e-5) < 1e-11
 
 
@@ -107,13 +109,13 @@ def test_closed_forms_match_generic_route(name, params, x):
     rng = np.random.default_rng(7)
     pts = np.asarray(x) + 0.05 * rng.standard_normal((6, 4))
     ginv = chart.inverse_metric(pts)
-    assert np.max(np.abs(ginv - geometry.generic_inverse_metric(chart, pts))) \
+    assert np.max(np.abs(ginv - oracles.generic_inverse_metric(chart, pts))) \
         <= 1e-14 * np.max(np.abs(ginv))
     gamma = chart.christoffel(pts)
-    ref = geometry.generic_christoffel(chart, pts)
+    ref = oracles.generic_christoffel(chart, pts)
     assert np.max(np.abs(gamma - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
     dgamma = geometry.christoffel_derivative(chart, pts)
-    ref = geometry.generic_christoffel_derivative(chart, pts)
+    ref = oracles.generic_christoffel_derivative(chart, pts)
     assert np.max(np.abs(dgamma - ref)) \
         <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
@@ -131,7 +133,7 @@ def test_christoffel_along_matches_generic_route(name, params, x):
                             v + 1j * rng.standard_normal(v.shape))):
         got = chart.christoffel_along(z, w)
         ref = np.einsum("...cab,...b->...ca",
-                        geometry.generic_christoffel(chart, z), w)
+                        oracles.generic_christoffel(chart, z), w)
         assert got.shape == ref.shape == (6, 3, 4, 4)
         assert got.dtype == ref.dtype
         assert np.max(np.abs(got - ref)) \
@@ -155,6 +157,47 @@ def test_diagonal_derivatives_match_differences(name, params, x):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) \
             <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def _symbolic_diagonal(name, params, coords):
+    """A catalog chart's g_aa as sympy expressions in ``coords``."""
+    t, x, y, z = coords
+    if name == "minkowski":
+        return [-1, 1, 1, 1]
+    if name == "schwarzschild":
+        f = 1 - 2 * sp.nsimplify(params["mass"]) / x
+        return [-f, 1 / f, x ** 2, (x * sp.sin(y)) ** 2]
+    if name == "schwarzschild-isotropic":
+        rho = sp.sqrt(x ** 2 + y ** 2 + z ** 2)
+        m = sp.nsimplify(params["mass"]) / (2 * rho)
+        B = (1 + m) ** 4
+        return [-((1 - m) / (1 + m)) ** 2, B, B, B]
+    a2 = t ** (2 * sp.nsimplify(params["power"]))
+    return [-1, a2, a2, a2]
+
+
+@pytest.mark.parametrize(
+    "name,params,x",
+    CATALOG_POINTS + [("flrw", {"power": 0.5}, [1.5, 0.2, 0.4, -0.3])])
+def test_second_derivatives_match_symbolic(name, params, x):
+    # the base class's complex-step d_e d_f g_aa against sympy's second
+    # derivatives of each chart's diagonal; no catalog chart hand-writes its
+    # own
+    assert all(cls.d2diagonal is geometry.Chart.d2diagonal
+               for cls in geometry.CHART_CATALOG.values())
+    chart = geometry.make_chart(name, **params)
+    rng = np.random.default_rng(7)
+    pts = np.asarray(x) + 0.05 * rng.standard_normal((6, 4))
+    coords = sp.symbols("x0:4", real=True)
+    diag = _symbolic_diagonal(name, params, coords)
+    d2 = sp.lambdify(coords, [sp.diff(g, e, f) for e in coords
+                              for f in coords for g in diag], "numpy")
+    ref = np.stack([np.broadcast_to(np.asarray(v, dtype=float), pts.shape[:-1])
+                    for v in d2(*np.moveaxis(pts, -1, 0))], axis=-1)
+    ref = ref.reshape(pts.shape[:-1] + (4, 4, 4))
+    got = chart.d2diagonal(pts)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_closed_forms_reject_degenerate_point(schw_chart):
@@ -183,16 +226,16 @@ def test_orthonormal_frame_gram(name, params, x):
 
 
 def test_static_time_is_killing_on_schwarzschild(schw_chart):
-    pi = geometry.deformation_tensor(schw_chart, POINT,
-                                     geometry.coordinate_time_field())
+    pi = oracles.deformation_tensor(schw_chart, POINT,
+                                    oracles.coordinate_time_field())
     assert np.max(np.abs(pi)) < 1e-8
 
 
 def test_flrw_time_is_not_killing():
     chart = geometry.make_chart("flrw", power=1.0)
     x = np.array([2.0, 0.1, 0.2, 0.3])
-    pi = geometry.deformation_tensor(chart, x,
-                                     geometry.coordinate_time_field())
+    pi = oracles.deformation_tensor(chart, x,
+                                    oracles.coordinate_time_field())
     assert np.max(np.abs(pi)) > 1e-3
 
 
