@@ -24,14 +24,9 @@ from . import liegauge, parametrix
 # stress tensor and frame densities
 # ---------------------------------------------------------------------------
 
-def stress_tensor(chart, x, F):
-    """T_{mn} = <F_{ma}, F_n^a> - g_{mn} <F_{ab}, F^{ab}> / 4 per point."""
-    x = np.asarray(x, dtype=float)
-    return _stress(chart.diagonal(x), chart.inverse_diagonal(x), F(x))
-
-
 def _stress(d, inv, f):
-    """``stress_tensor`` from g_aa, 1/g_aa and F already at the same points."""
+    """T_{mn} = <F_{ma}, F_n^a> - g_{mn} <F_{ab}, F^{ab}> / 4 from g_aa,
+    1/g_aa and F already at the same points."""
     fmix = f * inv[..., None, :, None]                      # F_m{}^a
     t = np.einsum("...mak,...nak->...mn", fmix, f)
     tr = np.einsum("...abk,...abk,...a->...", fmix, f, inv)  # F_{ab} F^{ab}
@@ -122,14 +117,6 @@ def flux_density_frame(bundle, F_nodes):
     return lapse * (0.125 * gLt * sq(F_LLb)
                     + 0.5 / gLt * (sq(F_La[..., 0, :]) + sq(F_La[..., 1, :]))
                     + 0.5 * gLt * sq(F_12))
-
-
-def flux_density_direct(bundle, F_nodes):
-    """-T_{mn} that^m L^n sqrt(-g_tt); must match the frame form."""
-    d = bundle.diagonal_nodes
-    tmn = _stress(d, bundle.chart.inverse_diagonal(bundle.x), F_nodes)
-    return -np.einsum("...mn,...m,...n->...", tmn, bundle.that, bundle.L) \
-        * np.sqrt(-d[..., 0])
 
 
 def cone_flux(bundle, F, crossing_far, crossing_near):

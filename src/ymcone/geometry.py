@@ -27,7 +27,7 @@ class DegenerateMetricError(GeometryError):
 
 
 class FrameError(GeometryError):
-    """Orthonormal frame construction failed (e.g. spacelike time hint)."""
+    """The time axis hint of an orthonormal frame is not timelike."""
 
 
 def as_points(x):
@@ -35,7 +35,7 @@ def as_points(x):
 
     Complex points carry the complex-step twin cone of ``nullcone``; the
     metric, its first derivatives, the inverse metric, the Christoffel
-    symbols, ``unit_time_field`` and ``orthonormal_frame`` keep them complex.
+    symbols, ``unit_time`` and ``orthonormal_frame`` keep them complex.
     ``d2diagonal``, ``christoffel_derivative`` and ``riemann`` take real
     points only.
     """
@@ -53,12 +53,12 @@ class Chart:
     Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
     and the diagonal's first derivatives in closed form; the second
     derivatives are the complex-step derivative of the first.  The
-    reciprocal 1/g_aa (``inverse_diagonal``), the full metric, the inverse
-    metric and the Christoffel symbols with their derivative follow here.
+    reciprocal 1/g_aa (``inverse_diagonal``), the inverse metric and the
+    Christoffel symbols with their derivative follow here.
     The only nonzero symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc
     and Gamma^c_aa = -d_c g_aa / 2 g_cc.  Code outside this module reads the
     diagonal and contracts Gamma with a vector by ``christoffel_along``; the
-    (..., 4, 4) forms serve ``orthonormal_frame`` and the test oracles.
+    full forms serve ``riemann`` and the test oracles.
     """
 
     name = "chart"
@@ -106,9 +106,6 @@ class Chart:
     def rays_outside(self, x):
         """Mask of the rays of one cone slice ``x`` that left the chart."""
         return ~self.contains(x)
-
-    def metric(self, x):
-        return _embed(self.diagonal(x))
 
     def inverse_diagonal(self, x):
         """1/g_aa, shape (..., 4); raises DegenerateMetricError where
@@ -201,6 +198,11 @@ def _fd_derivative(fn, x, h):
 
 def _zeros(x, *tail):
     return np.zeros(x.shape[:-1] + tail, dtype=x.dtype)
+
+
+def _dot(d, u, v):
+    """g(u, v) = sum_a g_aa u^a v^a from the metric diagonal ``d``."""
+    return np.einsum("...m,...m,...m->...", d, u, v)
 
 
 class Minkowski(Chart):
@@ -422,64 +424,38 @@ def riemann(chart, x):
 # Time normal and frames
 # ---------------------------------------------------------------------------
 
-def unit_time_field(chart):
-    """Future unit timelike field aligned with d/dt: that = (-g_tt)^(-1/2) d/dt.
-
-    Returns the map x -> that(x), shape (..., 4).
-    """
-    def fn(x):
-        x = as_points(x)
-        v = _zeros(x, 4)
-        v[..., 0] = (-chart.diagonal(x)[..., 0]) ** -0.5
-        return v
-
-    return fn
-
-
-class Frame:
-    """Orthonormal frame rows [that, n, e_a, e_b] with g(that,that) = -1."""
-
-    __slots__ = ("vectors",)
-
-    def __init__(self, vectors):
-        self.vectors = as_points(vectors)
-
-    @property
-    def spatial(self):
-        return self.vectors[..., 1:, :]
+def unit_time(chart, x):
+    """Future unit timelike vector along d/dt, (-g_tt)^(-1/2) d/dt, shape
+    (..., 4)."""
+    x = as_points(x)
+    v = _zeros(x, 4)
+    v[..., 0] = (-chart.diagonal(x)[..., 0]) ** -0.5
+    return v
 
 
 def orthonormal_frame(chart, x, time_axis_hint=None):
-    """Gram-Schmidt orthonormal frame with timelike leg along the hint.
+    """Orthonormal rows [that, e_1, e_2, e_3], shape (..., 4, 4), with
+    g(that, that) = -1: Gram-Schmidt on the unit hint (d/dt when None), then
+    on d_1, d_2 and d_3, with g(u, v) = sum_a g_aa u^a v^a.
 
-    Batched over leading axes of ``x``.  Raises FrameError when the hint is
-    not timelike at some point.
+    No step degenerates: d_i projected off that has norm g_ii + g(d_i, that)^2
+    > 0, and the three projections are independent because that has a
+    nonzero t component.  Batched over leading axes of ``x``.  Raises
+    FrameError when the hint is not timelike at some point.
     """
     x = as_points(x)
-    g = chart.metric(x)
-    if time_axis_hint is None:
-        hint = np.zeros(x.shape[:-1] + (4,), dtype=x.dtype)
-        hint[..., 0] = 1.0
-    else:
-        hint = np.broadcast_to(as_points(time_axis_hint),
-                               x.shape[:-1] + (4,)).copy()
-    norm2 = np.einsum("...m,...mn,...n->...", hint, g, hint)
+    d = chart.diagonal(x)
+    hint = (1.0, 0.0, 0.0, 0.0) if time_axis_hint is None else time_axis_hint
+    hint = np.broadcast_to(as_points(hint), x.shape[:-1] + (4,))
+    norm2 = _dot(d, hint, hint)
     if np.any(norm2.real >= 0):
         raise FrameError("time axis hint is not timelike")
-    that = hint / np.sqrt(-norm2)[..., None]
-    vecs = [that]
-    for axis in (1, 2, 3, 0):
-        cand = np.zeros(x.shape[:-1] + (4,), dtype=that.dtype)
+    vecs = [hint / np.sqrt(-norm2)[..., None]]
+    for axis in (1, 2, 3):
+        cand = np.zeros(x.shape[:-1] + (4,), dtype=vecs[0].dtype)
         cand[..., axis] = 1.0
-        for sign, v in zip((-1.0, 1.0, 1.0, 1.0), vecs):
+        for sign, v in zip((-1.0, 1.0, 1.0), vecs):
             # minus sign: projector onto timelike leg flips with g(v,v) = -1
-            proj = np.einsum("...m,...mn,...n->...", cand, g, v)
-            cand = cand - sign * proj[..., None] * v
-        n2 = np.einsum("...m,...mn,...n->...", cand, g, cand)
-        if np.all(n2.real > 1e-20):
-            vecs.append(cand / np.sqrt(n2)[..., None])
-        if len(vecs) == 4:
-            break
-    if len(vecs) < 4:
-        raise FrameError("could not complete orthonormal frame")
-    return Frame(np.stack(vecs, axis=-2))
+            cand = cand - sign * _dot(d, cand, v)[..., None] * v
+        vecs.append(cand / np.sqrt(_dot(d, cand, cand))[..., None])
+    return np.stack(vecs, axis=-2)

@@ -206,14 +206,6 @@ def ym_residual(chart, x, F, A):
     return np.einsum("...a,...aabk->...bk", inv, DF)
 
 
-def bianchi_residual(chart, x, F, A):
-    """Cyclic sum D_a F_{mn} + D_m F_{na} + D_n F_{am}, shape (...,4,4,4,dim)."""
-    DF = gauge_covariant_derivative(chart, x, F, A)
-    return (DF
-            + np.einsum("...mnak->...amnk", DF)
-            + np.einsum("...namk->...amnk", DF))
-
-
 def wave_source(chart, x, F, curv):
     """Right-hand side of the tensorial wave equation satisfied by F.
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
+from .geometry import _dot
 from .sphere import SphereGrid
 
 
@@ -44,11 +45,6 @@ class CausticError(ConeError):
 
 class ChartDomainError(ConeError):
     """A ray left the chart (``Chart.rays_outside``)."""
-
-
-def _dot(d, u, v):
-    """g(u, v) = sum_a g_aa u^a v^a from the metric diagonal ``d``."""
-    return np.einsum("...m,...m,...m->...", d, u, v)
 
 
 def _trace2(a, b):
@@ -82,7 +78,7 @@ class NullConeBundle:
         self.renorm_max = 0.0
 
         if T_p is None:
-            T_p = geometry.unit_time_field(chart)(self.p)
+            T_p = geometry.unit_time(chart, self.p)
         self.T_p = geometry.as_points(T_p)
         if abs(_dot(chart.diagonal(self.p), self.T_p, self.T_p) + 1.0) > 1e-10:
             raise ConeError("vertex time axis must be unit timelike")
@@ -96,9 +92,8 @@ class NullConeBundle:
 
     def _initial_null_vectors(self):
         """l_omega = -T_p + omega^i E_i: past-directed, g(l, T_p) = 1."""
-        frame = geometry.orthonormal_frame(self.chart, self.p,
-                                           time_axis_hint=self.T_p)
-        triad = frame.spatial                     # (3, 4)
+        triad = geometry.orthonormal_frame(self.chart, self.p,
+                                           time_axis_hint=self.T_p)[1:]
         omega = self.grid.directions()            # (nth, nph, 3)
         return -self.T_p + np.einsum("tpi,im->tpm", omega, triad)
 
@@ -110,7 +105,7 @@ class NullConeBundle:
     def _renormalize(self, x, L):
         """Project L back onto the null cone of g along the local that axis."""
         d = self.chart.diagonal(x)
-        that = geometry.unit_time_field(self.chart)(x)
+        that = geometry.unit_time(self.chart, x)
         b = _dot(d, L, that)
         c = _dot(d, L, L)
         eps = b - np.sqrt(b * b + c)
@@ -165,7 +160,7 @@ class NullConeBundle:
     @property
     def that(self):
         return self._field(
-            "that", lambda: geometry.unit_time_field(self.chart)(self.x))
+            "that", lambda: geometry.unit_time(self.chart, self.x))
 
     @property
     def gLt(self):
@@ -353,29 +348,24 @@ class NullConeBundle:
     def frame_pairing_residuals(self):
         """Max deviation of every null-frame inner product from its target.
 
-        Checks g(L,L) = 0, g(Lbar,Lbar) = 0, g(L,Lbar) = -2, g(L,e_a) = 0,
-        g(Lbar,e_a) = 0 and g(e_a,e_b) = delta_ab at every node past the
-        vertex slice.  Returns a dict of per-pairing maxima.
+        The Gram matrix of (L, Lbar, e_1, e_2) at every node less its target
+        [[0, -2], [-2, 0]] + I, one upper-triangle entry at a time (a
+        (..., 4, 4) Gram array raises peak memory); past the vertex slice,
+        where the screen is 0, but for g(L, L).  Returns the per-pairing
+        maxima, "LL" to "e2e2".
         """
-        dot = self.dot
-        L, Lbar = self.L, self.Lbar
-        e = self.null_frames()
-        sl = slice(1, None)                     # the screen is 0 at the vertex
-        out = {
-            "LL": np.max(np.abs(dot(L, L))),
-            "LbarLbar": np.max(np.abs(dot(Lbar, Lbar)[sl])),
-            "LLbar": np.max(np.abs(dot(L, Lbar)[sl] + 2.0)),
-        }
-        for a in range(2):
-            ea = e[..., a, :]
-            out[f"Le{a + 1}"] = np.max(np.abs(dot(L, ea)[sl]))
-            out[f"Lbare{a + 1}"] = np.max(np.abs(dot(Lbar, ea)[sl]))
-            for b in range(a, 2):
-                eb = e[..., b, :]
-                target = 1.0 if a == b else 0.0
-                out[f"e{a + 1}e{b + 1}"] = np.max(
-                    np.abs(dot(ea, eb)[sl] - target))
-        return {k: float(v) for k, v in out.items()}
+        legs = (self.L, self.Lbar, *np.moveaxis(self.null_frames(), -2, 0))
+        target = np.eye(4)
+        target[:2, :2] = [[0.0, -2.0], [-2.0, 0.0]]
+        names = ("L", "Lbar", "e1", "e2")
+        out = {}
+        for a in range(4):
+            for b in range(a, 4):
+                sl = slice(1 if a + b else 0, None)
+                gram = _dot(self.diagonal_nodes[sl], legs[a][sl], legs[b][sl])
+                out[names[a] + names[b]] = float(
+                    np.max(np.abs(gram - target[a, b])))
+        return out
 
     # ------------------------------------------------------------------
     # quadrature

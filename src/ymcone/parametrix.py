@@ -191,27 +191,6 @@ def screen_laplacian(bundle, df, conn, sl=slice(None)):
     return out
 
 
-def shell_by_parts_residual(bundle, i, f, h, potential=None):
-    """Relative defect of <Lap f, h> + <Df, Dh> integrated over sphere i."""
-    conn = connection(bundle, potential)
-    df = angular_gauge_derivative(bundle, f, conn)
-    lap = screen_laplacian(bundle, df, conn)[i]
-    df = df[i]
-    dh = angular_gauge_derivative(bundle, h, conn)[i]
-    hi = np.asarray(h)[i]
-    mi = bundle.optical()["minv"][i]
-    nth, nph = lap.shape[:2]
-    lap2 = lap.reshape(nth, nph, -1)
-    hi2 = hi.reshape(nth, nph, -1)
-    df2 = df.reshape(nth, nph, 2, -1)
-    dh2 = dh.reshape(nth, nph, 2, -1)
-    term1 = bundle.shell_integral(np.einsum("tpk,tpk->tp", lap2, hi2), i)
-    grad = np.einsum("tpbk,tpck->tpbc", df2, dh2)
-    term2 = bundle.shell_integral(np.einsum("tpbc,tpbc->tp", grad, mi), i)
-    scale = abs(term2) + abs(term1) + 1e-300
-    return abs(term1 + term2) / scale
-
-
 # ---------------------------------------------------------------------------
 # reconstruction assembly
 # ---------------------------------------------------------------------------
@@ -289,7 +268,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # N = that + phi L, plus (phi trchi / 2 + k) F, as one seed-free field
     x_ring = crossing.interpolate(bundle.x)
     s_star = crossing.s_star
-    that_ring = geometry.unit_time_field(chart)(x_ring)
+    that_ring = geometry.unit_time(chart, x_ring)
     phi_ring = crossing.interpolate(bundle.phi)
     L_ring = crossing.interpolate(bundle.L)
     A_for_D = potential if potential is not None \
@@ -362,32 +341,3 @@ def assemble_representation(bundle, seeds, field, potential=None,
             "crossing_s_mean": float(np.mean(s_star)),
         })
     return reps
-
-
-def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):
-    """Shell integrals of phi^2 trchi <lambda, F(p)> near the vertex.
-
-    Returns (s values, integrals); the s -> 0 extrapolation of the
-    integrals recovers 8 pi <seed, F(p)>.
-    """
-    psi = transport_weight(bundle, seed, connection(bundle, potential))
-    Fp_up = raise_two_form(bundle.chart, bundle.p, field(bundle.p))
-    opt = bundle.optical()
-    i_first = int(np.searchsorted(bundle.s, bundle.s_min))
-    idx = np.unique(np.linspace(i_first + 1, bundle.n_s,
-                                n_shells).astype(int))
-    vals, ss = [], []
-    for i in idx:
-        lam = psi[i] / bundle.s[i]
-        dens = (bundle.phi[i] ** 2 * opt["trchi"][i]
-                * np.einsum("tpabk,abk->tp", lam, Fp_up))
-        vals.append(bundle.shell_integral(dens, i))
-        ss.append(bundle.s[i])
-    return np.array(ss), np.array(vals)
-
-
-def vertex_limit(bundle, seed, field, potential=None, n_shells=8):
-    """Extrapolated s -> 0 value of the vertex shell integral (linear fit)."""
-    ss, vals = vertex_shell_values(bundle, seed, field, potential, n_shells)
-    coef = np.polyfit(ss, vals, 1)
-    return float(np.polyval(coef, 0.0))

@@ -514,7 +514,7 @@ def _exp_cartan_check(scn, bundle):
     # offsets in the vertex's orthonormal frame, of proper length about
     # 0.05 coordinate_scale: on Schwarzschild at r = 10 the angles then
     # spread by about 0.05 rad and stay off the polar axis
-    frame = geometry.orthonormal_frame(chart, base).vectors
+    frame = geometry.orthonormal_frame(chart, base)
     pts = base + 0.05 * chart.coordinate_scale \
         * rng.standard_normal((8, 4)) @ frame
     # the curvature differences the connection once and the residual twice;

@@ -138,10 +138,6 @@ class SphereGrid:
         """Spectral d/dphi of a field on the grid."""
         return self._product(self.grad[self.n_nodes:], f)
 
-    def angular_gradient(self, f):
-        """(d/dtheta f, d/dphi f) stacked on a new last axis."""
-        return np.stack([self.dtheta(f), self.dphi(f)], axis=-1)
-
     def _product(self, block, f):
         """A block of n_nodes rows of ``grad`` on a field (..., nth, nph)."""
         f = np.asarray(f)

@@ -1,14 +1,23 @@
-"""Reference routes for ``ymcone.geometry`` that only the tests read.
+"""Reference routes for ``ymcone`` that only the tests read.
 
-The generic Christoffel symbols and their derivative by LAPACK inversion
-and einsum, valid on any chart; the Kretschmann invariant; and the
-deformation tensor of a vector field with a Jacobian.
+The full metric, and the generic Christoffel symbols and their derivative
+by LAPACK inversion and einsum, valid on any chart; the Kretschmann
+invariant; the deformation tensor of a vector field with a Jacobian; the
+cyclic Bianchi residual; the sphere's angular gradient; the shell
+integration-by-parts defect and the vertex shell limit of the parametrix;
+the stress tensor and the direct form of the null flux density; and the
+homogeneous SU(2) oscillator, an exact non-abelian Yang-Mills solution.
 """
 
 import numpy as np
+from scipy.special import ellipj
 
+from ymcone import parametrix
+from ymcone.energy import _stress
 from ymcone.geometry import (_embed, _require_nondegenerate, _zeros,
                              inverse_metric, riemann)
+from ymcone.liegauge import (FieldStrength, GaugePotential,
+                             gauge_covariant_derivative, su2)
 
 
 def _lowered_christoffel(dg):
@@ -17,12 +26,17 @@ def _lowered_christoffel(dg):
         - np.einsum("...dab->...abd", dg)
 
 
+def metric(chart, x):
+    """g_ab, shape (..., 4, 4), with the chart's diagonal on its diagonal."""
+    return _embed(chart.diagonal(x))
+
+
 def generic_inverse_metric(chart, x):
     """g^{ab} by batched LAPACK inversion; valid on any chart.
 
     Raises DegenerateMetricError where |det g| < DEGENERATE_DET.
     """
-    g = chart.metric(x)
+    g = metric(chart, x)
     _require_nondegenerate(np.linalg.det(g), chart.name)
     return np.linalg.inv(g)
 
@@ -97,3 +111,116 @@ def deformation_tensor(chart, x, field):
         + np.swapaxes(chart.christoffel_along(x, field(x)), -1, -2)
     up = np.einsum("...ma,...an->...mn", inverse_metric(chart, x), nab)
     return 0.5 * (up + np.swapaxes(up, -1, -2))
+
+
+def bianchi_residual(chart, x, F, A):
+    """Cyclic sum D_a F_{mn} + D_m F_{na} + D_n F_{am}, shape (...,4,4,4,dim)."""
+    DF = gauge_covariant_derivative(chart, x, F, A)
+    return (DF
+            + np.einsum("...mnak->...amnk", DF)
+            + np.einsum("...namk->...amnk", DF))
+
+
+def angular_gradient(grid, f):
+    """(d/dtheta f, d/dphi f) stacked on a new last axis."""
+    return np.stack([grid.dtheta(f), grid.dphi(f)], axis=-1)
+
+
+def shell_by_parts_residual(bundle, i, f, h, potential=None):
+    """Relative defect of <Lap f, h> + <Df, Dh> integrated over sphere i."""
+    conn = parametrix.connection(bundle, potential)
+    df = parametrix.angular_gauge_derivative(bundle, f, conn)
+    lap = parametrix.screen_laplacian(bundle, df, conn)[i]
+    df = df[i]
+    dh = parametrix.angular_gauge_derivative(bundle, h, conn)[i]
+    hi = np.asarray(h)[i]
+    mi = bundle.optical()["minv"][i]
+    nth, nph = lap.shape[:2]
+    lap2 = lap.reshape(nth, nph, -1)
+    hi2 = hi.reshape(nth, nph, -1)
+    df2 = df.reshape(nth, nph, 2, -1)
+    dh2 = dh.reshape(nth, nph, 2, -1)
+    term1 = bundle.shell_integral(np.einsum("tpk,tpk->tp", lap2, hi2), i)
+    grad = np.einsum("tpbk,tpck->tpbc", df2, dh2)
+    term2 = bundle.shell_integral(np.einsum("tpbc,tpbc->tp", grad, mi), i)
+    scale = abs(term2) + abs(term1) + 1e-300
+    return abs(term1 + term2) / scale
+
+
+def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):
+    """Shell integrals of phi^2 trchi <lambda, F(p)> near the vertex.
+
+    Returns (s values, integrals); the s -> 0 extrapolation of the
+    integrals recovers 8 pi <seed, F(p)>.
+    """
+    psi = parametrix.transport_weight(
+        bundle, seed, parametrix.connection(bundle, potential))
+    Fp_up = parametrix.raise_two_form(bundle.chart, bundle.p, field(bundle.p))
+    opt = bundle.optical()
+    i_first = int(np.searchsorted(bundle.s, bundle.s_min))
+    idx = np.unique(np.linspace(i_first + 1, bundle.n_s,
+                                n_shells).astype(int))
+    vals, ss = [], []
+    for i in idx:
+        lam = psi[i] / bundle.s[i]
+        dens = (bundle.phi[i] ** 2 * opt["trchi"][i]
+                * np.einsum("tpabk,abk->tp", lam, Fp_up))
+        vals.append(bundle.shell_integral(dens, i))
+        ss.append(bundle.s[i])
+    return np.array(ss), np.array(vals)
+
+
+def vertex_limit(bundle, seed, field, potential=None, n_shells=8):
+    """Extrapolated s -> 0 value of the vertex shell integral (linear fit)."""
+    ss, vals = vertex_shell_values(bundle, seed, field, potential, n_shells)
+    coef = np.polyfit(ss, vals, 1)
+    return float(np.polyval(coef, 0.0))
+
+
+def stress_tensor(chart, x, F):
+    """T_{mn} = <F_{ma}, F_n^a> - g_{mn} <F_{ab}, F^{ab}> / 4 per point."""
+    x = np.asarray(x, dtype=float)
+    return _stress(chart.diagonal(x), chart.inverse_diagonal(x), F(x))
+
+
+def flux_density_direct(bundle, F_nodes):
+    """-T_{mn} that^m L^n sqrt(-g_tt); must match the frame form."""
+    d = bundle.diagonal_nodes
+    tmn = _stress(d, bundle.chart.inverse_diagonal(bundle.x), F_nodes)
+    return -np.einsum("...mn,...m,...n->...", tmn, bundle.that, bundle.L) \
+        * np.sqrt(-d[..., 0])
+
+
+def oscillator_profile(a, t):
+    """f = a cn(sqrt2 a t | 1/2), which solves f'' = -2 f^3, with f' and the
+    primitive int_0^t f = arcsin(sn(sqrt2 a t | 1/2) / sqrt2)."""
+    sn, cn, dn, _ = ellipj(np.sqrt(2.0) * a * np.asarray(t), 0.5)
+    return a * cn, -np.sqrt(2.0) * a * a * sn * dn, \
+        np.arcsin(sn / np.sqrt(2.0))
+
+
+def su2_oscillator(a, step=1e-3):
+    """The homogeneous SU(2) oscillator on Minkowski in temporal gauge
+    (Baseyan, Matinyan and Savvidy, JETP Lett. 29, 1979): A_i^k = f(t)
+    delta_i^k, so F_0i^k = f' delta_i^k and F_ij^k = f^2 eps_ijk, with f
+    from ``oscillator_profile``.  Returns (GaugePotential, FieldStrength),
+    both differentiated by finite differences of ``step``."""
+    basis = su2()
+    eps = basis.c
+
+    def potential(x):
+        f, _, _ = oscillator_profile(a, np.asarray(x, dtype=float)[..., 0])
+        out = np.zeros(f.shape + (4, 3))
+        out[..., 1:, :] = f[..., None, None] * np.eye(3)
+        return out
+
+    def field(x):
+        f, df, _ = oscillator_profile(a, np.asarray(x, dtype=float)[..., 0])
+        out = np.zeros(f.shape + (4, 4, 3))
+        out[..., 0, 1:, :] = df[..., None, None] * np.eye(3)
+        out[..., 1:, 0, :] = -out[..., 0, 1:, :]
+        out[..., 1:, 1:, :] = (f * f)[..., None, None, None] * eps
+        return out
+
+    return (GaugePotential(basis, potential, step=step),
+            FieldStrength(basis, field, step=step))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ellipj
 
 from ymcone import evolution, liegauge
 
@@ -66,6 +67,25 @@ def test_nonabelian_energy_conserved_short_run(lattice):
     e0 = evolution.total_energy(state)
     out = evolution.step(state, 0.1 * lattice.dx, n_steps=200)
     assert abs(evolution.total_energy(out) - e0) / e0 < 1e-5
+
+
+def test_su2_oscillator_on_the_lattice():
+    # A_x = a e_0, A_y = a e_1, E = 0 stays homogeneous, with f'' = -f^3:
+    # f = a cn(a t | 1/2), an exact target for the lattice's bracket terms
+    a, t = 0.8, 4.0
+    lat = evolution.Lattice2D(16, 1.0)
+    A = np.zeros((2, 16, 16, 3))
+    A[0, ..., 0] = A[1, ..., 1] = a
+    state = evolution.GaugeState(lat, liegauge.su2(), A, np.zeros_like(A))
+    dt = 0.05 * lat.dx
+    out = evolution.step(state, dt, n_steps=int(round(t / dt)))
+    sn, cn, dn, _ = ellipj(a * t, 0.5)
+    want = np.zeros((2, 2, 3))                    # (A or E, x or y, algebra)
+    want[0, 0, 0] = want[0, 1, 1] = a * cn
+    want[1, 0, 0] = want[1, 1, 1] = -a * a * sn * dn
+    got = np.stack([out.A, out.E])
+    assert np.max(np.abs(got - want[:, :, None, None, :])) <= 1e-10
+    assert evolution.constraint_residual(out) <= 1e-10
 
 
 def test_rk4_temporal_order(lattice):

@@ -210,19 +210,45 @@ def test_closed_forms_reject_degenerate_point(schw_chart):
 
 
 def test_inverse_metric_identity(schw_chart):
-    g = schw_chart.metric(POINT)
+    g = oracles.metric(schw_chart, POINT)
     ginv = geometry.inverse_metric(schw_chart, POINT)
     assert np.max(np.abs(g @ ginv - np.eye(4))) < 1e-12
 
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_orthonormal_frame_gram(name, params, x):
+    # the default d/dt hint, a boosted timelike hint, and the twin cone's
+    # complex vertex p + i eps that with hint that + i eps v, where the
+    # bilinear (unconjugated) Gram matrix must still be diag(-1, 1, 1, 1)
     chart = geometry.make_chart(name, **params)
     x = np.asarray(x, dtype=float)
-    frame = geometry.orthonormal_frame(chart, x)
-    g = chart.metric(x)
-    gram = np.einsum("am,bn,mn->ab", frame.vectors, frame.vectors, g)
-    assert np.max(np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0]))) < 1e-10
+    that = geometry.unit_time(chart, x)
+    boost = that + 0.6 * np.array([0.0, 1.0, 0.0, 0.0]) \
+        / np.sqrt(chart.diagonal(x)[1])
+    eps = geometry.COMPLEX_STEP
+    twin = x + 1j * eps * that
+    v = np.random.default_rng(3).standard_normal(4)
+    for z, hint in ((x, None), (x, boost), (twin, that + 1j * eps * v)):
+        frame = geometry.orthonormal_frame(chart, z, time_axis_hint=hint)
+        g = oracles.metric(chart, z)
+        gram = np.einsum("am,bn,mn->ab", frame, frame, g)
+        assert np.max(np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0]))) < 1e-10
+
+
+@pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
+def test_orthonormal_frame_rejects_spacelike_hint(name, params, x):
+    chart = geometry.make_chart(name, **params)
+    with pytest.raises(geometry.FrameError):
+        geometry.orthonormal_frame(chart, np.asarray(x, dtype=float),
+                                   time_axis_hint=[0.0, 1.0, 0.0, 0.0])
+
+
+def test_orthonormal_frame_rejects_null_hint(flat_chart):
+    # exactly null: a hint null only to roundoff can read g(h, h) = -1e-16
+    # and pass
+    with pytest.raises(geometry.FrameError):
+        geometry.orthonormal_frame(flat_chart, np.zeros(4),
+                                   time_axis_hint=[1.0, 1.0, 0.0, 0.0])
 
 
 def test_static_time_is_killing_on_schwarzschild(schw_chart):
@@ -240,8 +266,8 @@ def test_flrw_time_is_not_killing():
 
 
 def test_unit_time_field_normalized(schw_chart):
-    that = geometry.unit_time_field(schw_chart)(POINT)
-    g = schw_chart.metric(POINT)
+    that = geometry.unit_time(schw_chart, POINT)
+    g = oracles.metric(schw_chart, POINT)
     assert abs(that @ g @ that + 1.0) < 1e-12
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ymcone import geometry, liegauge, runner
 
+import oracles
+
 algebra_vectors = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=3,
     max_size=3).map(np.array)
@@ -106,7 +108,7 @@ def test_plane_wave_solves_field_equations(flat_chart):
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((10, 4))
     res = liegauge.ym_residual(flat_chart, pts, F, A)
-    bia = liegauge.bianchi_residual(flat_chart, pts, F, A)
+    bia = oracles.bianchi_residual(flat_chart, pts, F, A)
     assert np.max(np.abs(res)) < 1e-9
     assert np.max(np.abs(bia)) < 1e-9
 
@@ -130,7 +132,7 @@ def test_bianchi_refinement_order_is_four(flat_chart):
     for h in (0.2, 0.1, 0.05):
         F = liegauge.FieldStrength(su2, F0.fn, step=h)
         errs.append(np.max(np.abs(
-            liegauge.bianchi_residual(flat_chart, pts, F, A))))
+            oracles.bianchi_residual(flat_chart, pts, F, A))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 4.0) < 0.5)
 
@@ -235,6 +237,37 @@ def test_wave_source_vanishes_flat_abelian(flat_chart):
     F = runner.plane_wave_field(u1)
     src = liegauge.wave_source(flat_chart, np.zeros((3, 4)), F, None)
     assert np.max(np.abs(src)) < 1e-12
+
+
+def test_su2_oscillator_solves_field_equations(flat_chart):
+    # an exact non-abelian solution: D^a F_ab = 0, and F is the curvature
+    # of its potential, bracket term f^2 eps_ijk included
+    A, F = oracles.su2_oscillator(0.8)
+    pts = np.random.default_rng(11).standard_normal((8, 4))
+    assert np.max(np.abs(liegauge.ym_residual(flat_chart, pts, F, A))) \
+        <= 1e-10
+    got = liegauge.curvature_from_potential(A)(pts)
+    assert np.max(np.abs(got - F(pts))) <= 1e-10
+
+
+def test_wave_source_is_covariant_wave_operator_on_su2_oscillator(
+        flat_chart):
+    # box_A F = sum_a g^aa D_a D_a F, with the outer D_b = d_b + [A_b, .]
+    # applied by finite differences to the covariant derivative; on a flat
+    # chart the source is the -2 [F^a_m, F_na] term alone, quadratic in F
+    A, F = oracles.su2_oscillator(0.8)
+    c = F.basis.c
+    x = np.array([0.3, 0.1, -0.2, 0.05])
+
+    def cov(y):
+        return liegauge.gauge_covariant_derivative(flat_chart, y, F, A)
+
+    DDF = geometry._fd_derivative(cov, x, 1e-3) \
+        + np.einsum("ijk,bi,amnj->bamnk", c, A(x), cov(x))
+    box = np.einsum("a,aamnk->mnk", flat_chart.inverse_diagonal(x), DDF)
+    src = liegauge.wave_source(flat_chart, x, F, None)
+    assert np.max(np.abs(box)) > 0.5
+    assert np.max(np.abs(src - box)) <= 1e-9 * np.max(np.abs(box))
 
 
 @pytest.mark.parametrize("basis", [

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ymcone import geometry, liegauge, nullcone, parametrix, runner
+from ymcone import geometry, liegauge, nullcone, parametrix, runner, sphere
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +134,7 @@ def test_by_parts_residual_scalar(flat_bundle, u1):
     f = np.broadcast_to(f[None, ..., None], shape).copy()
     h = np.broadcast_to(h[None, ..., None], shape).copy()
     i = flat_bundle.n_s // 2
-    res = parametrix.shell_by_parts_residual(flat_bundle, i, f, h)
+    res = oracles.shell_by_parts_residual(flat_bundle, i, f, h)
     assert abs(res) < 1e-8
 
 
@@ -151,8 +153,8 @@ def test_gauge_bracket_in_screen_operators(flat_bundle, su2_constant):
         f, h = (np.broadcast_to(
             np.tensordot(ang, rng.standard_normal((4,) + tail), 1),
             nodes + tail).copy() for _ in range(2))
-        res = parametrix.shell_by_parts_residual(b, b.n_s // 2, f, h,
-                                                 potential=potential)
+        res = oracles.shell_by_parts_residual(b, b.n_s // 2, f, h,
+                                              potential=potential)
         assert res <= 1e-12, tail
 
     # f = seed at every node: D_b f = [A(Y_b), seed] = A(Y_b) x seed, with
@@ -296,9 +298,39 @@ def test_vertex_limit_matches_target(flat_bundle, u1, seeds):
     seed = seeds[2]                # pairs with the transverse field component
     target = 2.0 * parametrix.representation_target(
         flat_bundle.chart, u1, flat_bundle.p, seed, field)
-    got = parametrix.vertex_limit(flat_bundle, seed, field,
-                                  potential=potential)
+    got = oracles.vertex_limit(flat_bundle, seed, field,
+                               potential=potential)
     assert abs(got - target) < 0.01 * abs(target)
+
+
+def test_transport_weight_rotates_seed_on_su2_oscillator(flat_chart):
+    # on a flat cone from (t_p, 0) the weight obeys dpsi/ds = -f [omega, psi]
+    # with A_L = f(t_p - s) omega, so psi = exp(-theta ad_omega) seed with
+    # theta(s) = int f over [t_p - s, t_p]: the seed's e_0 turns about omega
+    A, _ = oracles.su2_oscillator(0.8)
+    t_p = 0.3
+    seed = np.zeros((4, 4, 3))
+    seed[0, 1, 0], seed[1, 0, 0] = 1.0, -1.0
+    e0 = np.array([1.0, 0.0, 0.0])
+    errs = []
+    for ds in (1e-2, 5e-3, 2.5e-3):
+        grid = sphere.SphereGrid(6, 12)
+        b = nullcone.NullConeBundle(flat_chart, np.array([t_p, 0.0, 0.0, 0.0]),
+                                    grid, 0.6, ds)
+        psi = parametrix.transport_weight(b, seed,
+                                          parametrix.connection(b, A))
+        theta = oracles.oscillator_profile(0.8, t_p)[2] \
+            - oracles.oscillator_profile(0.8, t_p - b.s)[2]
+        th = theta[:, None, None, None]
+        w = grid.directions()[None]                       # omega
+        rot = np.cos(th) * e0 - np.sin(th) * np.cross(w, e0) \
+            + (1.0 - np.cos(th)) * w[..., :1] * w
+        exact = np.zeros(psi.shape)
+        exact[..., 0, 1, :], exact[..., 1, 0, :] = rot, -rot
+        errs.append(np.max(np.abs(psi - exact)))
+    assert errs[1] <= 2e-6
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((orders >= 1.8) & (orders <= 2.2))
 
 
 def test_representation_target_closed_form(flat_bundle, u1, seeds):

@@ -171,7 +171,7 @@ def test_strict_mode_rejects_unknown_keys():
 def _near_vertex(chart, n=16):
     """n points within about 0.05 coordinate_scale of the default vertex."""
     v = chart.default_vertex()
-    frame = geometry.orthonormal_frame(chart, v).vectors
+    frame = geometry.orthonormal_frame(chart, v)
     offsets = np.random.default_rng(0).standard_normal((n, 4)) @ frame
     return v + 0.05 * chart.coordinate_scale * offsets
 
