@@ -13,17 +13,31 @@ A_2 = A + dt/2 E, A_3 = A_2 + dt^2/4 k_1 and A_4 = A + dt E + dt^2/2 k_2.
 ``step`` works on copies of the fields as contiguous (2, dim, n, n) planes;
 the periodic stencil is one n x n circulant matrix D, so d_x f = D @ f and
 d_y f = f @ D^T are one GEMM each.  ``GaugeState`` keeps the grid-first
-(2, n, n, dim) layout.  The stencil is skew-adjoint on the periodic grid
-and the algebra product is ad-invariant, so the semi-discrete flow
-conserves the lattice energy exactly; neither the layout nor the Nystrom
-form touches that flow, so any measured drift is still the same RK4's
-time-integration error.  The Gauss constraint D_i E_i = 0 is preserved up
-to the same truncation.
+(2, n, n, dim) layout.
+
+The algebra is abelian or su(2), whose product is the cyclic cross product
+(X x Y)_k = x_{k+1} y_{k+2} - x_{k+2} y_{k+1}.  For su(2) the potential
+and F are held with two mirror planes, (..., 5, n, n) with planes 3, 4
+repeating planes 0, 1, so X x Y is X[1:4] Y[2:5] - X[2:5] Y[1:4]: two
+products and a difference of shifted views, written into buffers
+allocated once per ``step``.  Each element is the same two products and
+difference, in the same order, as the written-out cross product, so the
+layout changes no bit of the result; ``AlgebraBasis.bracket`` uses the
+same ``liegauge.mirrored_cross``.  An abelian algebra has no mirror planes
+and no product; any other algebra is refused.
+
+The stencil is skew-adjoint on the periodic grid and the algebra product
+is ad-invariant, so the semi-discrete flow conserves the lattice energy
+exactly; neither the layout nor the Nystrom form touches that flow, so any
+measured drift is still the same RK4's time-integration error.  The Gauss
+constraint D_i E_i = 0 is preserved up to the same truncation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .liegauge import mirrored_cross, su2
 
 
 #: largest dt / dx that ``step`` accepts
@@ -81,43 +95,62 @@ class GaugeState:
                           self.E.copy(), self.time)
 
 
-def _planes(field):
+def _mirrors(basis):
+    """Mirror planes the algebra takes: 0 for an abelian one, 2 for su(2)."""
+    if not np.any(basis.c):
+        return 0
+    if np.array_equal(basis.c, su2().c):
+        return 2
+    raise EvolutionError(f"lattice evolution takes an abelian algebra or "
+                         f"su2, not the algebra {basis.name!r}")
+
+
+def _planes(field, mirrors=0):
     """A copy of a (2, n, n, dim) grid-first field as contiguous
-    (2, dim, n, n) planes."""
-    return field.transpose(0, 3, 1, 2).copy()
+    (2, dim + mirrors, n, n) planes; ``_curvature`` fills the mirrors."""
+    _, n, _, dim = field.shape
+    planes = np.empty((2, dim + mirrors, n, n))
+    planes[:, :dim] = field.transpose(0, 3, 1, 2)
+    return planes
 
 
-def _curvature(lattice, bracket, A):
-    """F_xy of potential planes A (2, dim, n, n), as planes (dim, n, n).
-    d_x f = D @ f and d_y f = f @ D^T = -f @ D (the stencil is skew), one
-    GEMM each; ``bracket`` is None for an abelian algebra."""
-    n = lattice.n
-    F = lattice.D @ A[1]
-    F += (A[0].reshape(-1, n) @ lattice.D).reshape(F.shape)
-    if bracket is not None:
-        F += bracket(A[0], A[1], axis=-3)
-    return F
-
-
-def _bracket(basis):
-    return basis.bracket if np.any(basis.c) else None
+def _curvature(lattice, A, F, work):
+    """F_xy of potential planes A (2, dim + m, n, n), written with its m
+    mirror planes into F (dim + m, n, n); ``work`` is (2, 2, dim, n, n)
+    scratch.  d_x f = D @ f and d_y f = f @ D^T = -f @ D (the stencil is
+    skew), one GEMM each.  For su(2) (m = 2) the mirror planes of A are
+    refreshed and [A_x, A_y] added; an abelian algebra (m = 0) has no
+    product."""
+    n, dim = lattice.n, work.shape[2]
+    tmp = work[0, 0]
+    np.matmul(lattice.D, A[1, :dim], out=F[:dim])
+    np.matmul(A[0, :dim].reshape(-1, n), lattice.D, out=tmp.reshape(-1, n))
+    F[:dim] += tmp
+    if len(F) > dim:
+        A[:, dim:] = A[:, :2]
+        F[:dim] += mirrored_cross(A[0], A[1], -3, tmp, work[1, 0])
+        F[dim:] = F[:2]
 
 
 def magnetic_field(lattice, basis, A):
     """F_{xy} on the grid (the only independent magnetic component in 2D)."""
-    return _curvature(lattice, _bracket(basis), _planes(A)).transpose(1, 2, 0)
+    A = _planes(A, _mirrors(basis))
+    F = np.empty(A.shape[1:])
+    _curvature(lattice, A, F, np.empty((2, 2, basis.dim) + F.shape[1:]))
+    return F[:basis.dim].transpose(1, 2, 0)
 
 
-def _accel(lattice, bracket, A, out):
+def _accel(lattice, A, F, work, out):
     """dE/dt of potential planes A, written into the planes ``out``:
     dE_x/dt = D_y F_{yx} = -(d_y F + [A_y, F]),
-    dE_y/dt = D_x F_{xy} =   d_x F + [A_x, F]."""
-    n = lattice.n
-    F = _curvature(lattice, bracket, A)
-    np.matmul(F.reshape(-1, n), lattice.D, out=out[0].reshape(-1, n))
-    np.matmul(lattice.D, F, out=out[1])
-    if bracket is not None:
-        ad = bracket(A[::-1], F, axis=-3)
+    dE_y/dt = D_x F_{xy} =   d_x F + [A_x, F].
+    F and ``work`` are the scratch of ``_curvature``."""
+    n, dim = lattice.n, out.shape[1]
+    _curvature(lattice, A, F, work)
+    np.matmul(F[:dim].reshape(-1, n), lattice.D, out=out[0].reshape(-1, n))
+    np.matmul(lattice.D, F[:dim], out=out[1])
+    if len(F) > dim:
+        ad = mirrored_cross(A[::-1], F, -3, work[0], work[1])
         out[0] -= ad[0]
         out[1] += ad[1]
 
@@ -126,31 +159,33 @@ def step(state, dt, n_steps=1):
     """Advance the state by n_steps RK4 steps of size dt (returns a copy;
     the input state is left as it is)."""
     lat, basis = state.lattice, state.basis
+    mirrors = _mirrors(basis)
     if dt > CFL_LIMIT * lat.dx:
         raise EvolutionError(
             f"dt = {dt:.3e} violates the step bound {CFL_LIMIT} * dx")
-    bracket = _bracket(basis)
-    A, E = _planes(state.A), _planes(state.E)
-    k1, k2, k3, k4 = np.empty((4,) + A.shape)     # stage E-rates f(A_i)
+    A, E = _planes(state.A, mirrors), _planes(state.E)
     Ai = np.empty_like(A)                         # stage potential
+    a, ai = A[:, :basis.dim], Ai[:, :basis.dim]   # their algebra components
+    k1, k2, k3, k4 = np.empty((4,) + E.shape)     # stage E-rates f(A_i)
+    F, work = np.empty(A.shape[1:]), np.empty((2,) + E.shape)
     # overflow and NaN are reported once, by the finiteness test below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            _accel(lat, bracket, A, k1)
-            np.add(A, 0.5 * dt * E, out=Ai)
-            _accel(lat, bracket, Ai, k2)
-            Ai += 0.25 * dt * dt * k1
-            _accel(lat, bracket, Ai, k3)
-            np.add(A, dt * E, out=Ai)
-            Ai += 0.5 * dt * dt * k2
-            _accel(lat, bracket, Ai, k4)
-            A += dt * E + dt * dt / 6.0 * (k1 + k2 + k3)
+            _accel(lat, A, F, work, k1)
+            np.add(a, 0.5 * dt * E, out=ai)
+            _accel(lat, Ai, F, work, k2)
+            ai += 0.25 * dt * dt * k1
+            _accel(lat, Ai, F, work, k3)
+            np.add(a, dt * E, out=ai)
+            ai += 0.5 * dt * dt * k2
+            _accel(lat, Ai, F, work, k4)
+            a += dt * E + dt * dt / 6.0 * (k1 + k2 + k3)
             E += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
     t1 = state.time + n_steps * dt
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(E))):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(E))):
         raise EvolutionError(
             f"state blew up in t = [{state.time:.4f}, {t1:.4f}]")
-    return GaugeState(lat, basis, A.transpose(0, 2, 3, 1).copy(),
+    return GaugeState(lat, basis, a.transpose(0, 2, 3, 1).copy(),
                       E.transpose(0, 2, 3, 1).copy(), t1)
 
 
@@ -173,20 +208,6 @@ def constraint_residual(state):
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
-
-def abelian_wave_data(lattice, basis, amplitude=0.1, modes=(1, 0)):
-    """u(1) standing-wave data: A transverse to the mode, E = 0."""
-    if basis.dim != 1:
-        raise EvolutionError("abelian data needs a 1-dimensional algebra")
-    kx, ky = modes
-    phase = 2.0 * np.pi * (kx * lattice.x + ky * lattice.y) / lattice.length
-    A = np.zeros((2, lattice.n, lattice.n, 1))
-    # polarization orthogonal to the wave vector keeps d_i A_i = 0
-    A[0, ..., 0] = -ky * amplitude * np.sin(phase)
-    A[1, ..., 0] = kx * amplitude * np.sin(phase)
-    E = np.zeros_like(A)
-    return GaugeState(lattice, basis, A, E)
-
 
 def crossed_stream_data(lattice, basis, amplitude=0.1):
     """Nonabelian data from two transverse scalar streams.

@@ -41,11 +41,10 @@ class AlgebraBasis:
         if X.shape[axis] != self.dim or Y.shape[axis] != self.dim:
             raise AlgebraError("element dimension does not match basis")
         if self._cross:                         # su(2): [X, Y] = X x Y
-            tail = (slice(None),) * (-1 - axis)
-            x0, x1, x2 = (X[(Ellipsis, i) + tail] for i in range(3))
-            y0, y1, y2 = (Y[(Ellipsis, i) + tail] for i in range(3))
-            return np.stack((x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
-                             x0 * y1 - x1 * y0), axis=axis)
+            head = (Ellipsis, slice(0, 2)) + (slice(None),) * (-1 - axis)
+            return mirrored_cross(np.concatenate((X, X[head]), axis=axis),
+                                  np.concatenate((Y, Y[head]), axis=axis),
+                                  axis)
         # one (..., dim^2) x (dim^2, dim) product over the pairs (i, j)
         X, Y = np.moveaxis(X, axis, -1), np.moveaxis(Y, axis, -1)
         outer = X[..., :, None] * Y[..., None, :]
@@ -55,6 +54,20 @@ class AlgebraBasis:
 
     def inner(self, X, Y):
         return np.einsum("...i,...i->...", X, Y)
+
+
+def mirrored_cross(X, Y, axis=-1, out=None, scratch=None):
+    """X x Y of su(2) coefficient arrays whose algebra axis ``axis``
+    (negative) holds five entries: the three components, then the first
+    two again.  Component k is x_{k+1} y_{k+2} - x_{k+2} y_{k+1}, so the
+    whole product is the two shifted views X[1:4] Y[2:5] - X[2:5] Y[1:4].
+    The result has three entries along ``axis``; it is written into
+    ``out`` when given, and ``scratch`` (same shape) takes the second
+    product."""
+    tail = (slice(None),) * (-1 - axis)
+    lo, hi = (Ellipsis, slice(1, 4)) + tail, (Ellipsis, slice(2, 5)) + tail
+    out = np.multiply(X[lo], Y[hi], out=out)
+    return np.subtract(out, np.multiply(X[hi], Y[lo], out=scratch), out=out)
 
 
 def u1():

@@ -5,8 +5,9 @@ by LAPACK inversion and einsum, valid on any chart; the Kretschmann
 invariant; the deformation tensor of a vector field with a Jacobian; the
 cyclic Bianchi residual; the sphere's angular gradient; the shell
 integration-by-parts defect and the vertex shell limit of the parametrix;
-the stress tensor and the direct form of the null flux density; and the
-homogeneous SU(2) oscillator, an exact non-abelian Yang-Mills solution.
+the stress tensor and the direct form of the null flux density; the
+homogeneous SU(2) oscillator, an exact non-abelian Yang-Mills solution;
+and u(1) standing-wave data for the lattice evolution.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.special import ellipj
 
 from ymcone import parametrix
 from ymcone.energy import _stress
+from ymcone.evolution import EvolutionError, GaugeState
 from ymcone.geometry import (_embed, _require_nondegenerate, _zeros,
                              inverse_metric, riemann)
 from ymcone.liegauge import (FieldStrength, GaugePotential,
@@ -224,3 +226,17 @@ def su2_oscillator(a, step=1e-3):
 
     return (GaugePotential(basis, potential, step=step),
             FieldStrength(basis, field, step=step))
+
+
+def abelian_wave_data(lattice, basis, amplitude=0.1, modes=(1, 0)):
+    """u(1) standing-wave data: A transverse to the mode, E = 0."""
+    if basis.dim != 1:
+        raise EvolutionError("abelian data needs a 1-dimensional algebra")
+    kx, ky = modes
+    phase = 2.0 * np.pi * (kx * lattice.x + ky * lattice.y) / lattice.length
+    A = np.zeros((2, lattice.n, lattice.n, 1))
+    # polarization orthogonal to the wave vector keeps d_i A_i = 0
+    A[0, ..., 0] = -ky * amplitude * np.sin(phase)
+    A[1, ..., 0] = kx * amplitude * np.sin(phase)
+    E = np.zeros_like(A)
+    return GaugeState(lattice, basis, A, E)

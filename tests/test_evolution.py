@@ -8,6 +8,8 @@ from scipy.special import ellipj
 
 from ymcone import evolution, liegauge
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def lattice():
@@ -47,7 +49,7 @@ def test_gradient_potential_has_no_curvature(lattice):
 
 def test_abelian_energy_conserved(lattice):
     u1 = liegauge.u1()
-    state = evolution.abelian_wave_data(lattice, u1, amplitude=0.2)
+    state = oracles.abelian_wave_data(lattice, u1, amplitude=0.2)
     e0 = evolution.total_energy(state)
     out = evolution.step(state, 0.1 * lattice.dx, n_steps=100)
     assert abs(evolution.total_energy(out) - e0) / e0 < 1e-9
@@ -119,7 +121,7 @@ def test_state_shape_guard(lattice):
 
 def test_run_diagnostics_rows(lattice):
     u1 = liegauge.u1()
-    state = evolution.abelian_wave_data(lattice, u1)
+    state = oracles.abelian_wave_data(lattice, u1)
     out, rows = evolution.run_diagnostics(state, 0.2 * lattice.dx, 0.2,
                                           n_reports=5)
     assert rows.shape[1] == 3
@@ -199,8 +201,8 @@ def test_step_matches_stacked_rk4_oracle(algebra, n):
     if algebra == "su2":
         state = evolution.crossed_stream_data(lat, basis, amplitude=0.1)
     else:
-        state = evolution.abelian_wave_data(lat, basis, amplitude=0.2,
-                                            modes=(1, 2))
+        state = oracles.abelian_wave_data(lat, basis, amplitude=0.2,
+                                          modes=(1, 2))
     A0, E0 = state.A.copy(), state.E.copy()
     dt = 0.25 * lat.dx
     out = evolution.step(state, dt, n_steps=50)
@@ -208,4 +210,25 @@ def test_step_matches_stacked_rk4_oracle(algebra, n):
     for got, want in ((out.A, ref[0]), (out.E, ref[1])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the stage buffers work in place on copies: the input is untouched
+    assert np.array_equal(state.A, A0) and np.array_equal(state.E, E0)
+
+
+def test_split_steps_match_one_run():
+    # the mirror planes and stage buffers live for one ``step`` call: a
+    # stale mirror or an aliased buffer would make the split run differ
+    lat = evolution.Lattice2D(32, 1.0)
+    state = evolution.crossed_stream_data(lat, liegauge.su2())
+    dt = 0.25 * lat.dx
+    split = evolution.step(evolution.step(state, dt, 3), dt, 4)
+    whole = evolution.step(state, dt, 7)
+    assert np.array_equal(split.A, whole.A)
+    assert np.array_equal(split.E, whole.E)
+
+
+def test_step_rejects_other_nonabelian_algebra(lattice):
+    scaled = liegauge.AlgebraBasis("scaled", 2.0 * liegauge.su2().c)
+    state = evolution.crossed_stream_data(lattice, scaled)
+    A0, E0 = state.A.copy(), state.E.copy()
+    with pytest.raises(evolution.EvolutionError, match="'scaled'"):
+        evolution.step(state, 0.1 * lattice.dx)
     assert np.array_equal(state.A, A0) and np.array_equal(state.E, E0)

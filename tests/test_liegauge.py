@@ -59,6 +59,20 @@ def test_su2_cross_bracket_matches_structure_constants(x, y, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_mirrored_cross_matches_su2_bracket(n):
+    # lattice layout: (x or y, algebra, n, n) planes against (algebra, n, n)
+    rng = np.random.default_rng(n)
+    X, Y = rng.standard_normal((2, 3, n, n)), rng.standard_normal((3, n, n))
+    got = liegauge.mirrored_cross(np.concatenate((X, X[:, :2]), axis=1),
+                                  np.concatenate((Y, Y[:2])), axis=-3)
+    x, y = X.transpose(1, 0, 2, 3), Y
+    written = np.stack((x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                        x[0] * y[1] - x[1] * y[0]), axis=1)
+    assert np.array_equal(got, liegauge.su2().bracket(X, Y, axis=-3))
+    assert np.array_equal(got, written)
+
+
 @pytest.mark.parametrize("name, dims", [("su2", (2, 4)), ("u1", (3,))])
 def test_bracket_rejects_mismatched_last_axis(name, dims):
     basis = liegauge.make_algebra(name)
