@@ -22,9 +22,8 @@ repeating planes 0, 1, so X x Y is X[1:4] Y[2:5] - X[2:5] Y[1:4]: two
 products and a difference of shifted views, written into buffers
 allocated once per ``step``.  Each element is the same two products and
 difference, in the same order, as the written-out cross product, so the
-layout changes no bit of the result; ``AlgebraBasis.bracket`` uses the
-same ``liegauge.mirrored_cross``.  An abelian algebra has no mirror planes
-and no product; any other algebra is refused.
+layout changes no bit of the result.  An abelian algebra has no mirror
+planes and no product; any other algebra is refused.
 
 The stencil is skew-adjoint on the periodic grid and the algebra product
 is ad-invariant, so the semi-discrete flow conserves the lattice energy
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .liegauge import mirrored_cross, su2
+from .liegauge import su2
 
 
 #: largest dt / dx that ``step`` accepts
@@ -105,6 +104,20 @@ def _mirrors(basis):
                          f"su2, not the algebra {basis.name!r}")
 
 
+def _mirrored_cross(X, Y, axis=-1, out=None, scratch=None):
+    """X x Y of su(2) coefficient arrays whose algebra axis ``axis``
+    (negative) holds five entries: the three components, then the first
+    two again.  Component k is x_{k+1} y_{k+2} - x_{k+2} y_{k+1}, so the
+    whole product is the two shifted views X[1:4] Y[2:5] - X[2:5] Y[1:4].
+    The result has three entries along ``axis``; it is written into
+    ``out`` when given, and ``scratch`` (same shape) takes the second
+    product."""
+    tail = (slice(None),) * (-1 - axis)
+    lo, hi = (Ellipsis, slice(1, 4)) + tail, (Ellipsis, slice(2, 5)) + tail
+    out = np.multiply(X[lo], Y[hi], out=out)
+    return np.subtract(out, np.multiply(X[hi], Y[lo], out=scratch), out=out)
+
+
 def _planes(field, mirrors=0):
     """A copy of a (2, n, n, dim) grid-first field as contiguous
     (2, dim + mirrors, n, n) planes; ``_curvature`` fills the mirrors."""
@@ -128,7 +141,7 @@ def _curvature(lattice, A, F, work):
     F[:dim] += tmp
     if len(F) > dim:
         A[:, dim:] = A[:, :2]
-        F[:dim] += mirrored_cross(A[0], A[1], -3, tmp, work[1, 0])
+        F[:dim] += _mirrored_cross(A[0], A[1], -3, tmp, work[1, 0])
         F[dim:] = F[:2]
 
 
@@ -150,7 +163,7 @@ def _accel(lattice, A, F, work, out):
     np.matmul(F[:dim].reshape(-1, n), lattice.D, out=out[0].reshape(-1, n))
     np.matmul(lattice.D, F[:dim], out=out[1])
     if len(F) > dim:
-        ad = mirrored_cross(A[::-1], F, -3, work[0], work[1])
+        ad = _mirrored_cross(A[::-1], F, -3, work[0], work[1])
         out[0] -= ad[0]
         out[1] += ad[1]
 

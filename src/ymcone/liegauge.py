@@ -27,47 +27,20 @@ class AlgebraBasis:
         self.name = name
         self.c = np.asarray(structure_constants, dtype=float)
         self.dim = self.c.shape[0]
-        self._cross = np.array_equal(self.c, _levi_civita())
 
-    def bracket(self, X, Y, axis=-1):
-        """[X, Y] of coefficient ndarrays whose algebra axis is ``axis``
-        (negative: counted from the end, so operands of different rank
-        broadcast), broadcast over the other axes; the result has its
-        algebra axis in the same place.  Inputs are used as given (no
-        conversion); the per-call checks are on ``axis`` and the length of
-        the algebra axis."""
-        if axis >= 0:
-            raise AlgebraError(f"axis must count from the end, got {axis}")
-        if X.shape[axis] != self.dim or Y.shape[axis] != self.dim:
+    def bracket(self, X, Y):
+        """[X, Y] of coefficient ndarrays whose last axis is the algebra
+        axis, broadcast over the other axes: one (..., dim^2) x (dim^2, dim)
+        product over the pairs (i, j).  Inputs are used as given (no
+        conversion); the per-call check is on the length of the last axis."""
+        if X.shape[-1] != self.dim or Y.shape[-1] != self.dim:
             raise AlgebraError("element dimension does not match basis")
-        if self._cross:                         # su(2): [X, Y] = X x Y
-            head = (Ellipsis, slice(0, 2)) + (slice(None),) * (-1 - axis)
-            return mirrored_cross(np.concatenate((X, X[head]), axis=axis),
-                                  np.concatenate((Y, Y[head]), axis=axis),
-                                  axis)
-        # one (..., dim^2) x (dim^2, dim) product over the pairs (i, j)
-        X, Y = np.moveaxis(X, axis, -1), np.moveaxis(Y, axis, -1)
         outer = X[..., :, None] * Y[..., None, :]
-        out = outer.reshape(outer.shape[:-2] + (-1,)) \
+        return outer.reshape(outer.shape[:-2] + (-1,)) \
             @ self.c.reshape(-1, self.dim)
-        return np.moveaxis(out, -1, axis)
 
     def inner(self, X, Y):
         return np.einsum("...i,...i->...", X, Y)
-
-
-def mirrored_cross(X, Y, axis=-1, out=None, scratch=None):
-    """X x Y of su(2) coefficient arrays whose algebra axis ``axis``
-    (negative) holds five entries: the three components, then the first
-    two again.  Component k is x_{k+1} y_{k+2} - x_{k+2} y_{k+1}, so the
-    whole product is the two shifted views X[1:4] Y[2:5] - X[2:5] Y[1:4].
-    The result has three entries along ``axis``; it is written into
-    ``out`` when given, and ``scratch`` (same shape) takes the second
-    product."""
-    tail = (slice(None),) * (-1 - axis)
-    lo, hi = (Ellipsis, slice(1, 4)) + tail, (Ellipsis, slice(2, 5)) + tail
-    out = np.multiply(X[lo], Y[hi], out=out)
-    return np.subtract(out, np.multiply(X[hi], Y[lo], out=scratch), out=out)
 
 
 def u1():
@@ -166,19 +139,19 @@ def curvature_from_potential(A, step=None):
         dA = A.jacobian(x)                     # (..., a, mu, k)
         curl = dA - np.swapaxes(dA, -3, -2)
         a = A(x)
-        comm = np.einsum("ijk,...mi,...nj->...mnk", basis.c, a, a)
-        return curl + comm
+        return curl + basis.bracket(a[..., :, None, :], a[..., None, :, :])
 
     return FieldStrength(basis, fn, step=A.step)
 
 
-def connect(f, gamma, a, c):
+def connect(f, gamma, a, basis):
     """-Gamma(V) on each spacetime index of ``f`` plus [A(V), f], for
     ``gamma`` = Gamma^g_ab V^b (..., 4[g], 4[a]) and ``a`` = A(V) (..., dim),
-    None where they vanish, and the structure constants ``c``.  ``f`` is an
-    algebra-valued scalar (..., dim) or two-tensor (..., 4, 4, dim) whose
-    leading axes broadcast against theirs; its axes past theirs (a seed
-    axis) broadcast against size-1 axes.  Returns 0.0 when both are None.
+    None where they vanish, and the algebra ``basis`` whose bracket applies
+    A(V).  ``f`` is an algebra-valued scalar (..., dim) or two-tensor (...,
+    4, 4, dim) whose leading axes broadcast against theirs; its axes past
+    theirs (a seed axis) broadcast against size-1 axes.  Returns 0.0 when
+    both are None.
     """
     out = 0.0
     if gamma is not None and f.ndim > gamma.ndim:      # a two-tensor
@@ -192,7 +165,7 @@ def connect(f, gamma, a, c):
                 + np.swapaxes(right, -1, -2))
     if a is not None:
         a = a.reshape(a.shape[:-1] + (1,) * (f.ndim - a.ndim) + a.shape[-1:])
-        out = out + np.einsum("ijk,...i,...j->...k", c, a, f)
+        out = out + basis.bracket(a, f)
     return out
 
 
@@ -206,7 +179,7 @@ def gauge_covariant_derivative(chart, x, field, A):
     x = np.asarray(x, dtype=float)
     gamma = np.swapaxes(geometry.christoffel(chart, x), -3, -2)
     return field.jacobian(x) + connect(field(x)[..., None, :, :, :], gamma,
-                                       A(x), A.basis.c)
+                                       A(x), A.basis)
 
 
 def ym_residual(chart, x, F, A):

@@ -54,7 +54,7 @@ def raise_two_form(chart, x, f):
     return out
 
 
-def pairing(bundle, f, f_up):
+def pairing(f, f_up):
     """<f_{ab}, g^{ab}> per node for algebra-valued 2-tensors."""
     return np.einsum("...abk,...abk->...", f, f_up)
 
@@ -65,7 +65,7 @@ def pairing(bundle, f, f_up):
 # ---------------------------------------------------------------------------
 
 #: Seed-free coefficients of D_L and D_b = D_{Y_b}; see ``connection``.
-Connection = namedtuple("Connection", "gamma_L gamma_Y a_L a_Y c q")
+Connection = namedtuple("Connection", "gamma_L gamma_Y a_L a_Y basis q")
 
 
 def connection(bundle, potential=None):
@@ -73,10 +73,10 @@ def connection(bundle, potential=None):
 
     ``gamma_L`` (n1, nth, nph, 4[g], 4[a]) = Gamma^g_{m a} L^m, ``gamma_Y``
     (n1, nth, nph, 2[b], 4, 4) the same along Y_b, ``a_L`` (n1, nth, nph,
-    dim) = A_m L^m and ``a_Y`` (n1, nth, nph, 2, dim); ``c`` holds the
-    structure constants.  A coefficient is None where its term vanishes
-    identically: Gamma on a flat chart, A without a potential, on an abelian
-    algebra or where its pullback is zero.  ``q`` is the bundle's
+    dim) = A_m L^m and ``a_Y`` (n1, nth, nph, 2, dim); ``basis`` is the
+    algebra whose bracket applies A.  A coefficient is None where its term
+    vanishes identically: Gamma on a flat chart, A without a potential, on
+    an abelian algebra or where its pullback is zero.  ``q`` is the bundle's
     ``expansion_deficit`` trchi - 2/s.  Nothing is seed-dependent or stored
     on the bundle.
     """
@@ -96,12 +96,13 @@ def connection(bundle, potential=None):
         for sl in _chunks(bundle.n_s + 1, bundle.chunk):
             gamma[sl] = bundle.chart.christoffel_along(
                 bundle.x[sl][..., None, :], V[sl])
-    a = c = None
+    a = basis = None
     if potential is not None and np.any(potential.basis.c):
-        c = potential.basis.c
+        basis = potential.basis
         a = np.einsum("...mi,...vm->...vi",
-                      sample_field(bundle, potential, (4, c.shape[0])), V)
-    return Connection(*split(gamma), *split(a), c, bundle.expansion_deficit)
+                      sample_field(bundle, potential, (4, basis.dim)), V)
+    return Connection(*split(gamma), *split(a), basis,
+                      bundle.expansion_deficit)
 
 
 def transport_weight(bundle, seed, conn, stop=None):
@@ -126,7 +127,7 @@ def transport_weight(bundle, seed, conn, stop=None):
         q, gamma, a = (v if v is None else 0.5 * (v[i] + v[j])
                        for v in (conn.q, conn.gamma_L, conn.a_L))
         return -0.5 * q.reshape(q.shape + q_axes) * p \
-            - liegauge.connect(p, gamma, a, conn.c)
+            - liegauge.connect(p, gamma, a, conn.basis)
 
     h = bundle.ds
     for i in range(n1 - 1):
@@ -154,8 +155,8 @@ def angular_gauge_derivative(bundle, f, conn, sl=slice(None)):
     """
     f = np.asarray(f)
     df = np.moveaxis(bundle._angular(f), -1, 3)     # (..., 2, <tensor>, dim)
-    df += liegauge.connect(f[:, :, :, None],
-                           *_on_slices(sl, conn.gamma_Y, conn.a_Y), conn.c)
+    df += liegauge.connect(f[:, :, :, None], *_on_slices(
+        sl, conn.gamma_Y, conn.a_Y), conn.basis)
     return df
 
 
@@ -184,8 +185,8 @@ def screen_laplacian(bundle, df, conn, sl=slice(None)):
         out = div.reshape(df.shape[:3] + tail) / sqm
     if not sl.start:                             # the vertex slice
         out[0] = 0.0
-    outer = liegauge.connect(np.moveaxis(Vm, 1, 3),
-                             *_on_slices(sl, conn.gamma_Y, conn.a_Y), conn.c)
+    outer = liegauge.connect(np.moveaxis(Vm, 1, 3), *_on_slices(
+        sl, conn.gamma_Y, conn.a_Y), conn.basis)
     if np.ndim(outer):
         out += outer.sum(axis=3)                 # sum over the sphere index
     return out
@@ -293,7 +294,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
         p = psi[sl]
         if source_vals is not None:
-            source_vals[sl] = pairing(bundle, p, box_up[sl, :, :, None]) \
+            source_vals[sl] = pairing(p, box_up[sl, :, :, None]) \
                 * inv_s[sl]
 
         # --- angular / connection corrections on the cone --------------
@@ -308,9 +309,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
         del dpsi
         correction += mu_half[sl] * p
         # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
-        correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar),
-                                       basis.c)
-        cone_vals[sl] = pairing(bundle, correction, F_up[sl, :, :, None]) \
+        correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar), basis)
+        cone_vals[sl] = pairing(correction, F_up[sl, :, :, None]) \
             * inv_s[sl]
 
     # --- initial-data ring terms, all seeds in one contraction ------------

@@ -225,6 +225,21 @@ def test_split_steps_match_one_run():
     assert np.array_equal(split.E, whole.E)
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_mirrored_cross_matches_su2_bracket(n):
+    # lattice layout: (x or y, algebra, n, n) planes against (algebra, n, n)
+    rng = np.random.default_rng(n)
+    X, Y = rng.standard_normal((2, 3, n, n)), rng.standard_normal((3, n, n))
+    got = evolution._mirrored_cross(np.concatenate((X, X[:, :2]), axis=1),
+                                    np.concatenate((Y, Y[:2])), axis=-3)
+    x, y = X.transpose(1, 0, 2, 3), Y
+    written = np.stack((x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                        x[0] * y[1] - x[1] * y[0]), axis=1)
+    last = liegauge.su2().bracket(np.moveaxis(X, 1, -1), np.moveaxis(Y, 0, -1))
+    assert np.array_equal(got, np.moveaxis(last, -1, 1))
+    assert np.array_equal(got, written)
+
+
 def test_step_rejects_other_nonabelian_algebra(lattice):
     scaled = liegauge.AlgebraBasis("scaled", 2.0 * liegauge.su2().c)
     state = evolution.crossed_stream_data(lattice, scaled)

@@ -59,20 +59,6 @@ def test_su2_cross_bracket_matches_structure_constants(x, y, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("n", [4, 16])
-def test_mirrored_cross_matches_su2_bracket(n):
-    # lattice layout: (x or y, algebra, n, n) planes against (algebra, n, n)
-    rng = np.random.default_rng(n)
-    X, Y = rng.standard_normal((2, 3, n, n)), rng.standard_normal((3, n, n))
-    got = liegauge.mirrored_cross(np.concatenate((X, X[:, :2]), axis=1),
-                                  np.concatenate((Y, Y[:2])), axis=-3)
-    x, y = X.transpose(1, 0, 2, 3), Y
-    written = np.stack((x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-                        x[0] * y[1] - x[1] * y[0]), axis=1)
-    assert np.array_equal(got, liegauge.su2().bracket(X, Y, axis=-3))
-    assert np.array_equal(got, written)
-
-
 @pytest.mark.parametrize("name, dims", [("su2", (2, 4)), ("u1", (3,))])
 def test_bracket_rejects_mismatched_last_axis(name, dims):
     basis = liegauge.make_algebra(name)
@@ -286,19 +272,23 @@ def test_wave_source_is_covariant_wave_operator_on_su2_oscillator(
 
 @pytest.mark.parametrize("basis", [
     liegauge.su2(), liegauge.AlgebraBasis("scaled", 2 * liegauge.su2().c)],
-    ids=["cross", "generic"])
-def test_bracket_on_algebra_planes_matches_structure_constants(basis):
-    # the lattice kernel's route: a reversed (2, 3, n, n) view of potential
-    # planes against (3, n, n) field planes, algebra axis -3
-    assert basis._cross == (basis.name == "su2")
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((2, 3, 8, 8))
-    F = rng.standard_normal((3, 8, 8))
-    ref = np.einsum("ijk,aixy,jxy->akxy", basis.c, A[::-1], F)
-    got = basis.bracket(A[::-1], F, axis=-3)
-    assert got.shape == ref.shape == (2, 3, 8, 8)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    last = basis.bracket(np.moveaxis(A[::-1], 1, -1), np.moveaxis(F, 0, -1))
-    assert np.array_equal(np.moveaxis(last, -1, 1), got)
-    with pytest.raises(liegauge.AlgebraError, match="count from the end"):
-        basis.bracket(F, F, axis=0)
+    ids=["su2", "scaled"])
+def test_bracket_connect_and_curvature_match_structure_constants(basis):
+    # every algebra product goes through ``bracket``; with structure
+    # constants 0, +-1, +-2 each route is the einsum reference bit for bit
+    c, rng = basis.c, np.random.default_rng(7)
+    X, Y = rng.standard_normal((4, 1, 3)), rng.standard_normal((5, 3))
+    got = basis.bracket(X, Y)
+    assert got.shape == (4, 5, 3)
+    assert np.array_equal(got, np.einsum("ijk,...i,...j->...k", c, X, Y))
+    # connect's [A(V), f] on a two-tensor with a seed axis after the nodes
+    a = rng.standard_normal((2, 3, 3))
+    f = rng.standard_normal((2, 3, 5, 4, 4, 3))
+    got = liegauge.connect(f, None, a, basis)
+    assert np.array_equal(got, np.einsum("ijk,xyi,xysabj->xysabk", c, a, f))
+    # the commutator of a potential with zero derivative, at three points
+    a = rng.standard_normal((3, 4, 3))
+    A = liegauge.GaugePotential(basis, lambda x: a,
+                                jac=lambda x: np.zeros((3, 4, 4, 3)))
+    got = liegauge.curvature_from_potential(A)(np.zeros((3, 4)))
+    assert np.array_equal(got, np.einsum("ijk,...mi,...nj->...mnk", c, a, a))
