@@ -53,12 +53,14 @@ class Chart:
     Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
     and the diagonal's first derivatives in closed form; the second
     derivatives are the complex-step derivative of the first.  The
-    reciprocal 1/g_aa (``inverse_diagonal``), the inverse metric and the
-    Christoffel symbols with their derivative follow here.
+    reciprocal 1/g_aa (``inverse_diagonal``) follows here; the module
+    functions ``inverse_metric``, ``christoffel`` and
+    ``christoffel_derivative`` build the full forms from these.
     The only nonzero symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc
     and Gamma^c_aa = -d_c g_aa / 2 g_cc.  Code outside this module reads the
     diagonal and contracts Gamma with a vector by ``christoffel_along``; the
-    full forms serve ``riemann`` and the test oracles.
+    full forms serve ``riemann``, ``liegauge.gauge_covariant_derivative``
+    and the test oracles.
     """
 
     name = "chart"
@@ -114,15 +116,6 @@ class Chart:
         _require_nondegenerate(np.prod(d, axis=-1), self.name)
         return 1.0 / d
 
-    def inverse_metric(self, x):
-        """g^{ab} = 1/g_aa on the diagonal, shape (..., 4, 4)."""
-        return _embed(self.inverse_diagonal(x))
-
-    def christoffel(self, x):
-        """Gamma^c_ab, shape (..., 4, 4, 4)."""
-        return _scatter_christoffel(self.ddiagonal(x),
-                                    0.5 * self.inverse_diagonal(x))
-
     def christoffel_along(self, x, v):
         """Gamma^c_ab v^b, shape (..., 4[c], 4[a]), for ``v`` (..., 4)
         broadcasting against ``x``: with h_c = 1/2g_cc, h_c (v^c d_a g_cc -
@@ -136,19 +129,6 @@ class Chart:
         out[..., i, i] = (v[..., None, :] @ dd)[..., 0, :]
         out *= h[..., :, None]
         return out
-
-    def christoffel_derivative(self, x):
-        """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]).
-
-        With h_c = 1/2g_cc: d_e Gamma^c_ab = h_c d_e(2 g_cc Gamma^c_ab)
-        - Gamma^c_ab d_e g_cc / g_cc.
-        """
-        h = 0.5 * self.inverse_diagonal(x)
-        dd = self.ddiagonal(x)
-        rate = 2.0 * h[..., None, :] * dd       # [e, c] = d_e g_cc / g_cc
-        return _scatter_christoffel(self.d2diagonal(x), h[..., None, :]) \
-            - _scatter_christoffel(dd, h)[..., None, :, :, :] \
-            * rate[..., :, :, None, None]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
@@ -382,18 +362,28 @@ def _require_nondegenerate(det, name):
 
 
 def inverse_metric(chart, x):
-    """g^{ab}, shape (..., 4, 4), by the chart's own (closed-form) route."""
-    return chart.inverse_metric(x)
+    """g^{ab} = 1/g_aa on the diagonal, shape (..., 4, 4)."""
+    return _embed(chart.inverse_diagonal(x))
 
 
 def christoffel(chart, x):
     """Levi-Civita connection coefficients Gamma^c_ab, shape (..., 4, 4, 4)."""
-    return chart.christoffel(x)
+    return _scatter_christoffel(chart.ddiagonal(x),
+                                0.5 * chart.inverse_diagonal(x))
 
 
 def christoffel_derivative(chart, x):
-    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]), in closed form."""
-    return chart.christoffel_derivative(x)
+    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]), in closed form.
+
+    With h_c = 1/2g_cc: d_e Gamma^c_ab = h_c d_e(2 g_cc Gamma^c_ab)
+    - Gamma^c_ab d_e g_cc / g_cc.
+    """
+    h = 0.5 * chart.inverse_diagonal(x)
+    dd = chart.ddiagonal(x)
+    rate = 2.0 * h[..., None, :] * dd           # [e, c] = d_e g_cc / g_cc
+    return _scatter_christoffel(chart.d2diagonal(x), h[..., None, :]) \
+        - _scatter_christoffel(dd, h)[..., None, :, :, :] \
+        * rate[..., :, :, None, None]
 
 
 #: lowered Riemann tensor R_abcd and Ricci tensor R_ab at a point batch

@@ -5,11 +5,17 @@ orthonormal basis (the Gram matrix of the Ad-invariant product is the
 identity).  Gauge potentials and curvatures are analytic callables evaluated
 at spacetime points; derivative-based residuals use 4th-order central
 differences with a caller-controlled step.
+
+The Cartan check runs them on a private frame algebra, outside the catalog:
+4x4 matrices flattened (alpha, beta) -> 4 alpha + beta, with [X, Y] =
+X eta Y - Y eta X, eta = diag(-1, 1, 1, 1).  Its basis is not orthonormal,
+so only ``bracket`` uses it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 import numpy as np
 
@@ -62,6 +68,16 @@ def su2():
 
 
 ALGEBRA_CATALOG = {"u1": u1, "su2": su2}
+
+
+@cache
+def _frame_algebra():
+    """[E_i, E_j] = E_i eta E_j - E_j eta E_i on the unit 4x4 matrices E_i,
+    i = 4 alpha + beta."""
+    E = np.eye(16).reshape(16, 4, 4)
+    prod = (E * np.array([-1.0, 1.0, 1.0, 1.0]))[:, None] @ E
+    return AlgebraBasis("frame", (prod - np.swapaxes(prod, 0, 1)).reshape(
+        16, 16, 16))
 
 
 def make_algebra(name):
@@ -204,18 +220,19 @@ def wave_source(chart, x, F, curv):
     x = np.asarray(x, dtype=float)
     f = F(x)
     inv = chart.inverse_diagonal(x)
-    basis = F.basis
-    comm = -2.0 * np.einsum("ijk,...a,...ami,...naj->...mnk",
-                            basis.c, inv, f, f)
-    if chart.flat:
-        return comm
-    R, Ric = curv.riemann, curv.ricci
-    fmixed = f * inv[..., None, :, None]                    # F_n^g
-    fupup = inv[..., :, None, None] * fmixed                # F^{ag}
-    t1 = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup)
-    t2 = -np.einsum("...mg,...ngk->...mnk", Ric, fmixed)
-    t3 = +np.einsum("...ng,...mgk->...mnk", Ric, fmixed)    # -R_ng F^g_m
-    return t1 + t2 + t3 + comm
+    out = np.zeros_like(f)
+    if not chart.flat:
+        R, Ric = curv.riemann, curv.ricci
+        fmixed = f * inv[..., None, :, None]                # F_n^g
+        fupup = inv[..., :, None, None] * fmixed            # F^{ag}
+        out = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup) \
+            - np.einsum("...mg,...ngk->...mnk", Ric, fmixed) \
+            + np.einsum("...ng,...mgk->...mnk", Ric, fmixed)  # -R_ng F^g_m
+    if np.any(F.basis.c):             # non-abelian: [F^a_m, F_na] per a
+        comm = F.basis.bracket((inv[..., :, None, None] * f)[..., None, :],
+                               np.swapaxes(f, -3, -2)[..., None, :, :])
+        out = out - 2.0 * comm.sum(axis=-4)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,46 +287,27 @@ def cartan_connection(chart, frame_field):
     return fn
 
 
-def cartan_curvature(chart, frame_field, step=1e-4):
-    """Curvature of the Cartan connection via the matrix commutator.
-
-    (F_{mu nu})_{alpha beta} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu],
-    where the commutator contracts frame indices with the frame metric
-    eta = diag(-1,1,1,1):  ([A,B])_ab = A_ag eta^gd B_db - B_ag eta^gd A_db.
-    Returns a callable x -> (..., 4[mu], 4[nu], 4[alpha], 4[beta]).
-    """
+def _cartan_potential(chart, frame_field, step):
+    """``cartan_connection`` as a potential in the frame algebra."""
     conn = cartan_connection(chart, frame_field)
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    return GaugePotential(_frame_algebra(), lambda x: conn(x).reshape(
+        np.shape(x)[:-1] + (4, 16)), step=step)
 
-    def fn(x):
-        x_ = np.asarray(x, dtype=float)
-        dA = geometry._fd_derivative(conn, x_, step)   # (..., d, mu, a, b)
-        curl = dA - np.einsum("...ndab->...dnab", dA)
-        a = conn(x_)
-        comm = (np.einsum("...mag,gd,...ndb->...mnab", a, eta, a)
-                - np.einsum("...nag,gd,...mdb->...mnab", a, eta, a))
-        return curl + comm
 
-    return fn
+def cartan_curvature(chart, frame_field, step=1e-4):
+    """Curvature of the Cartan connection, ``curvature_from_potential`` in
+    the frame algebra: (F_{mu nu})_{alpha beta}, a callable x -> (..., 4[mu],
+    4[nu], 4[alpha], 4[beta])."""
+    F = curvature_from_potential(_cartan_potential(chart, frame_field, step))
+    return lambda x: F(x).reshape(np.shape(x)[:-1] + (4, 4, 4, 4))
 
 
 def cartan_ym_residual(chart, x, frame_field, step=1e-4):
-    """Covariant divergence of the Cartan curvature, D^mu (F_{mu nu})_{ab}.
+    """Covariant divergence of the Cartan curvature, D^mu (F_{mu nu})_{ab},
+    as ``ym_residual`` in the frame algebra.
 
     Vanishes for Ricci-flat charts.  Returns (..., 4[nu], 4, 4).
     """
-    Fc = cartan_curvature(chart, frame_field, step=step)
-    conn = cartan_connection(chart, frame_field)
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    x = np.asarray(x, dtype=float)
-    inv = chart.inverse_diagonal(x)
-    gamma = geometry.christoffel(chart, x)
-    f = Fc(x)
-    dF = geometry._fd_derivative(Fc, x, step)          # (..., d, m, n, a, b)
-    a = conn(x)
-    DF = (dF
-          - np.einsum("...rdm,...rnab->...dmnab", gamma, f)
-          - np.einsum("...rdn,...mrab->...dmnab", gamma, f)
-          + np.einsum("...dag,gh,...mnhb->...dmnab", a, eta, f)
-          - np.einsum("...mnag,gh,...dhb->...dmnab", f, eta, a))
-    return np.einsum("...d,...ddnab->...nab", inv, DF)
+    A = _cartan_potential(chart, frame_field, step)
+    return ym_residual(chart, x, curvature_from_potential(A), A).reshape(
+        np.shape(x)[:-1] + (4, 4, 4))

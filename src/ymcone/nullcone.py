@@ -461,7 +461,11 @@ class NullConeBundle:
         t = self.x[..., 0]                         # (n_s+1, nth, nph)
         below = t <= t_value
         if not np.all(np.any(below, axis=0)):
-            raise ConeError("some rays never reach the requested slice")
+            th, ph = np.argwhere(~np.any(below, axis=0))[0]
+            raise ConeError(f"some rays never reach the slice t = "
+                            f"{t_value:.6g}, first the ray (theta, phi) = "
+                            f"({th}, {ph}); the cone ends at s = "
+                            f"{self.s[-1]:.6g}")
         idx = np.argmax(below, axis=0)             # first index past the slice
         idx = np.clip(idx, 1, self.n_s)
         i0 = idx - 1

@@ -351,10 +351,14 @@ def parse_config(doc):
                                            problems)
 
     cone = _merged_section(doc, "cone", _CONE_DEFAULTS, problems)
-    closure = nullcone.NullConeBundle.vertex_factor * cone["ds"]
-    if cone["s_max"] <= max(0.1, closure):
-        problems.append("'cone.s_max' must exceed 0.1 and the vertex closure "
-                        "region, 10 'cone.ds'")
+    # the bundle's slice count must leave a slice between the vertex closure
+    # region, s < vertex_factor ds, and the last slice
+    n_s = int(round(cone["s_max"] / cone["ds"]))
+    factor = nullcone.NullConeBundle.vertex_factor
+    if cone["s_max"] <= 0.1 or n_s <= factor:
+        problems.append(f"'cone.s_max' must exceed 0.1 and give more than "
+                        f"{factor:g} slices of 'cone.ds' (the vertex closure "
+                        f"region), got round(s_max / ds) = {n_s}")
     if cone["n_phi"] % 2:
         problems.append("'cone.n_phi' must be even")
     evo = _merged_section(doc, "evolution", _EVOLUTION_DEFAULTS, problems)

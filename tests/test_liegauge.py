@@ -208,6 +208,85 @@ def test_cartan_connection_of_a_rotated_frame(schw_chart):
     assert np.max(np.abs(res)) <= 1e-9
 
 
+def _einsum_cartan_curvature(chart, frame_field, step):
+    """The Cartan curvature with the eta commutator written out index by
+    index, the reference for ``cartan_curvature``."""
+    conn = liegauge.cartan_connection(chart, frame_field)
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+    def fn(x):
+        x_ = np.asarray(x, dtype=float)
+        dA = geometry._fd_derivative(conn, x_, step)   # (..., d, mu, a, b)
+        curl = dA - np.einsum("...ndab->...dnab", dA)
+        a = conn(x_)
+        comm = (np.einsum("...mag,gd,...ndb->...mnab", a, eta, a)
+                - np.einsum("...nag,gd,...mdb->...mnab", a, eta, a))
+        return curl + comm
+
+    return fn
+
+
+def _einsum_cartan_ym_residual(chart, x, frame_field, step):
+    """D^mu (F_{mu nu})_{ab} with -Gamma on both spacetime indices and
+    +-A eta F on the frame indices written out, the reference for
+    ``cartan_ym_residual``."""
+    Fc = _einsum_cartan_curvature(chart, frame_field, step)
+    conn = liegauge.cartan_connection(chart, frame_field)
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    x = np.asarray(x, dtype=float)
+    inv = chart.inverse_diagonal(x)
+    gamma = geometry.christoffel(chart, x)
+    f = Fc(x)
+    dF = geometry._fd_derivative(Fc, x, step)          # (..., d, m, n, a, b)
+    a = conn(x)
+    DF = (dF
+          - np.einsum("...rdm,...rnab->...dmnab", gamma, f)
+          - np.einsum("...rdn,...mrab->...dmnab", gamma, f)
+          + np.einsum("...dag,gh,...mnhb->...dmnab", a, eta, f)
+          - np.einsum("...mnag,gh,...dhb->...dmnab", f, eta, a))
+    return np.einsum("...d,...ddnab->...nab", inv, DF)
+
+
+@pytest.mark.parametrize("case", ["static", "rotated", "flrw"])
+def test_cartan_operators_match_index_formulas(case):
+    # the frame-algebra route against the written-out eta contractions: on
+    # Ricci-flat Schwarzschild the residual is a roundoff floor, so FLRW
+    # (p = 1, where it is 2 / t^2 = 0.5 at t = 2) compares a real residual
+    if case == "flrw":
+        chart = geometry.make_chart("flrw", power=1.0)
+        ff = liegauge.static_diagonal_frame(chart)
+        x, step = np.array([[2.0, 0.1, -0.2, 0.3], [2.0, 0.0, 0.4, -0.1]]), \
+            1e-3
+    else:
+        chart = geometry.make_chart("schwarzschild", mass=1.0)
+        ff = liegauge.static_diagonal_frame(chart) if case == "static" \
+            else _rotated_static_frame(chart)
+        x, step = np.array([[0.0, 10.0, 1.2, 0.3], [0.1, 8.0, 1.7, 2.0]]), \
+            1e-2
+    ref = _einsum_cartan_curvature(chart, ff, step)(x)
+    got = liegauge.cartan_curvature(chart, ff, step=step)(x)
+    assert got.shape == ref.shape == (2, 4, 4, 4, 4)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+    ref = _einsum_cartan_ym_residual(chart, x, ff, step)
+    got = liegauge.cartan_ym_residual(chart, x, ff, step=step)
+    assert got.shape == ref.shape == (2, 4, 4, 4)
+    if case == "flrw":
+        assert abs(np.max(np.abs(ref)) - 0.5) <= 1e-6
+    assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
+def test_frame_algebra_bracket_is_the_eta_commutator():
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    X, Y = np.random.default_rng(3).standard_normal((2, 5, 4, 4))
+    frame = liegauge._frame_algebra()
+    got = frame.bracket(X.reshape(5, 16), Y.reshape(5, 16))
+    ref = X @ eta @ Y - Y @ eta @ X
+    assert np.max(np.abs(got.reshape(5, 4, 4) - ref)) \
+        <= 1e-14 * np.max(np.abs(ref))
+    assert frame.name not in liegauge.ALGEBRA_CATALOG
+
+
 def _three_einsum_covariant_derivative(chart, x, field, A):
     """D_a F_mn = d_a F_mn + [A_a, F_mn] - Gamma^r_am F_rn - Gamma^r_an F_mr
     written out index by index, the reference for ``connect``."""
@@ -237,6 +316,46 @@ def test_wave_source_vanishes_flat_abelian(flat_chart):
     F = runner.plane_wave_field(u1)
     src = liegauge.wave_source(flat_chart, np.zeros((3, 4)), F, None)
     assert np.max(np.abs(src)) < 1e-12
+
+
+def _einsum_wave_source(chart, x, F, curv):
+    """``wave_source`` with the commutator as one einsum over the structure
+    constants, the reference for its ``bracket`` route."""
+    f = F(x)
+    inv = chart.inverse_diagonal(x)
+    comm = -2.0 * np.einsum("ijk,...a,...ami,...naj->...mnk",
+                            F.basis.c, inv, f, f)
+    if chart.flat:
+        return comm
+    fmixed = f * inv[..., None, :, None]
+    fupup = inv[..., :, None, None] * fmixed
+    return -2.0 * np.einsum("...gmna,...agi->...mni", curv.riemann, fupup) \
+        - np.einsum("...mg,...ngk->...mnk", curv.ricci, fmixed) \
+        + np.einsum("...ng,...mgk->...mnk", curv.ricci, fmixed) + comm
+
+
+def _random_two_form(basis, seed):
+    """A constant F with random antisymmetric components at every point."""
+    f = np.random.default_rng(seed).standard_normal((4, 4, basis.dim))
+    f = f - np.swapaxes(f, 0, 1)
+    return liegauge.FieldStrength(basis, lambda x: np.broadcast_to(
+        f, np.shape(x)[:-1] + f.shape).copy())
+
+
+@pytest.mark.parametrize("algebra", ["su2", "u1"])
+@pytest.mark.parametrize("chart_name", ["minkowski", "schwarzschild"])
+def test_wave_source_matches_structure_constant_einsum(chart_name, algebra):
+    # the commutator through ``bracket`` (none on u(1)), keeping F's shape
+    chart = geometry.make_chart(chart_name)
+    F = _random_two_form(liegauge.make_algebra(algebra), 4)
+    x = chart.default_vertex() + 0.1 * np.random.default_rng(6) \
+        .standard_normal((5, 3, 4))
+    curv = geometry.riemann(chart, x)
+    ref = _einsum_wave_source(chart, x, F, curv)
+    got = liegauge.wave_source(chart, x, F, curv)
+    assert got.shape == ref.shape == F(x).shape
+    assert np.max(np.abs(got - ref)) \
+        <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_su2_oscillator_solves_field_equations(flat_chart):

@@ -62,3 +62,32 @@ def test_every_parameter_is_read():
     unread = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
               for hit in unread_parameters(path.read_text(), path.stem)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def structure_constant_einsums(source):
+    """Line numbers of the ``np.einsum`` calls in ``source`` that take an
+    algebra's structure constants (an attribute ``.c``): algebra products
+    go through ``AlgebraBasis.bracket``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum"
+            and any(isinstance(arg, ast.Attribute) and arg.attr == "c"
+                    for arg in node.args)]
+
+
+def test_checker_flags_a_structure_constant_einsum():
+    source = '''
+def wave_source(chart, x, F, curv):
+    basis = F.basis
+    comm = -2.0 * np.einsum("ijk,...a,...ami,...naj->...mnk",
+                            basis.c, inv, f, f)
+    return np.einsum("...a,...aabk->...bk", inv, comm)
+'''
+    assert structure_constant_einsums(source) == [4]
+
+
+def test_no_einsum_over_structure_constants():
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            for line in structure_constant_einsums(path.read_text())]
+    assert not hits, f"einsum over structure constants: {hits}"

@@ -65,6 +65,7 @@ def test_negative_step_names_the_field():
     ({"field": {"profile": "plane_wave", "param": {"omega": 2.0}}},
      "field.param"),
     ({"chart": {"name": "minkowski", "parms": {}}}, "chart.parms"),
+    ({"cone": {"s_max": 0.52, "ds": 0.05}}, "cone.s_max"),
 ])
 def test_strict_section_values_name_the_field(doc, field):
     with pytest.raises(runner.ConfigError) as exc:
