@@ -45,9 +45,6 @@ class AlgebraBasis:
         return outer.reshape(outer.shape[:-2] + (-1,)) \
             @ self.c.reshape(-1, self.dim)
 
-    def inner(self, X, Y):
-        return np.einsum("...i,...i->...", X, Y)
-
 
 def u1():
     return AlgebraBasis("u1", np.zeros((1, 1, 1)))
@@ -141,15 +138,13 @@ def zero_potential(basis):
 # Gauge operators
 # ---------------------------------------------------------------------------
 
-def curvature_from_potential(A, step=None):
+def curvature_from_potential(A):
     """F_{mn} = d_m A_n - d_n A_m + [A_m, A_n] as a FieldStrength.
 
     The Levi-Civita terms cancel in the antisymmetrization, so no chart is
     needed; the abelian case reduces to the plain curl.
     """
     basis = A.basis
-    if step is not None:
-        A = GaugePotential(basis, A.fn, jac=A._jac, step=step)
 
     def fn(x):
         dA = A.jacobian(x)                     # (..., a, mu, k)

@@ -85,6 +85,14 @@ class NullConeBundle:
 
         self._cache = {}
         self._integrate()
+        # node fields, set once after the fan: the metric diagonal g_aa
+        # (..., 4), the unit normal that of the t-slices, g(L, that) = 1/phi
+        # (the inverse null lapse) and Lbar = -phi (2 that + phi L)
+        self.diagonal_nodes = chart.diagonal(self.x)
+        self.that = geometry.unit_time(chart, self.x)
+        self.gLt = self.dot(self.L, self.that)
+        gLt = self.gLt[..., None]
+        self.Lbar = -(2.0 * self.that + self.L / gLt) / gLt
 
     # ------------------------------------------------------------------
     # geodesic fan
@@ -143,41 +151,15 @@ class NullConeBundle:
     # pointwise frame fields
     # ------------------------------------------------------------------
 
-    def _field(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
-    def diagonal_nodes(self):
-        """The metric diagonal g_aa at every node, shape (..., 4)."""
-        return self._field("g", lambda: self.chart.diagonal(self.x))
-
     def dot(self, u, v):
         """g(u, v) at every node for per-node vectors u, v."""
         return _dot(self.diagonal_nodes, u, v)
 
     @property
-    def that(self):
-        return self._field(
-            "that", lambda: geometry.unit_time(self.chart, self.x))
-
-    @property
-    def gLt(self):
-        """g(L, that) > 0; equals 1/phi (inverse null lapse)."""
-        return self._field("gLt", lambda: self.dot(self.L, self.that))
-
-    @property
     def phi(self):
-        """Null lapse, 1 at the vertex."""
-        return self._field("phi", lambda: 1.0 / self.gLt)
-
-    @property
-    def Lbar(self):
-        def build():
-            gLt = self.gLt[..., None]
-            return -(2.0 * self.that + self.L / gLt) / gLt
-        return self._field("Lbar", build)
+        """Null lapse 1/gLt, 1 at the vertex; computed per read, so the
+        complex twin holds no extra array."""
+        return 1.0 / self.gLt
 
     @property
     def expansion_deficit(self):
@@ -326,24 +308,26 @@ class NullConeBundle:
         Built from the sphere-tangent vectors, projected exactly off L and
         Lbar, then Gram-Schmidt with g.  Cached.
         """
-        def build():
-            opt = self.optical()
-            L, Lbar = self.L, self.Lbar
-            e = np.moveaxis(opt["Ytilde"].copy(), -2, 0)    # (2, ..., mu)
-            out = []
-            for a in range(2):
-                v = e[a]
-                v = v + 0.5 * self.dot(v, Lbar)[..., None] * L \
-                      + 0.5 * self.dot(v, L)[..., None] * Lbar
-                for w in out:
-                    v = v - self.dot(v, w)[..., None] * w
-                n2 = self.dot(v, v)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    v = v / np.sqrt(n2)[..., None]
-                v[0] = 0.0          # the screen degenerates at the vertex
-                out.append(v)
-            return np.stack(out, axis=-2)
-        return self._field("frames", build)
+        if "frames" in self._cache:
+            return self._cache["frames"]
+        opt = self.optical()
+        L, Lbar = self.L, self.Lbar
+        e = np.moveaxis(opt["Ytilde"].copy(), -2, 0)    # (2, ..., mu)
+        out = []
+        for a in range(2):
+            v = e[a]
+            v = v + 0.5 * self.dot(v, Lbar)[..., None] * L \
+                  + 0.5 * self.dot(v, L)[..., None] * Lbar
+            for w in out:
+                v = v - self.dot(v, w)[..., None] * w
+            n2 = self.dot(v, v)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = v / np.sqrt(n2)[..., None]
+            v[0] = 0.0          # the screen degenerates at the vertex
+            out.append(v)
+        frames = np.stack(out, axis=-2)
+        self._cache["frames"] = frames
+        return frames
 
     def frame_pairing_residuals(self):
         """Max deviation of every null-frame inner product from its target.
@@ -373,13 +357,7 @@ class NullConeBundle:
 
     def area(self):
         """Sphere areas |S_s| for every s node."""
-        J = self.optical()["J"]
-        return np.einsum("stp,tp->s", J, self.grid.weights)
-
-    def shell_integral(self, f, i):
-        """Integral of f over the s-sphere with index i (induced measure)."""
-        J = self.optical()["J"]
-        return np.einsum("tp,tp->", np.asarray(f) * J[i], self.grid.weights)
+        return self.grid.integrate(self.optical()["J"])
 
     def cone_integral(self, f, far, near=None):
         """ds x dA integral of per-node scalar data ``f`` between two crossings.
@@ -430,7 +408,7 @@ class NullConeBundle:
             one_cell = 0.5 * (far.frac - near.frac) * ds * (fJ_near + fJ_far)
             total = np.where(near.i0 == far.i0, one_cell,
                              inner + near_cell + far_cell)
-        return float(np.einsum("tp,tp->", total, self.grid.weights))
+        return float(self.grid.integrate(total))
 
     def transport_consistency(self):
         """Residual of dJ/ds = trchi J, skipping the vertex closure region.
@@ -485,13 +463,15 @@ class NullConeBundle:
         geodesic through p to first order in eps, which is all the complex
         step sees.
         """
-        def build():
-            eps = geometry.COMPLEX_STEP
-            accel = self._geodesic_rhs(self.p, self.T_p)[1]
-            return NullConeBundle(self.chart, self.p + 1j * eps * self.T_p,
-                                  self.grid, s_max=self.s[-1], ds=self.ds,
-                                  T_p=self.T_p + 1j * eps * accel)
-        return self._field("twin", build)
+        if "twin" in self._cache:
+            return self._cache["twin"]
+        eps = geometry.COMPLEX_STEP
+        accel = self._geodesic_rhs(self.p, self.T_p)[1]
+        twin = NullConeBundle(self.chart, self.p + 1j * eps * self.T_p,
+                              self.grid, s_max=self.s[-1], ds=self.ds,
+                              T_p=self.T_p + 1j * eps * accel)
+        self._cache["twin"] = twin
+        return twin
 
     def lbar_derivative(self, extract):
         """Derivative along Lbar of a per-node field, -2 d_d f - d_s f.
@@ -547,15 +527,9 @@ class Crossing:
         self.bundle = bundle
         self.i0 = i0
         self.frac = frac
-
-    @property
-    def s_star(self):
-        return (self.i0 + self.frac) * self.bundle.ds
-
-    @property
-    def stop(self):
-        """One past the last slice ``interpolate`` reads on any ray."""
-        return min(int(np.max(self.i0)) + 3, self.bundle.n_s + 1)
+        self.s_star = (i0 + frac) * bundle.ds
+        #: one past the last slice ``interpolate`` reads on any ray
+        self.stop = min(int(np.max(i0)) + 3, bundle.n_s + 1)
 
     def interpolate(self, f):
         """Interpolate per-node data (n_s+1, nth, nph, ...) to the ring."""
@@ -583,5 +557,4 @@ class Crossing:
         b = self.bundle
         J = self.interpolate(b.optical()["J"])
         phi = self.interpolate(b.phi)
-        return float(np.einsum("tp,tp->", np.asarray(f_ring) * J * phi,
-                               b.grid.weights))
+        return float(b.grid.integrate(np.asarray(f_ring) * J * phi))

@@ -359,9 +359,17 @@ def parse_config(doc):
         problems.append(f"'cone.s_max' must exceed 0.1 and give more than "
                         f"{factor:g} slices of 'cone.ds' (the vertex closure "
                         f"region), got round(s_max / ds) = {n_s}")
-    if cone["n_phi"] % 2:
-        problems.append("'cone.n_phi' must be even")
+    # the spectral derivatives need a Legendre degree and a Fourier mode
+    if cone["n_theta"] < 2:
+        problems.append("'cone.n_theta' must be at least 2: one ring of "
+                        "nodes has no d/dtheta")
+    if cone["n_phi"] % 2 or cone["n_phi"] < 4:
+        problems.append("'cone.n_phi' must be even and at least 4: fewer "
+                        "nodes have no d/dphi")
     evo = _merged_section(doc, "evolution", _EVOLUTION_DEFAULTS, problems)
+    if evo["n"] < 5:
+        problems.append("'evolution.n' must be at least 5: the five-point "
+                        "stencil's offsets alias on fewer sites")
     if evo["dt_factor"] > 1.0:
         problems.append("'evolution.dt_factor' exceeds the stability range")
     bnd = _merged_section(doc, "bounds", _BOUNDS_DEFAULTS, problems)

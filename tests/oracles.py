@@ -3,11 +3,11 @@
 The full metric, and the generic Christoffel symbols and their derivative
 by LAPACK inversion and einsum, valid on any chart; the Kretschmann
 invariant; the deformation tensor of a vector field with a Jacobian; the
-cyclic Bianchi residual; the sphere's angular gradient; the shell
-integration-by-parts defect and the vertex shell limit of the parametrix;
-the stress tensor and the direct form of the null flux density; the
-homogeneous SU(2) oscillator, an exact non-abelian Yang-Mills solution;
-and u(1) standing-wave data for the lattice evolution.
+cyclic Bianchi residual; the sphere's angular gradient; the integral over
+one s-sphere of a cone, the shell integration-by-parts defect and the vertex
+shell limit of the parametrix; the stress tensor and the direct form of the
+null flux density; the homogeneous SU(2) oscillator, an exact non-abelian
+Yang-Mills solution; and u(1) standing-wave data for the lattice evolution.
 """
 
 import numpy as np
@@ -128,6 +128,11 @@ def angular_gradient(grid, f):
     return np.stack([grid.dtheta(f), grid.dphi(f)], axis=-1)
 
 
+def shell_integral(bundle, f, i):
+    """Integral of f over the s-sphere with index i (induced measure)."""
+    return bundle.grid.integrate(np.asarray(f) * bundle.optical()["J"][i])
+
+
 def shell_by_parts_residual(bundle, i, f, h, potential=None):
     """Relative defect of <Lap f, h> + <Df, Dh> integrated over sphere i."""
     conn = parametrix.connection(bundle, potential)
@@ -142,9 +147,9 @@ def shell_by_parts_residual(bundle, i, f, h, potential=None):
     hi2 = hi.reshape(nth, nph, -1)
     df2 = df.reshape(nth, nph, 2, -1)
     dh2 = dh.reshape(nth, nph, 2, -1)
-    term1 = bundle.shell_integral(np.einsum("tpk,tpk->tp", lap2, hi2), i)
+    term1 = shell_integral(bundle, np.einsum("tpk,tpk->tp", lap2, hi2), i)
     grad = np.einsum("tpbk,tpck->tpbc", df2, dh2)
-    term2 = bundle.shell_integral(np.einsum("tpbc,tpbc->tp", grad, mi), i)
+    term2 = shell_integral(bundle, np.einsum("tpbc,tpbc->tp", grad, mi), i)
     scale = abs(term2) + abs(term1) + 1e-300
     return abs(term1 + term2) / scale
 
@@ -167,7 +172,7 @@ def vertex_shell_values(bundle, seed, field, potential=None, n_shells=8):
         lam = psi[i] / bundle.s[i]
         dens = (bundle.phi[i] ** 2 * opt["trchi"][i]
                 * np.einsum("tpabk,abk->tp", lam, Fp_up))
-        vals.append(bundle.shell_integral(dens, i))
+        vals.append(shell_integral(bundle, dens, i))
         ss.append(bundle.s[i])
     return np.array(ss), np.array(vals)
 

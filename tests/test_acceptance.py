@@ -286,7 +286,7 @@ def test_criterion_10_bianchi_order():
     chart = geometry.make_chart("minkowski")
     su2 = liegauge.su2()
     A = runner.su2_bump_potential(su2, amplitude=0.3)
-    F0 = liegauge.curvature_from_potential(A, step=1e-3)
+    F0 = liegauge.curvature_from_potential(A)
     rng = np.random.default_rng(10)
     pts = 0.5 * rng.standard_normal((10, 4))
     errs = []

@@ -91,3 +91,34 @@ def test_no_einsum_over_structure_constants():
     hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
             for line in structure_constant_einsums(path.read_text())]
     assert not hits, f"einsum over structure constants: {hits}"
+
+
+def quadrature_einsums(source):
+    """Line numbers of the ``np.einsum`` calls in ``source`` that take a
+    grid's quadrature weights (an attribute ``.weights``): solid-angle
+    integrals go through ``SphereGrid.integrate``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum"
+            and any(isinstance(arg, ast.Attribute) and arg.attr == "weights"
+                    for arg in node.args)]
+
+
+def test_checker_flags_a_quadrature_einsum():
+    source = '''
+def ring_integral(self, f_ring):
+    b = self.bundle
+    J = self.interpolate(b.optical()["J"])
+    phi = self.interpolate(b.phi)
+    return float(np.einsum("tp,tp->", np.asarray(f_ring) * J * phi,
+                           b.grid.weights))
+'''
+    assert quadrature_einsums(source) == [6]
+
+
+def test_sphere_quadrature_goes_through_integrate():
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            if path.stem != "sphere"
+            for line in quadrature_einsums(path.read_text())]
+    assert not hits, f"einsum over sphere weights outside sphere.py: {hits}"

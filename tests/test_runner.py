@@ -66,6 +66,10 @@ def test_negative_step_names_the_field():
      "field.param"),
     ({"chart": {"name": "minkowski", "parms": {}}}, "chart.parms"),
     ({"cone": {"s_max": 0.52, "ds": 0.05}}, "cone.s_max"),
+    ({"evolution": {"n": 2}}, "evolution.n"),
+    ({"evolution": {"n": 4}}, "evolution.n"),
+    ({"cone": {"n_phi": 2}}, "cone.n_phi"),
+    ({"cone": {"n_theta": 1}}, "cone.n_theta"),
 ])
 def test_strict_section_values_name_the_field(doc, field):
     with pytest.raises(runner.ConfigError) as exc:
