@@ -1,7 +1,8 @@
 """Past null cone bundles.
 
 A bundle is a fan of past-directed null geodesics from a vertex p, one per
-node of a direction sphere grid, integrated at fixed affine step with RK4.
+node of a direction sphere grid, integrated at fixed affine step with RK4
+(on a flat chart the rays are straight, x = p + s L_0, set in closed form).
 The affine parameter s is normalized by g(L, T_p) = 1 at the vertex.  All
 transverse (angular) derivatives are spectral on the fixed-s spheres, one
 GEMM of the grid's node matrix ``grad`` over every slice at once; the
@@ -20,7 +21,10 @@ flat space; then d_Lbar f = -2 d_d f - d_s f.  The twin cone from the complex
 vertex p + i eps T_p, eps = ``geometry.COMPLEX_STEP``, gives d_d f =
 Im f(i eps, s) / eps with no step size and no subtractive cancellation
 (Squire & Trapp, SIAM Rev. 40, 1998).  On curved charts the twin relation is
-only approximate; see ``lbar_derivative``.
+only approximate; see ``lbar_derivative``.  Flat charts need no twin for the
+mass aspect: there Lbar = -(2 that + L), trchi = 2/s and tr chibar = -2/s,
+so mu = Lbar(2/s) + trchi tr chibar / 2 + 2 omega trchi = 2/s^2 - 2/s^2 = 0
+and omega = -g(nabla_Lbar Lbar, L) / 4 = 0 (``mass_aspect``).
 
 Array layout: per-node fields have shape (n_s + 1, n_theta, n_phi, ...) with
 slice index 0 at the vertex.
@@ -106,8 +110,6 @@ class NullConeBundle:
         return -self.T_p + np.einsum("tpi,im->tpm", omega, triad)
 
     def _geodesic_rhs(self, x, L):
-        if self.chart.flat:                       # straight rays
-            return L, np.zeros_like(L)
         return L, -(self.chart.christoffel_along(x, L) @ L[..., None])[..., 0]
 
     def _renormalize(self, x, L):
@@ -123,6 +125,15 @@ class NullConeBundle:
     def _integrate(self):
         nth, nph = self.grid.n_theta, self.grid.n_phi
         L0 = self._initial_null_vectors()
+        if self.chart.flat:
+            # straight rays in closed form: L = L0 and x = p + s L0
+            L = np.repeat(L0[None], self.n_s + 1, axis=0)
+            x = self.p + self.s[:, None, None, None] * L
+            outside = self.chart.rays_outside(x)
+            if outside.any():
+                raise self._domain_error(*np.argwhere(outside)[0])
+            self.x, self.L = x, L
+            return
         x = np.empty((self.n_s + 1, nth, nph, 4), dtype=L0.dtype)
         L = np.empty_like(x)
         x[0] = np.broadcast_to(self.p, (nth, nph, 4))
@@ -138,14 +149,17 @@ class NullConeBundle:
             Lc = Lc + (h / 6.0) * (k1L + 2 * k2L + 2 * k3L + k4L)
             outside = self.chart.rays_outside(xc)
             if outside.any():
-                th, ph = np.argwhere(outside)[0]
-                raise ChartDomainError(
-                    f"ray (theta, phi) = ({th}, {ph}) leaves chart "
-                    f"'{self.chart.name}' at s = {self.s[i]:.6g}")
+                raise self._domain_error(i, *np.argwhere(outside)[0])
             if i % self.renorm_every == 0:
                 Lc = self._renormalize(xc, Lc)
             x[i], L[i] = xc, Lc
         self.x, self.L = x, L
+
+    def _domain_error(self, i, th, ph):
+        """The error for ray (th, ph) outside the chart on slice i."""
+        return ChartDomainError(
+            f"ray (theta, phi) = ({th}, {ph}) leaves chart "
+            f"'{self.chart.name}' at s = {self.s[i]:.6g}")
 
     # ------------------------------------------------------------------
     # pointwise frame fields
@@ -494,10 +508,17 @@ class NullConeBundle:
         come from ``lbar_derivative``.  Lbar = -phi (2 that + phi L) with
         that and L orthogonal to the screen, so tr chibar = -phi (2 k +
         phi trchi) with k = ``kscreen``.  Below s_min the flat closure gives
-        mu = omega = 0.
+        mu = omega = 0.  On a flat chart both vanish identically and are
+        returned as exact zeros, with no twin: the cones from p + d T_p
+        foliate the straight-ray cone with Lbar = -(2 that + L), trchi = 2/s
+        and tr chibar = -2/s, so omega = 0 and mu = 2/s^2 - 2/s^2 = 0.
         """
         if "mass_aspect" in self._cache:
             return self._cache["mass_aspect"]
+        if self.chart.flat:
+            mu, omega = np.zeros((2,) + self.gLt.shape)
+            self._cache["mass_aspect"] = (mu, omega)
+            return mu, omega
         opt = self.optical()
         # differentiate only the regular part of trchi; the universal 2/s
         # vertex singularity would wreck the s-difference near s=0

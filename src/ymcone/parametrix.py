@@ -17,10 +17,11 @@ All per-node arrays follow the bundle layout (n_s + 1, n_theta, n_phi, ...).
 The identity is linear in the seed, so a stack of n seeds goes through as one
 array: its seed axis sits right after the node axes, psi has shape
 (n_s + 1, n_theta, n_phi, n, 4, 4, dim), and the connection's coefficients
-broadcast over it.  ``assemble_representation`` transports and differentiates
-only the slices the identity reads, 0 .. ``Crossing.stop`` - 1, in s-chunks
-of ``NullConeBundle.chunk // n`` slices, so a chunk of the stack holds as many
-values as one geometry chunk of a single seed.
+broadcast over it.  ``assemble_representation`` builds its seed-free node
+terms on, and transports and differentiates, only the slices the identity
+reads, 0 .. ``Crossing.stop`` - 1; the stack goes in s-chunks of
+``NullConeBundle.chunk // n`` slices, so a chunk of it holds as many values
+as one geometry chunk of a single seed.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ def _chunks(n, k):
         yield slice(i, min(i + k, n))
 
 
-def sample_field(bundle, field, extra_shape):
-    """Evaluate an analytic field at every bundle node, chunked over s."""
-    out = np.empty(bundle.x.shape[:3] + extra_shape)
-    for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-        out[sl] = field(bundle.x[sl])
+def sample_field(bundle, field, extra_shape, stop=None):
+    """Evaluate an analytic field at the bundle nodes of slices 0 .. stop - 1
+    (every slice when ``stop`` is None), chunked over s."""
+    x = bundle.x[:stop]
+    out = np.empty(x.shape[:3] + extra_shape)
+    for sl in _chunks(len(x), bundle.chunk):
+        out[sl] = field(x[sl])
     return out
 
 
@@ -216,11 +219,11 @@ def assemble_representation(bundle, seeds, field, potential=None,
     march with the seed axis after the node axes, psi (stop, nth, nph, n, 4,
     4, dim), then the sphere operators on s-chunks of ``bundle.chunk // n``
     slices, each reduced at once to per-node, per-seed pairings.  The pass
-    covers slices 0 .. stop - 1, ``stop`` = ``Crossing.stop``: the cone
-    weights vanish past the ring and the ring interpolation reads up to
-    slice i0 + 2.  The field is assumed to solve the Yang-Mills system, for
-    which its wave operator reduces to curvature couplings and
-    self-interaction (zero on a flat abelian background).
+    and the seed-free node terms cover slices 0 .. stop - 1, ``stop`` =
+    ``Crossing.stop``: the cone weights vanish past the ring and the ring
+    interpolation reads up to slice i0 + 2.  The field is assumed to solve
+    the Yang-Mills system, for which its wave operator reduces to curvature
+    couplings and self-interaction (zero on a flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
@@ -231,20 +234,23 @@ def assemble_representation(bundle, seeds, field, potential=None,
     if t_slice is None:
         t_slice = bundle.p[0] - 1.0
     crossing = bundle.crossing(t_slice)
+    stop = crossing.stop
     opt = bundle.optical()
 
     conn = connection(bundle, potential)
-    F_nodes = sample_field(bundle, field, (4, 4, basis.dim))
-    F_up = raise_two_form(chart, bundle.x, F_nodes)
+    # the seed-free node terms cover only the slices the identity reads
+    x_read = bundle.x[:stop]
+    F_nodes = sample_field(bundle, field, (4, 4, basis.dim), stop)
+    F_up = raise_two_form(chart, x_read, F_nodes)
 
     # --- curvature terms, one Riemann evaluation per chunk ----------------
     # the field's wave operator (None: zero on a flat abelian chart) and
     # K[g, a] = g^{gg} R_{a g L Lbar} / 2 (None: zero on a flat chart)
     box_nodes = None if chart.flat and basis.dim == 1 \
         else np.empty_like(F_nodes)
-    K = None if chart.flat else np.empty(bundle.x.shape[:3] + (4, 4))
-    for sl in _chunks(bundle.n_s + 1, bundle.chunk):
-        x = bundle.x[sl]
+    K = None if chart.flat else np.empty(x_read.shape[:3] + (4, 4))
+    for sl in _chunks(stop, bundle.chunk):
+        x = x_read[sl]
         curv = None if chart.flat else geometry.riemann(chart, x)
         if box_nodes is not None:
             box_nodes[sl] = liegauge.wave_source(chart, x, field, curv)
@@ -254,7 +260,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
                                     curv.riemann, bundle.L[sl],
                                     bundle.Lbar[sl])
     box_up = None if box_nodes is None \
-        else raise_two_form(chart, bundle.x, box_nodes)
+        else raise_two_form(chart, x_read, box_nodes)
     del box_nodes
 
     # --- seed-free factors of the cone corrections ------------------------
@@ -262,7 +268,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     F_LLbar = None
     if np.any(basis.c):
         F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
-                            F_nodes, bundle.L, bundle.Lbar)
+                            F_nodes, bundle.L[:stop], bundle.Lbar[:stop])
     del F_nodes                 # the seed pass needs only F_up and F_LLbar
 
     # --- initial-data ring: D_T F + D_N F = D_{2 that + phi L} F with
@@ -283,7 +289,6 @@ def assemble_representation(bundle, seeds, field, potential=None,
         + ring_coef[..., None, None, None] * field(x_ring))
 
     # --- the seed stack, on the slices the identity reads -----------------
-    stop = crossing.stop
     psi = transport_weight(bundle, seeds, conn, stop)
     # per-node factors get a size-1 seed axis, as in psi's layout
     inv_s = np.zeros((stop, 1, 1, 1))

@@ -222,6 +222,35 @@ def test_mass_aspect_vanishes_flat(flat_bundle):
     assert np.max(np.abs(omega)) <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def straight_cones():
+    """One straight-ray cone twice: on Minkowski, set in closed form, and on
+    FLRW with p = 0, whose metric is flat but whose chart is not flagged
+    flat, so it runs the RK4 fan and the complex twin."""
+    grid = sphere.SphereGrid(8, 16)
+    vertex = np.array([2.0, 0.0, 0.0, 0.0])
+    return tuple(
+        nullcone.NullConeBundle(chart, vertex, grid, s_max=1.0, ds=5e-3)
+        for chart in (geometry.make_chart("minkowski"),
+                      geometry.make_chart("flrw", power=0.0)))
+
+
+def test_closed_form_fan_matches_rk4_fan(straight_cones):
+    closed, rk4 = straight_cones
+    assert closed.chart.flat and not rk4.chart.flat
+    assert np.max(np.abs(closed.x - rk4.x)) < 1e-12
+    assert np.max(np.abs(closed.L - rk4.L)) < 1e-14
+
+
+def test_twin_route_mass_aspect_vanishes_on_a_flat_metric(straight_cones):
+    # the generic route (twin cone and lbar_derivative) on a flat metric
+    _, rk4 = straight_cones
+    mu, omega = rk4.mass_aspect()
+    assert "twin" in rk4._cache
+    assert np.max(np.abs(mu)) <= 1e-10
+    assert np.max(np.abs(omega)) <= 1e-10
+
+
 def test_mass_aspect_bounded_schwarzschild(schw_bundle):
     mu = schw_bundle.mass_aspect()
     assert np.all(np.isfinite(mu))
@@ -303,3 +332,20 @@ def test_ray_leaving_the_chart_names_ray_and_s(schw_chart):
                              r"'schwarzschild' at s = 1\.\d+"):
         nullcone.NullConeBundle(schw_chart, [0.0, 2.5, np.pi / 2, 0.0],
                                 sphere.SphereGrid(6, 12), s_max=2.0, ds=0.01)
+
+
+class _Slab(geometry.Minkowski):
+    """Minkowski space cut to t > -0.5: a flat chart with an edge."""
+
+    def contains(self, x):
+        return super().contains(x) & (geometry.as_points(x)[..., 0].real
+                                      > -0.5)
+
+
+def test_closed_form_fan_names_ray_and_s():
+    # the straight rays from the origin reach t = -0.5 at s = 0.5
+    with pytest.raises(nullcone.ChartDomainError,
+                       match=r"ray \(theta, phi\) = \(0, 0\) leaves chart "
+                             r"'minkowski' at s = 0\.5"):
+        nullcone.NullConeBundle(_Slab(), np.zeros(4), sphere.SphereGrid(6, 12),
+                                s_max=1.0, ds=0.01)

@@ -315,9 +315,8 @@ def test_report_schema_version_checked(tmp_path):
         runner.load_report(path)
 
 
-def test_cone_experiments_share_one_bundle(monkeypatch):
-    # one main cone for all four cone experiments, plus the one complex-step
-    # twin cone of the mass aspect that the parametrix needs
+def _bundles_built(monkeypatch, doc):
+    """Run ``doc`` and count the NullConeBundle constructions."""
     built = []
     init = nullcone.NullConeBundle.__init__
 
@@ -326,16 +325,32 @@ def test_cone_experiments_share_one_bundle(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(nullcone.NullConeBundle, "__init__", counting)
-    scn = runner.parse_config({
+    report = runner.run(runner.parse_config(doc))
+    assert not report.partial, report.metrics
+    return len(built)
+
+
+def test_cone_experiments_share_one_bundle(monkeypatch):
+    # one cone for all four cone experiments; on a flat chart the mass
+    # aspect vanishes in closed form, so the parametrix builds no twin
+    assert _bundles_built(monkeypatch, {
         "chart": "minkowski",
         "field": {"profile": "plane_wave"},
         "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.2, "ds": 0.02},
         "experiments": ["cone_geometry", "transport", "parametrix",
                         "energy_balance"],
-    })
-    report = runner.run(scn)
-    assert not report.partial, report.metrics
-    assert len(built) == 2
+    }) == 1
+
+
+def test_curved_cone_experiments_add_one_twin(monkeypatch):
+    # one main cone for the cone experiments, plus the one complex-step
+    # twin cone of the mass aspect that the curved parametrix needs
+    assert _bundles_built(monkeypatch, {
+        "chart": "schwarzschild",
+        "field": {"profile": "coulomb"},
+        "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.0, "ds": 0.02},
+        "experiments": ["cone_geometry", "parametrix", "energy_balance"],
+    }) == 2
 
 
 @pytest.mark.parametrize("seed", [29, 50])
