@@ -70,9 +70,7 @@ def slice_region_quadrature(crossing, n_radial=24):
     dy = np.stack([b.grid.dtheta(np.moveaxis(y, -1, 0)),
                    b.grid.dphi(np.moveaxis(y, -1, 0))], axis=-1)
     dy = np.moveaxis(dy, 0, -2)                        # (nth, nph, 3, 2)
-    D = (y[..., 0] * (dy[..., 1, 0] * dy[..., 2, 1] - dy[..., 2, 0] * dy[..., 1, 1])
-         - y[..., 1] * (dy[..., 0, 0] * dy[..., 2, 1] - dy[..., 2, 0] * dy[..., 0, 1])
-         + y[..., 2] * (dy[..., 0, 0] * dy[..., 1, 1] - dy[..., 1, 0] * dy[..., 0, 1]))
+    D = np.sum(y * np.cross(dy[..., 0], dy[..., 1]), axis=-1)
     D = np.abs(D) / b.grid.sin_theta[:, None]          # smooth on the sphere
     u, wu = np.polynomial.legendre.leggauss(n_radial)
     u = 0.5 * (u + 1.0)
@@ -100,15 +98,16 @@ def slice_energy(chart, F, crossing, n_radial=24):
 # ---------------------------------------------------------------------------
 
 def flux_density_frame(bundle, F_nodes):
-    """Null-decomposed flux density at every cone node.
+    """Null-decomposed flux density at the cone nodes of the slices that
+    ``F_nodes`` covers, 0 .. len(F_nodes) - 1.
 
     (|F_{L Lbar}|^2 / (8 phi) + phi (|F_{L e1}|^2 + |F_{L e2}|^2) / 2
      + |F_{e1 e2}|^2 / (2 phi)) sqrt(-g_tt); each term nonnegative.
     """
-    e = bundle.null_frames()
-    L, Lb = bundle.L, bundle.Lbar
-    gLt = bundle.gLt
-    lapse = np.sqrt(-bundle.diagonal_nodes[..., 0])
+    n = len(F_nodes)
+    e = bundle.null_frames()[:n]
+    L, Lb, gLt = bundle.L[:n], bundle.Lbar[:n], bundle.gLt[:n]
+    lapse = np.sqrt(-bundle.diagonal_nodes[:n, ..., 0])
     F_LLb = np.einsum("...abk,...a,...b->...k", F_nodes, L, Lb)
     F_La = np.einsum("...abk,...a,...cb->...ck", F_nodes, L, e)
     F_12 = np.einsum("...abk,...a,...b->...k", F_nodes, e[..., 0, :],
@@ -124,9 +123,11 @@ def cone_flux(bundle, F, crossing_far, crossing_near):
 
     Measure ds dA along the rays (the optical-function normalization cancels
     against the transverse Jacobian, leaving the bare affine measure); the
-    quadrature is ``NullConeBundle.cone_integral``.
+    quadrature is ``NullConeBundle.cone_integral``, which reads the slices
+    up to ``crossing_far.stop`` only, so F is sampled on those alone.
     """
-    F_nodes = parametrix.sample_field(bundle, F, (4, 4, F.basis.dim))
+    F_nodes = parametrix.sample_field(bundle, F, (4, 4, F.basis.dim),
+                                      stop=crossing_far.stop)
     return bundle.cone_integral(flux_density_frame(bundle, F_nodes),
                                 crossing_far, crossing_near)
 
@@ -139,11 +140,14 @@ def bulk_density(chart, x, F):
     """pi^{mn}(d/dt) T_{mn} per point.
 
     On a diagonal chart the deformation tensor of d/dt is diagonal,
-    pi^{mn} = delta^{mn} d_t g_mm / (2 g_mm^2).
+    pi^{mn} = delta^{mn} d_t g_mm / (2 g_mm^2).  Where pi vanishes at every
+    point (a static metric) the density is zero, and F is not evaluated.
     """
     x = np.asarray(x, dtype=float)
     d, inv = chart.diagonal(x), chart.inverse_diagonal(x)
     pi = 0.5 * chart.ddiagonal(x)[..., 0, :] * inv ** 2
+    if not np.any(pi):
+        return np.zeros(x.shape[:-1])
     return np.einsum("...m,...mm->...", pi, _stress(d, inv, F(x)))
 
 

@@ -89,10 +89,6 @@ class GaugeState:
                     f"{name} has shape {field.shape}, expected {shape}")
         self.time = float(time)
 
-    def copy(self):
-        return GaugeState(self.lattice, self.basis, self.A.copy(),
-                          self.E.copy(), self.time)
-
 
 def _mirrors(basis):
     """Mirror planes the algebra takes: 0 for an abelian one, 2 for su(2)."""

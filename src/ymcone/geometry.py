@@ -13,8 +13,8 @@ from collections import namedtuple
 import numpy as np
 
 DEGENERATE_DET = 1e-12
-#: imaginary step of every complex-step derivative: ``Chart.d2diagonal`` and
-#: the twin cone of ``nullcone``
+#: imaginary step of every complex-step derivative: ``christoffel_derivative``
+#: and the twin cone of ``nullcone``
 COMPLEX_STEP = 1e-20
 
 
@@ -36,8 +36,8 @@ def as_points(x):
     Complex points carry the complex-step twin cone of ``nullcone``; the
     metric, its first derivatives, the inverse metric, the Christoffel
     symbols, ``unit_time`` and ``orthonormal_frame`` keep them complex.
-    ``d2diagonal``, ``christoffel_derivative`` and ``riemann`` take real
-    points only.
+    ``christoffel_derivative`` and ``riemann`` take real points only: the
+    derivative is itself a complex step of ``christoffel``.
     """
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)
@@ -51,11 +51,11 @@ class Chart:
     """Analytic metric, diagonal in its coordinates, on a coordinate patch.
 
     Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
-    and the diagonal's first derivatives in closed form; the second
-    derivatives are the complex-step derivative of the first.  The
-    reciprocal 1/g_aa (``inverse_diagonal``) follows here; the module
-    functions ``inverse_metric``, ``christoffel`` and
-    ``christoffel_derivative`` build the full forms from these.
+    and the diagonal's first derivatives in closed form, and nothing more.
+    The reciprocal 1/g_aa (``inverse_diagonal``) follows here; the module
+    functions ``inverse_metric`` and ``christoffel`` build the full forms
+    from these, and every higher derivative is the complex step of
+    ``christoffel`` (``christoffel_derivative``).
     The only nonzero symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc
     and Gamma^c_aa = -d_c g_aa / 2 g_cc.  Code outside this module reads the
     diagonal and contracts Gamma with a vector by ``christoffel_along``; the
@@ -80,19 +80,6 @@ class Chart:
     # ddiagonal[..., e, a] = d_e g_aa
     def ddiagonal(self, x):
         raise NotImplementedError
-
-    def d2diagonal(self, x):
-        """d_e d_f g_aa, shape (..., 4[e], 4[f], 4[a]): for each f the
-        complex step Im ddiagonal(x + i h e_f) / h, h = COMPLEX_STEP, which
-        is exact to roundoff."""
-        x = np.asarray(x, dtype=float)
-        out = _zeros(x, 4, 4, 4)
-        z = x.astype(complex)
-        for f in range(4):
-            z[..., f] += 1j * COMPLEX_STEP
-            out[..., :, f, :] = self.ddiagonal(z).imag / COMPLEX_STEP
-            z[..., f] = x[..., f]
-        return out
 
     def default_vertex(self):
         """The cone vertex of a scenario that names none; inside the chart."""
@@ -373,17 +360,17 @@ def christoffel(chart, x):
 
 
 def christoffel_derivative(chart, x):
-    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]), in closed form.
-
-    With h_c = 1/2g_cc: d_e Gamma^c_ab = h_c d_e(2 g_cc Gamma^c_ab)
-    - Gamma^c_ab d_e g_cc / g_cc.
-    """
-    h = 0.5 * chart.inverse_diagonal(x)
-    dd = chart.ddiagonal(x)
-    rate = 2.0 * h[..., None, :] * dd           # [e, c] = d_e g_cc / g_cc
-    return _scatter_christoffel(chart.d2diagonal(x), h[..., None, :]) \
-        - _scatter_christoffel(dd, h)[..., None, :, :, :] \
-        * rate[..., :, :, None, None]
+    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]): for each e the
+    complex step Im christoffel(x + i h e_e) / h, h = COMPLEX_STEP, which is
+    exact to roundoff."""
+    x = np.asarray(x, dtype=float)
+    out = _zeros(x, 4, 4, 4, 4)
+    z = x.astype(complex)
+    for e in range(4):
+        z[..., e] += 1j * COMPLEX_STEP
+        out[..., e, :, :, :] = christoffel(chart, z).imag / COMPLEX_STEP
+        z[..., e] = x[..., e]
+    return out
 
 
 #: lowered Riemann tensor R_abcd and Ricci tensor R_ab at a point batch
@@ -397,9 +384,6 @@ def riemann(chart, x):
     + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms, lowered on the first
     index; Ricci is the contraction R_mn = R^c_mcn.
     """
-    if chart.flat:
-        x = np.asarray(x, dtype=float)
-        return CurvatureTensors(_zeros(x, 4, 4, 4, 4), _zeros(x, 4, 4))
     gamma = christoffel(chart, x)
     # half[r, s, m, n] = d_m Gamma^r_ns + Gamma^r_ml Gamma^l_ns
     half = np.einsum("...mrns->...rsmn", christoffel_derivative(chart, x)) \

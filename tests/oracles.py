@@ -1,13 +1,14 @@
 """Reference routes for ``ymcone`` that only the tests read.
 
-The full metric, and the generic Christoffel symbols and their derivative
-by LAPACK inversion and einsum, valid on any chart; the Kretschmann
-invariant; the deformation tensor of a vector field with a Jacobian; the
-cyclic Bianchi residual; the sphere's angular gradient; the integral over
-one s-sphere of a cone, the shell integration-by-parts defect and the vertex
-shell limit of the parametrix; the stress tensor and the direct form of the
-null flux density; the homogeneous SU(2) oscillator, an exact non-abelian
-Yang-Mills solution; and u(1) standing-wave data for the lattice evolution.
+The full metric, and the generic Christoffel symbols by LAPACK inversion and
+einsum with their complex-step derivative, valid on any chart; the
+Kretschmann invariant; the deformation tensor of a vector field with a
+Jacobian; the cyclic Bianchi residual; the sphere's angular gradient; the
+integral over one s-sphere of a cone, the shell integration-by-parts defect
+and the vertex shell limit of the parametrix; the stress tensor and the
+direct form of the null flux density; the homogeneous SU(2) oscillator, an
+exact non-abelian Yang-Mills solution; and u(1) standing-wave data for the
+lattice evolution.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from scipy.special import ellipj
 from ymcone import parametrix
 from ymcone.energy import _stress
 from ymcone.evolution import EvolutionError, GaugeState
-from ymcone.geometry import (_embed, _require_nondegenerate, _zeros,
-                             inverse_metric, riemann)
+from ymcone.geometry import (COMPLEX_STEP, _embed, _require_nondegenerate,
+                             _zeros, inverse_metric, riemann)
 from ymcone.liegauge import (FieldStrength, GaugePotential,
                              gauge_covariant_derivative, su2)
 
@@ -52,19 +53,12 @@ def generic_christoffel(chart, x):
 
 
 def generic_christoffel_derivative(chart, x):
-    """d_e Gamma^c_ab from the LAPACK inverse and the full d_a g_mn and
-    d_a d_b g_mn; valid on any chart."""
-    ginv = generic_inverse_metric(chart, x)
-    dg = _embed(chart.ddiagonal(x))
-    d2g = _embed(chart.d2diagonal(x))
-    t = _lowered_christoffel(dg)
-    # d_e t_abd
-    dt = np.einsum("...eadb->...eabd", d2g) + np.einsum("...ebda->...eabd", d2g) \
-        - np.einsum("...edab->...eabd", d2g)
-    # d_e g^cd = - g^cm (d_e g_mn) g^nd
-    dginv = -np.einsum("...cm,...emn,...nd->...ecd", ginv, dg, ginv)
-    return 0.5 * (np.einsum("...ecd,...abd->...ecab", dginv, t)
-                  + np.einsum("...cd,...eabd->...ecab", ginv, dt))
+    """d_e Gamma^c_ab as the complex step of ``generic_christoffel`` along
+    each coordinate; valid on any chart."""
+    x = np.asarray(x, dtype=float)
+    h = COMPLEX_STEP
+    return np.stack([generic_christoffel(chart, x + 1j * h * e).imag / h
+                     for e in np.eye(4)], axis=-4)
 
 
 def kretschmann(chart, x):

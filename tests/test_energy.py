@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ymcone import energy, geometry, liegauge, parametrix, runner
+from ymcone import (energy, geometry, liegauge, nullcone, parametrix, runner,
+                    sphere)
 
 import oracles
 
@@ -123,6 +124,67 @@ def test_bulk_term_zero_flat(flat_bundle, u1):
     val = energy.bulk_term(flat_bundle.chart, F, flat_bundle, -0.8, -0.4,
                            n_time=4, n_radial=8)
     assert abs(val) < 1e-12
+
+
+def _counting(F):
+    """F as a FieldStrength that records the point shape of every call."""
+    shapes = []
+
+    def fn(x):
+        shapes.append(np.shape(x)[:-1])
+        return F(x)
+
+    return liegauge.FieldStrength(F.basis, fn), shapes
+
+
+def test_bulk_term_skips_the_field_where_time_is_killing(schw_bundle, u1):
+    # pi(d/dt) vanishes at every Schwarzschild point, so the bulk quadrature
+    # never evaluates F and sums to exactly zero
+    F, shapes = _counting(runner.coulomb_field(u1))
+    val = energy.bulk_term(schw_bundle.chart, F, schw_bundle, -0.45, -0.2,
+                           n_time=4, n_radial=6)
+    assert val == 0.0
+    assert shapes == []
+
+
+def test_bulk_term_on_flrw_is_the_deformation_integral():
+    # where d/dt is not Killing the bulk term is the quadrature of
+    # pi^{mn} T_{mn} from the generic deformation tensor and stress tensor
+    chart = geometry.make_chart("flrw", power=0.5)
+    bundle = nullcone.NullConeBundle(chart, np.array([2.0, 0.0, 0.0, 0.0]),
+                                     sphere.SphereGrid(6, 12), s_max=0.5,
+                                     ds=0.005)
+    F, shapes = _counting(_su2_bump())
+    t0, t1 = 1.6, 1.8
+    got = energy.bulk_term(chart, F, bundle, t0, t1, n_time=3, n_radial=6)
+    tq, wq = np.polynomial.legendre.leggauss(3)
+    want = 0.0
+    for tv, wt in zip(0.5 * (t1 - t0) * (tq + 1.0) + t0, 0.5 * (t1 - t0) * wq):
+        pts, w = energy.slice_region_quadrature(bundle.crossing(tv), 6)
+        pi = oracles.deformation_tensor(chart, pts,
+                                        oracles.coordinate_time_field())
+        dens = np.einsum("...mn,...mn->...", pi,
+                         oracles.stress_tensor(chart, pts, F))
+        vol = np.sqrt(np.abs(np.prod(chart.diagonal(pts), axis=-1)))
+        want += wt * float(np.sum(w * dens * vol))
+    assert abs(want) > 1e-6
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert len(shapes) == 6
+
+
+def test_cone_flux_samples_only_the_slices_it_reads(schw_bundle, u1):
+    # the flux quadrature reads slices 0 .. far.stop - 1, and F is evaluated
+    # on those alone; the value is the one from F on every slice
+    far, near = schw_bundle.crossing(-0.45), schw_bundle.crossing(-0.2)
+    assert far.stop < schw_bundle.n_s + 1
+    F, shapes = _counting(runner.coulomb_field(u1))
+    got = energy.cone_flux(schw_bundle, F, far, near)
+    assert sum(shape[0] for shape in shapes) == far.stop
+    assert all(shape[1:] == schw_bundle.x.shape[1:3] for shape in shapes)
+    F_all = parametrix.sample_field(schw_bundle, F, (4, 4, 1))
+    want = schw_bundle.cone_integral(
+        energy.flux_density_frame(schw_bundle, F_all), far, near)
+    assert got == want
 
 
 def test_divergence_identity_flat(flat_bundle, u1):

@@ -150,7 +150,6 @@ def test_diagonal_derivatives_match_differences(name, params, x):
     pts = np.asarray(x) + 0.05 * rng.standard_normal((3, 4))
     h = 1e-3     # every catalog point has angles and radii of order 1 or more
     for fn, deriv in ((chart.diagonal, chart.ddiagonal),
-                      (chart.ddiagonal, chart.d2diagonal),
                       (lambda p: geometry.christoffel(chart, p),
                        lambda p: geometry.christoffel_derivative(chart, p))):
         want = geometry._fd_derivative(fn, pts, h)
@@ -180,23 +179,26 @@ def _symbolic_diagonal(name, params, coords):
 @pytest.mark.parametrize(
     "name,params,x",
     CATALOG_POINTS + [("flrw", {"power": 0.5}, [1.5, 0.2, 0.4, -0.3])])
-def test_second_derivatives_match_symbolic(name, params, x):
-    # the base class's complex-step d_e d_f g_aa against sympy's second
-    # derivatives of each chart's diagonal; no catalog chart hand-writes its
-    # own
-    assert all(cls.d2diagonal is geometry.Chart.d2diagonal
-               for cls in geometry.CHART_CATALOG.values())
+def test_christoffel_derivative_matches_symbolic(name, params, x):
+    # the complex-step d_e Gamma^c_ab against sympy's derivative of the
+    # Christoffel symbols of each chart's diagonal, Gamma^c_ab =
+    # (d_a g_cc delta_bc + d_b g_cc delta_ac - d_c g_aa delta_ab) / 2 g_cc
     chart = geometry.make_chart(name, **params)
     rng = np.random.default_rng(7)
     pts = np.asarray(x) + 0.05 * rng.standard_normal((6, 4))
     coords = sp.symbols("x0:4", real=True)
     diag = _symbolic_diagonal(name, params, coords)
-    d2 = sp.lambdify(coords, [sp.diff(g, e, f) for e in coords
-                              for f in coords for g in diag], "numpy")
+    gamma = [[[(int(b == c) * sp.diff(diag[c], coords[a])
+                + int(a == c) * sp.diff(diag[c], coords[b])
+                - int(a == b) * sp.diff(diag[a], coords[c])) / (2 * diag[c])
+               for b in range(4)] for a in range(4)] for c in range(4)]
+    dgamma = sp.lambdify(coords, [sp.diff(gamma[c][a][b], e) for e in coords
+                                  for c in range(4) for a in range(4)
+                                  for b in range(4)], "numpy")
     ref = np.stack([np.broadcast_to(np.asarray(v, dtype=float), pts.shape[:-1])
-                    for v in d2(*np.moveaxis(pts, -1, 0))], axis=-1)
-    ref = ref.reshape(pts.shape[:-1] + (4, 4, 4))
-    got = chart.d2diagonal(pts)
+                    for v in dgamma(*np.moveaxis(pts, -1, 0))], axis=-1)
+    ref = ref.reshape(pts.shape[:-1] + (4, 4, 4, 4))
+    got = geometry.christoffel_derivative(chart, pts)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 

@@ -122,3 +122,74 @@ def test_sphere_quadrature_goes_through_integrate():
             if path.stem != "sphere"
             for line in quadrature_einsums(path.read_text())]
     assert not hits, f"einsum over sphere weights outside sphere.py: {hits}"
+
+
+#: public functions with no caller in ``src/``, and why each stays
+NO_SRC_CALLER = {
+    "geometry.inverse_metric": "bench/tracing.py wraps it",
+    "bounds.gronwall_envelope": "ROADMAP item 5 plans its caller",
+    "bounds.check_series": "ROADMAP item 5 plans its caller",
+    "energy.deformation_bound": "ROADMAP item 5 plans its caller",
+    "energy.gradient_energy_density": "ROADMAP item 5 plans its caller",
+    "sphere.SphereGrid.high_mode_fraction": "ROADMAP item 10 plans its "
+                                            "caller",
+    "runner.load_report": "ROADMAP item 7: not yet placed",
+}
+
+
+def unreferenced_defs(sources):
+    """Qualified names (module[.Class].name) of the public module-level
+    functions and methods in ``sources`` (module -> source) whose name
+    appears, as a name or an attribute, nowhere outside their own body."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = [node] if isinstance(node, ast.ClassDef) else []
+            members = node.body if owner else [node]
+            defs += [(".".join([module] + [c.name for c in owner]
+                               + [fn.name]), fn)
+                     for fn in members
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not fn.name.startswith("_")]
+    found = []
+    for qualname, fn in defs:
+        own = {id(n) for n in ast.walk(fn)}
+        if not any(id(n) not in own
+                   and fn.name in (getattr(n, "id", None),
+                                   getattr(n, "attr", None))
+                   for tree in trees.values() for n in ast.walk(tree)):
+            found.append(qualname)
+    return found
+
+
+def test_checker_flags_an_unreferenced_def():
+    sources = {"energy": '''
+def bulk_term(chart, F):
+    return bulk_density(chart, F) + bulk_term(chart, None)
+
+def bulk_density(chart, F):
+    return 0.0
+''', "evolution": '''
+class GaugeState:
+    def copy(self):
+        return GaugeState()
+
+    def energy(self):
+        return self.total()
+
+    def total(self):
+        return 0.0
+'''}
+    assert unreferenced_defs(sources) == ["energy.bulk_term",
+                                          "evolution.GaugeState.copy",
+                                          "evolution.GaugeState.energy"]
+
+
+def test_every_public_def_has_a_src_reference():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = unreferenced_defs(sources)
+    assert not set(found) - set(NO_SRC_CALLER), \
+        f"public defs with no reference in src/: {found}"
+    assert set(NO_SRC_CALLER) <= set(found), \
+        f"allowlisted defs now referenced: {set(NO_SRC_CALLER) - set(found)}"
