@@ -1,7 +1,7 @@
 """Numerical toolkit for Yang-Mills fields on curved spacetimes.
 
 Modules:
-    geometry   -- chart catalog, curvature, frames, companion Riemannian metric
+    geometry   -- diagonal charts, Christoffel, Riemann, unit time, frames
     liegauge   -- compact Lie algebras, gauge potentials/curvatures, residuals
     sphere     -- sphere quadrature; gradient and divergence as node matrices
     nullcone   -- past null cone bundles: rays, frames, optical scalars

@@ -39,8 +39,10 @@ import numpy as np
 from .liegauge import su2
 
 
-#: largest dt / dx that ``step`` accepts
-CFL_LIMIT = 1.5
+#: largest dt / dx that ``step`` and ``runner.parse_config`` accept; RK4
+#: (stable to 2 sqrt 2 on the imaginary axis) on this stencil (largest 2-D
+#: frequency 1.940 / dx) is stable to dt / dx = 1.458
+CFL_LIMIT = 1.0
 
 
 class EvolutionError(RuntimeError):

@@ -407,10 +407,10 @@ def unit_time(chart, x):
     return v
 
 
-def orthonormal_frame(chart, x, time_axis_hint=None):
+def orthonormal_frame(chart, x, time_axis_hint):
     """Orthonormal rows [that, e_1, e_2, e_3], shape (..., 4, 4), with
-    g(that, that) = -1: Gram-Schmidt on the unit hint (d/dt when None), then
-    on d_1, d_2 and d_3, with g(u, v) = sum_a g_aa u^a v^a.
+    g(that, that) = -1: Gram-Schmidt on the unit ``time_axis_hint`` (the
+    cone's T_p), then on d_1, d_2 and d_3, with g(u, v) = sum_a g_aa u^a v^a.
 
     No step degenerates: d_i projected off that has norm g_ii + g(d_i, that)^2
     > 0, and the three projections are independent because that has a
@@ -419,8 +419,7 @@ def orthonormal_frame(chart, x, time_axis_hint=None):
     """
     x = as_points(x)
     d = chart.diagonal(x)
-    hint = (1.0, 0.0, 0.0, 0.0) if time_axis_hint is None else time_axis_hint
-    hint = np.broadcast_to(as_points(hint), x.shape[:-1] + (4,))
+    hint = np.broadcast_to(as_points(time_axis_hint), x.shape[:-1] + (4,))
     norm2 = _dot(d, hint, hint)
     if np.any(norm2.real >= 0):
         raise FrameError("time axis hint is not timelike")

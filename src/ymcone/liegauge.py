@@ -122,18 +122,6 @@ class FieldStrength(_AnalyticField):
     (..., 4[a], 4, 4, dim)."""
 
 
-def zero_potential(basis):
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, basis.dim))
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, 4, basis.dim))
-
-    return GaugePotential(basis, fn, jac=jac)
-
-
 # ---------------------------------------------------------------------------
 # Gauge operators
 # ---------------------------------------------------------------------------
@@ -185,18 +173,22 @@ def gauge_covariant_derivative(chart, x, field, A):
     d_a, whose Gamma(d_a)^g_m = Gamma^g_am.
 
     Returns (..., 4[a], 4[m], 4[n], dim).  ``field`` must expose
-    ``__call__`` and ``jacobian`` like FieldStrength.
+    ``__call__``, ``jacobian`` and ``basis`` like FieldStrength.  ``A`` is a
+    GaugePotential, or None for no potential: then no bracket is formed and
+    D is the Levi-Civita derivative.
     """
     x = np.asarray(x, dtype=float)
     gamma = np.swapaxes(geometry.christoffel(chart, x), -3, -2)
     return field.jacobian(x) + connect(field(x)[..., None, :, :, :], gamma,
-                                       A(x), A.basis)
+                                       None if A is None else A(x),
+                                       field.basis)
 
 
 def ym_residual(chart, x, F, A):
     """Covariant divergence D^a F_{a b}; zero exactly on Yang-Mills solutions.
 
-    Returns (..., 4[b], dim).
+    ``A`` is a GaugePotential or None, as in
+    ``gauge_covariant_derivative``.  Returns (..., 4[b], dim).
     """
     inv = chart.inverse_diagonal(x)
     DF = gauge_covariant_derivative(chart, x, F, A)  # (...,a,m,n,k)

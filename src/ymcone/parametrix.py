@@ -278,9 +278,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     that_ring = geometry.unit_time(chart, x_ring)
     phi_ring = crossing.interpolate(bundle.phi)
     L_ring = crossing.interpolate(bundle.L)
-    A_for_D = potential if potential is not None \
-        else liegauge.zero_potential(basis)
-    DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, A_for_D)
+    DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, potential)
     ring_coef = 0.5 * phi_ring * crossing.interpolate(opt["trchi"]) \
         + crossing.interpolate(opt["kscreen"])
     ring_up = raise_two_form(chart, x_ring, np.einsum(

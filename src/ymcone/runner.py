@@ -158,11 +158,11 @@ PROFILES = {
 
 def make_field(basis, profile, params):
     """Build (field_strength, potential) for a named profile; the potential
-    is zero unless the profile gives one, and the field is then its curvature."""
+    is None unless the profile gives one, and the field is then its curvature."""
     built = PROFILES[profile].build(basis, **(params or {}))
     if isinstance(built, liegauge.GaugePotential):
         return liegauge.curvature_from_potential(built), built
-    return built, liegauge.zero_potential(basis)
+    return built, None
 
 
 def canonical_seeds(basis):
@@ -209,7 +209,7 @@ class Scenario:
     chart: geometry.Chart = dc_field(repr=False)
     basis: liegauge.AlgebraBasis = dc_field(repr=False)
     field: liegauge.FieldStrength | None = dc_field(repr=False)
-    potential: liegauge.GaugePotential = dc_field(repr=False)
+    potential: liegauge.GaugePotential | None = dc_field(repr=False)
     raw: dict = dc_field(repr=False, default_factory=dict)
 
     def config_hash(self):
@@ -370,8 +370,9 @@ def parse_config(doc):
     if evo["n"] < 5:
         problems.append("'evolution.n' must be at least 5: the five-point "
                         "stencil's offsets alias on fewer sites")
-    if evo["dt_factor"] > 1.0:
-        problems.append("'evolution.dt_factor' exceeds the stability range")
+    if evo["dt_factor"] > evolution.CFL_LIMIT:
+        problems.append(f"'evolution.dt_factor' exceeds the step bound "
+                        f"evolution.CFL_LIMIT = {evolution.CFL_LIMIT}")
     bnd = _merged_section(doc, "bounds", _BOUNDS_DEFAULTS, problems)
 
     experiments = doc.get("experiments", [])
@@ -526,7 +527,7 @@ def _exp_cartan_check(scn, bundle):
     # offsets in the vertex's orthonormal frame, of proper length about
     # 0.05 coordinate_scale: on Schwarzschild at r = 10 the angles then
     # spread by about 0.05 rad and stay off the polar axis
-    frame = geometry.orthonormal_frame(chart, base)
+    frame = frame_field(base)
     pts = base + 0.05 * chart.coordinate_scale \
         * rng.standard_normal((8, 4)) @ frame
     # the curvature differences the connection once and the residual twice;

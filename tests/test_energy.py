@@ -211,7 +211,6 @@ def test_deformation_bound_zero_for_killing_time(schw_bundle):
 
 def test_gradient_energy_density_nonnegative(flat_chart, u1):
     F = _wave(u1)
-    A = liegauge.zero_potential(u1)
     pts = np.random.default_rng(2).standard_normal((10, 4))
-    dens = energy.gradient_energy_density(flat_chart, pts, F, A)
+    dens = energy.gradient_energy_density(flat_chart, pts, F, None)
     assert np.all(dens >= -1e-12)

@@ -112,6 +112,15 @@ def test_cfl_guard(lattice):
         evolution.step(state, 2.0 * lattice.dx)
 
 
+def test_step_refuses_dt_past_the_stable_range(lattice):
+    # RK4 on the fourth-order stencil is stable only to dt / dx = 1.458 in
+    # 2-D; 1.2 dx is below that but above the bound ``step`` enforces
+    state = evolution.crossed_stream_data(lattice, liegauge.su2())
+    with pytest.raises(evolution.EvolutionError,
+                       match=rf"step bound {evolution.CFL_LIMIT} \* dx"):
+        evolution.step(state, 1.2 * lattice.dx)
+
+
 def test_state_shape_guard(lattice):
     u1 = liegauge.u1()
     with pytest.raises(evolution.EvolutionError):

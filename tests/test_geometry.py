@@ -220,7 +220,7 @@ def test_inverse_metric_identity(schw_chart):
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_orthonormal_frame_gram(name, params, x):
-    # the default d/dt hint, a boosted timelike hint, and the twin cone's
+    # the unit normal that, a boosted timelike hint, and the twin cone's
     # complex vertex p + i eps that with hint that + i eps v, where the
     # bilinear (unconjugated) Gram matrix must still be diag(-1, 1, 1, 1)
     chart = geometry.make_chart(name, **params)
@@ -231,7 +231,7 @@ def test_orthonormal_frame_gram(name, params, x):
     eps = geometry.COMPLEX_STEP
     twin = x + 1j * eps * that
     v = np.random.default_rng(3).standard_normal(4)
-    for z, hint in ((x, None), (x, boost), (twin, that + 1j * eps * v)):
+    for z, hint in ((x, that), (x, boost), (twin, that + 1j * eps * v)):
         frame = geometry.orthonormal_frame(chart, z, time_axis_hint=hint)
         g = oracles.metric(chart, z)
         gram = np.einsum("am,bn,mn->ab", frame, frame, g)

@@ -105,21 +105,39 @@ def test_nonabelian_constant_potential_curvature():
 def test_plane_wave_solves_field_equations(flat_chart):
     u1 = liegauge.u1()
     F = runner.plane_wave_field(u1, omega=1.3, direction=(1.0, 2.0, 0.0))
-    A = liegauge.zero_potential(u1)
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((10, 4))
-    res = liegauge.ym_residual(flat_chart, pts, F, A)
-    bia = oracles.bianchi_residual(flat_chart, pts, F, A)
+    res = liegauge.ym_residual(flat_chart, pts, F, None)
+    bia = oracles.bianchi_residual(flat_chart, pts, F, None)
     assert np.max(np.abs(res)) < 1e-9
     assert np.max(np.abs(bia)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["minkowski", "schwarzschild"])
+def test_covariant_derivative_none_matches_all_zero_a(
+        case, request):
+    # on su(2) the bracket with A really runs; None must give the same bits
+    # as an explicit all-zero potential
+    chart = request.getfixturevalue(
+        "flat_chart" if case == "minkowski" else "schw_chart")
+    su2 = liegauge.su2()
+    F = liegauge.curvature_from_potential(
+        runner.su2_bump_potential(su2, amplitude=0.3, width=10.0))
+    zero = liegauge.GaugePotential(
+        su2, lambda x: np.zeros(np.shape(x)[:-1] + (4, su2.dim)))
+    x = chart.default_vertex() + 0.05 * chart.coordinate_scale \
+        * np.random.default_rng(4).standard_normal((6, 4))
+    got = liegauge.gauge_covariant_derivative(chart, x, F, None)
+    assert np.array_equal(
+        got, liegauge.gauge_covariant_derivative(chart, x, F, zero))
+    assert np.max(np.abs(F(x))) > 1e-3
 
 
 def test_coulomb_solves_field_equations_on_schwarzschild(schw_chart):
     u1 = liegauge.u1()
     F = runner.coulomb_field(u1, charge=1.0)
-    A = liegauge.zero_potential(u1)
     pts = np.array([[0.0, 9.0, 1.2, 0.3], [1.0, 11.0, 0.8, 2.0]])
-    res = liegauge.ym_residual(schw_chart, pts, F, A)
+    res = liegauge.ym_residual(schw_chart, pts, F, None)
     assert np.max(np.abs(res)) < 1e-9
 
 

@@ -49,6 +49,29 @@ def test_negative_step_names_the_field():
     assert any("cone.ds" in p for p in exc.value.problems)
 
 
+def test_step_factor_bound_is_the_lattice_bound():
+    limit = evolution.CFL_LIMIT
+    scn = runner.parse_config({"chart": "minkowski",
+                               "evolution": {"dt_factor": limit}})
+    assert scn.evolution["dt_factor"] == limit
+    with pytest.raises(runner.ConfigError) as exc:
+        runner.parse_config({"chart": "minkowski",
+                             "evolution": {"dt_factor": limit * (1 + 1e-9)}})
+    assert any("evolution.dt_factor" in p and "CFL_LIMIT" in p
+               for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("algebra", runner.ALGEBRAS)
+def test_absent_potential_is_none(algebra):
+    basis = runner.make_algebra(algebra)
+    for profile in runner.PROFILES:
+        if profile != "su2_bump":
+            assert runner.make_field(basis, profile, {})[1] is None, profile
+    if basis.dim > 1:
+        _, A = runner.make_field(basis, "su2_bump", {})
+        assert isinstance(A, liegauge.GaugePotential)
+
+
 @pytest.mark.parametrize("doc,field", [
     ({"cone": {"n_theta": True}}, "cone.n_theta"),
     ({"seed": True}, "seed"),
@@ -176,7 +199,7 @@ def test_strict_mode_rejects_unknown_keys():
 def _near_vertex(chart, n=16):
     """n points within about 0.05 coordinate_scale of the default vertex."""
     v = chart.default_vertex()
-    frame = geometry.orthonormal_frame(chart, v)
+    frame = liegauge.static_diagonal_frame(chart)(v)
     offsets = np.random.default_rng(0).standard_normal((n, 4)) @ frame
     return v + 0.05 * chart.coordinate_scale * offsets
 
