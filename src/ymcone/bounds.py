@@ -142,22 +142,56 @@ def pachpatte_envelope(spec):
     return Envelope(t, b)
 
 
+def _simpson_cells(y, h):
+    """Integrals over the cells [x_i, x_i+1], i < n - 2, of the parabola
+    through (x_i, x_i+1, x_i+2), from cell widths ``h`` (Cartwright's
+    unequal-interval formula)."""
+    x21, x32 = h[:-1], h[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """int_{x_0}^{x_i} y for each i, with a leading 0: composite Simpson on
+    a strictly increasing grid of n >= 2 points, the trapezoid for n = 2.
+
+    Each cell takes the parabola through it and its right neighbour, read
+    forward for even cells and backward (on the flipped arrays) for odd
+    cells and the last one; the cells are then summed in order.  These are
+    the operations of SciPy's ``cumulative_simpson(y, x=x, initial=0.0)``
+    in the same order, so the two agree bitwise (``tests/test_bounds.py``).
+    """
+    h = np.diff(x)
+    if y.size < 3:
+        cells = h * (y[1:] + y[:-1]) / 2.0
+    else:
+        ahead = _simpson_cells(y, h)
+        behind = _simpson_cells(y[::-1], h[::-1])[::-1]
+        cells = np.empty(h.size)
+        cells[:-1:2] = ahead[::2]
+        cells[1::2] = behind[::2]
+        cells[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(cells)))
+
+
 def picard_envelope(spec, tol=1e-13, max_iter=500):
     """Independent fixed-point solution of the quadratic integral equation.
 
     Iterates b <- c + p int b^2 + q int int b^2 with cumulative Simpson
-    quadrature until the sup-norm update falls below tol.  Diverging
-    iterates indicate blow-up inside the interval and raise ValueError.
+    quadrature (``_cumulative_simpson``, numpy only) until the sup-norm
+    update falls below tol.  Diverging iterates indicate blow-up inside the
+    interval and raise ValueError.
     """
-    from scipy.integrate import cumulative_simpson          # slow import
-
     t = spec.grid()
     p, q = spec.single_coef, spec.double_coef
     b = np.full_like(t, spec.c)
     for _ in range(max_iter):
         sq = b * b
-        single = cumulative_simpson(sq, x=t, initial=0.0)
-        double = cumulative_simpson(single, x=t, initial=0.0)
+        single = _cumulative_simpson(sq, t)
+        double = _cumulative_simpson(single, t)
         b_new = spec.c + p * single + q * double
         if not np.all(np.isfinite(b_new)) or np.max(b_new) > _HUGE:
             raise ValueError("Picard iteration diverges: blow-up in interval")

@@ -70,6 +70,9 @@ class Chart:
     flat = False
     #: True when the Ricci tensor vanishes identically (a vacuum metric)
     ricci_flat = False
+    #: coordinates the metric does not depend on: d_e g = 0, so the complex
+    #: step of ``christoffel_derivative`` along them is skipped
+    ignorable = ()
     #: where ``contains`` holds, for error messages
     domain = "the metric diagonal is finite with signature (-,+,+,+)"
 
@@ -176,6 +179,7 @@ class Minkowski(Chart):
     name = "minkowski"
     flat = True
     ricci_flat = True
+    ignorable = (0, 1, 2, 3)
 
     def diagonal(self, x):
         d = _zeros(as_points(x), 4) + 1.0
@@ -199,6 +203,7 @@ class Schwarzschild(Chart):
 
     name = "schwarzschild"
     ricci_flat = True
+    ignorable = (0, 3)
     domain = Chart.domain + " and 0 < theta < pi"
 
     def __init__(self, mass=1.0):
@@ -254,6 +259,7 @@ class SchwarzschildIsotropic(Chart):
 
     name = "schwarzschild-isotropic"
     ricci_flat = True
+    ignorable = (0,)
 
     def __init__(self, mass=1.0):
         self.mass = float(mass)
@@ -295,6 +301,7 @@ class FLRW(Chart):
     """Spatially flat power-law FLRW: g = -dt^2 + t^(2p) (dx^2+dy^2+dz^2)."""
 
     name = "flrw"
+    ignorable = (1, 2, 3)
 
     def __init__(self, power=1.0):
         self.power = float(power)
@@ -362,11 +369,14 @@ def christoffel(chart, x):
 def christoffel_derivative(chart, x):
     """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]): for each e the
     complex step Im christoffel(x + i h e_e) / h, h = COMPLEX_STEP, which is
-    exact to roundoff."""
+    exact to roundoff.  Along the chart's ``ignorable`` coordinates the
+    derivative is exact zeros and no step is taken."""
     x = np.asarray(x, dtype=float)
     out = _zeros(x, 4, 4, 4, 4)
     z = x.astype(complex)
     for e in range(4):
+        if e in chart.ignorable:
+            continue
         z[..., e] += 1j * COMPLEX_STEP
         out[..., e, :, :, :] = christoffel(chart, z).imag / COMPLEX_STEP
         z[..., e] = x[..., e]

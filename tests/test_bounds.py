@@ -60,6 +60,23 @@ def test_full_quadratic_matches_picard_oracle():
     assert np.max(np.abs(env.b - oracle.b)) < 1e-6
 
 
+@pytest.mark.parametrize("grid", ["uniform", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1000, 1001])
+def test_cumulative_simpson_is_scipys(n, grid):
+    # the Picard oracle's numpy quadrature does scipy's operations in
+    # scipy's order (the trapezoid at n = 2), so it agrees bitwise
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(n)
+    if grid == "uniform":
+        x = np.linspace(0.0, 1.0, n)
+    else:
+        x = np.sort(rng.uniform(-1.0, 2.0, n))
+    y = rng.standard_normal(n)
+    want = cumulative_simpson(y, x=x, initial=0.0)
+    assert np.array_equal(bounds._cumulative_simpson(y, x), want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.01, max_value=0.3),
        st.floats(min_value=0.001, max_value=0.2))

@@ -203,6 +203,24 @@ def test_christoffel_derivative_matches_symbolic(name, params, x):
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
+@pytest.mark.parametrize("name", sorted(geometry.CHART_CATALOG))
+def test_ignorable_coordinates_step_to_exact_zeros(name):
+    # the complex step of Gamma along each ignorable coordinate is exact
+    # zeros at random in-domain points, and along every other one it is not;
+    # christoffel_derivative skips the former and equals the full stepping
+    _, params, x = next(c for c in CATALOG_POINTS if c[0] == name)
+    chart = geometry.make_chart(name, **params)
+    rng = np.random.default_rng(17)
+    pts = np.asarray(x) + 0.3 * rng.standard_normal((16, 4))
+    assert np.all(chart.contains(pts))
+    h = geometry.COMPLEX_STEP
+    full = np.stack([geometry.christoffel(chart, pts + 1j * h * e).imag / h
+                     for e in np.eye(4)], axis=-4)
+    for e in range(4):
+        assert np.all(full[:, e] == 0.0) == (e in chart.ignorable)
+    assert np.array_equal(geometry.christoffel_derivative(chart, pts), full)
+
+
 def test_closed_forms_reject_degenerate_point(schw_chart):
     horizon = np.array([[0.0, 10.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):

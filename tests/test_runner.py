@@ -447,25 +447,38 @@ def test_plane_wave_profile_is_transverse():
 SU2_LATTICE_SETUP = """
 import sys
 from ymcone import evolution, liegauge, runner
-runner.parse_config({
+scn = runner.parse_config({
     "chart": "minkowski", "algebra": "su2",
     "evolution": {"n": 32, "length": 1.0, "dt_factor": 0.05,
                   "crossings": 3.0, "amplitude": 0.1},
     "bounds": {"c": 0.1}, "experiments": ["evolution", "bounds"], "seed": 1})
 evolution.Lattice2D(32)
 liegauge.su2()
+"""
+
+# the whole run: the lattice RK4, both envelopes with the Picard oracle,
+# and the report files
+SU2_LATTICE_RUN = SU2_LATTICE_SETUP + """
+import tempfile
+with tempfile.TemporaryDirectory() as out:
+    runner.emit(runner.run(scn), out)
+"""
+
+LOADED_SCIPY = """
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_lattice_setup_loads_no_scipy():
-    # a fresh process pays for every import on the set-up path
+@pytest.mark.parametrize("script", [SU2_LATTICE_SETUP, SU2_LATTICE_RUN],
+                         ids=["setup", "run"])
+def test_lattice_setup_loads_no_scipy(script):
+    # a fresh process pays for every import on the path the script takes
     src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", SU2_LATTICE_SETUP], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", script + LOADED_SCIPY],
+                         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
