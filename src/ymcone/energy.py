@@ -140,23 +140,22 @@ def bulk_density(chart, x, F):
     """pi^{mn}(d/dt) T_{mn} per point.
 
     On a diagonal chart the deformation tensor of d/dt is diagonal,
-    pi^{mn} = delta^{mn} d_t g_mm / (2 g_mm^2).  Where pi vanishes at every
-    point (a static metric) the density is zero, and F is not evaluated.
+    pi^{mn} = delta^{mn} d_t g_mm / (2 g_mm^2).
     """
     x = np.asarray(x, dtype=float)
     d, inv = chart.diagonal(x), chart.inverse_diagonal(x)
     pi = 0.5 * chart.ddiagonal(x)[..., 0, :] * inv ** 2
-    if not np.any(pi):
-        return np.zeros(x.shape[:-1])
     return np.einsum("...m,...mm->...", pi, _stress(d, inv, F(x)))
 
 
 def bulk_term(chart, F, bundle, t0, t1, n_time=12, n_radial=16):
     """Integral of pi^{mn}(d/dt) T_{mn} over the cone interior in [t0, t1].
 
-    Exactly zero when d/dt is Killing; evaluated by Gauss-Legendre in t over
-    star-shaped slice regions.
+    Exactly 0.0, with no crossing built, where t is ``ignorable`` (d/dt is
+    Killing, pi = 0); elsewhere Gauss-Legendre in t over star-shaped slices.
     """
+    if 0 in chart.ignorable:
+        return 0.0
     tq, wq = np.polynomial.legendre.leggauss(n_time)
     tq = 0.5 * (t1 - t0) * (tq + 1.0) + t0
     wq = 0.5 * (t1 - t0) * wq
@@ -198,18 +197,13 @@ def gradient_energy_density(chart, x, F, A):
 
 def divergence_identity_report(chart, F, bundle, t0, t1, n_radial=24,
                                n_time=12):
-    """Evaluate E(t1) - E(t0) + flux + bulk and report every term.
-
-    The bulk integral is evaluated unless the chart is flag-flat, where
-    d/dt is Killing and the bulk term vanishes.
-    """
+    """Evaluate E(t1) - E(t0) + flux + bulk and report every term."""
     cr0 = bundle.crossing(t0)
     cr1 = bundle.crossing(t1)
     E0 = slice_energy(chart, F, cr0, n_radial)
     E1 = slice_energy(chart, F, cr1, n_radial)
     flux = cone_flux(bundle, F, cr0, cr1)
-    bulk = 0.0 if chart.flat else bulk_term(chart, F, bundle, t0, t1,
-                                            n_time, n_radial)
+    bulk = bulk_term(chart, F, bundle, t0, t1, n_time, n_radial)
     residual = E1 - E0 + flux + bulk
     return {
         "E_start": E0, "E_end": E1, "flux": flux, "bulk": bulk,

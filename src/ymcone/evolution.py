@@ -94,7 +94,7 @@ class GaugeState:
 
 def _mirrors(basis):
     """Mirror planes the algebra takes: 0 for an abelian one, 2 for su(2)."""
-    if not np.any(basis.c):
+    if basis.abelian:
         return 0
     if np.array_equal(basis.c, su2().c):
         return 2

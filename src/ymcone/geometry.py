@@ -51,7 +51,8 @@ class Chart:
     """Analytic metric, diagonal in its coordinates, on a coordinate patch.
 
     Every catalog chart is diagonal.  Subclasses implement its diagonal g_aa
-    and the diagonal's first derivatives in closed form, and nothing more.
+    and the diagonal's first derivatives in closed form, and declare the
+    coordinates it does not depend on (``ignorable``), its one symmetry.
     The reciprocal 1/g_aa (``inverse_diagonal``) follows here; the module
     functions ``inverse_metric`` and ``christoffel`` build the full forms
     from these, and every higher derivative is the complex step of
@@ -65,13 +66,11 @@ class Chart:
 
     name = "chart"
     coordinate_scale = 1.0
-    #: True when Gamma, hence the curvature, vanishes identically in these
-    #: coordinates (lets hot loops skip work).
-    flat = False
     #: True when the Ricci tensor vanishes identically (a vacuum metric)
     ricci_flat = False
     #: coordinates the metric does not depend on: d_e g = 0, so the complex
-    #: step of ``christoffel_derivative`` along them is skipped
+    #: step of ``christoffel_derivative`` along them is skipped; t among them
+    #: makes d/dt Killing, and ``energy.bulk_term`` 0
     ignorable = ()
     #: where ``contains`` holds, for error messages
     domain = "the metric diagonal is finite with signature (-,+,+,+)"
@@ -83,6 +82,11 @@ class Chart:
     # ddiagonal[..., e, a] = d_e g_aa
     def ddiagonal(self, x):
         raise NotImplementedError
+
+    @property
+    def flat(self):
+        """``ignorable`` holds all four coordinates: Gamma == 0 identically."""
+        return len(self.ignorable) == 4
 
     def default_vertex(self):
         """The cone vertex of a scenario that names none; inside the chart."""
@@ -177,7 +181,6 @@ def _dot(d, u, v):
 
 class Minkowski(Chart):
     name = "minkowski"
-    flat = True
     ricci_flat = True
     ignorable = (0, 1, 2, 3)
 

@@ -34,6 +34,11 @@ class AlgebraBasis:
         self.c = np.asarray(structure_constants, dtype=float)
         self.dim = self.c.shape[0]
 
+    @property
+    def abelian(self):
+        """True when every bracket vanishes: all structure constants zero."""
+        return not np.any(self.c)
+
     def bracket(self, X, Y):
         """[X, Y] of coefficient ndarrays whose last axis is the algebra
         axis, broadcast over the other axes: one (..., dim^2) x (dim^2, dim)
@@ -215,7 +220,7 @@ def wave_source(chart, x, F, curv):
         out = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup) \
             - np.einsum("...mg,...ngk->...mnk", Ric, fmixed) \
             + np.einsum("...ng,...mgk->...mnk", Ric, fmixed)  # -R_ng F^g_m
-    if np.any(F.basis.c):             # non-abelian: [F^a_m, F_na] per a
+    if not F.basis.abelian:           # [F^a_m, F_na] per a
         comm = F.basis.bracket((inv[..., :, None, None] * f)[..., None, :],
                                np.swapaxes(f, -3, -2)[..., None, :, :])
         out = out - 2.0 * comm.sum(axis=-4)

@@ -191,15 +191,6 @@ class NullConeBundle:
         out[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
         return np.divide(out, 2.0 * self.ds, out=out)
 
-    def _angular(self, f):
-        """Spectral (d_theta, d_phi) of per-node data, new axis at the end.
-
-        ``f`` has shape (n_s+1, nth, nph, ...); the sphere axes must be 1, 2.
-        """
-        grad = self.grid.on_nodes(self.grid.grad, f)
-        return np.moveaxis(grad.reshape(f.shape[:1] + (2,) + f.shape[1:]),
-                           1, -1)
-
     # ------------------------------------------------------------------
     # optical scalars
     # ------------------------------------------------------------------
@@ -232,7 +223,7 @@ class NullConeBundle:
         # d_b of the positions (d_b x^mu = Y) and of L in one GEMM, each
         # (n1, nth, nph, 4, 2)
         dY, dL = np.moveaxis(
-            self._angular(np.stack([self.x, self.L], axis=3)), 3, 0)
+            self.grid.gradient(np.stack([self.x, self.L], axis=3)), 3, 0)
         d = self.diagonal_nodes
         Lbar, L, that = self.Lbar, self.L, self.that
         sin_th = self.grid.sin_theta[None, :, None]

@@ -90,6 +90,7 @@ def connection(bundle, potential=None):
     def split(w):               # (L part, Y_b part), None where it vanishes
         if w is None:
             return None, None
+        # data probe: Gamma == 0 on FLRW p = 0 keeps transport's 1e-10 check
         return tuple(part if np.any(part) else None
                      for part in (w[:, :, :, 0], w[:, :, :, 1:]))
 
@@ -100,7 +101,7 @@ def connection(bundle, potential=None):
             gamma[sl] = bundle.chart.christoffel_along(
                 bundle.x[sl][..., None, :], V[sl])
     a = basis = None
-    if potential is not None and np.any(potential.basis.c):
+    if potential is not None and not potential.basis.abelian:
         basis = potential.basis
         a = np.einsum("...mi,...vm->...vi",
                       sample_field(bundle, potential, (4, basis.dim)), V)
@@ -157,7 +158,7 @@ def angular_gauge_derivative(bundle, f, conn, sl=slice(None)):
     (``connection``) along Y_b.
     """
     f = np.asarray(f)
-    df = np.moveaxis(bundle._angular(f), -1, 3)     # (..., 2, <tensor>, dim)
+    df = np.moveaxis(bundle.grid.gradient(f), -1, 3)  # (..., 2, <tensor>, dim)
     df += liegauge.connect(f[:, :, :, None], *_on_slices(
         sl, conn.gamma_Y, conn.a_Y), conn.basis)
     return df
@@ -246,7 +247,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # --- curvature terms, one Riemann evaluation per chunk ----------------
     # the field's wave operator (None: zero on a flat abelian chart) and
     # K[g, a] = g^{gg} R_{a g L Lbar} / 2 (None: zero on a flat chart)
-    box_nodes = None if chart.flat and basis.dim == 1 \
+    box_nodes = None if chart.flat and basis.abelian \
         else np.empty_like(F_nodes)
     K = None if chart.flat else np.empty(x_read.shape[:3] + (4, 4))
     for sl in _chunks(stop, bundle.chunk):
@@ -266,7 +267,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # --- seed-free factors of the cone corrections ------------------------
     mu, _omega = bundle.mass_aspect()
     F_LLbar = None
-    if np.any(basis.c):
+    if not basis.abelian:
         F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
                             F_nodes, bundle.L[:stop], bundle.Lbar[:stop])
     del F_nodes                 # the seed pass needs only F_up and F_LLbar

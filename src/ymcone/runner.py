@@ -296,7 +296,7 @@ def _unmet_needs(spec, chart, basis, profile):
         yield "a field that solves Yang-Mills on the chart"
     if spec.ricci_flat and not chart.ricci_flat:
         yield "a Ricci-flat chart"
-    if spec.lattice and not (chart.flat and basis.dim > 1):
+    if spec.lattice and (not chart.flat or basis.abelian):
         yield "a non-abelian algebra on a flat chart"
 
 

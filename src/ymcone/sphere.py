@@ -130,6 +130,12 @@ class SphereGrid:
                                     self._P[m], self.gl_weights, fm[..., :, m]))
         return coeffs
 
+    def gradient(self, f):
+        """Spectral (d_theta, d_phi) of f (n, nth, nph, ...), new last axis."""
+        grad = self.on_nodes(self.grad, f)
+        return np.moveaxis(grad.reshape(f.shape[:1] + (2,) + f.shape[1:]),
+                           1, -1)
+
     def dtheta(self, f):
         """Spectral d/dtheta of a field on the grid."""
         return self._product(self.grad[:self.n_nodes], f)

@@ -137,14 +137,29 @@ def _counting(F):
     return liegauge.FieldStrength(F.basis, fn), shapes
 
 
-def test_bulk_term_skips_the_field_where_time_is_killing(schw_bundle, u1):
-    # pi(d/dt) vanishes at every Schwarzschild point, so the bulk quadrature
-    # never evaluates F and sums to exactly zero
-    F, shapes = _counting(runner.coulomb_field(u1))
-    val = energy.bulk_term(schw_bundle.chart, F, schw_bundle, -0.45, -0.2,
-                           n_time=4, n_radial=6)
-    assert val == 0.0
-    assert shapes == []
+def test_bulk_term_skips_the_field_where_time_is_killing(schw_bundle, u1,
+                                                         monkeypatch):
+    # t is ignorable on both static charts, so pi(d/dt) vanishes: the bulk
+    # term is exactly zero, builds no crossing and never evaluates F
+    iso = geometry.make_chart("schwarzschild-isotropic", mass=1.0)
+    iso_bundle = nullcone.NullConeBundle(iso, iso.default_vertex(),
+                                         sphere.SphereGrid(6, 12), s_max=0.5,
+                                         ds=0.005)
+    for bundle in (schw_bundle, iso_bundle):
+        assert 0 in bundle.chart.ignorable
+        crossings, build = [], bundle.crossing
+
+        def crossing(t, build=build, crossings=crossings):
+            crossings.append(t)
+            return build(t)
+
+        monkeypatch.setattr(bundle, "crossing", crossing)
+        F, shapes = _counting(runner.coulomb_field(u1))
+        val = energy.bulk_term(bundle.chart, F, bundle, -0.45, -0.2,
+                               n_time=4, n_radial=6)
+        assert val == 0.0
+        assert shapes == []
+        assert crossings == []
 
 
 def test_bulk_term_on_flrw_is_the_deformation_integral():

@@ -221,6 +221,22 @@ def test_ignorable_coordinates_step_to_exact_zeros(name):
     assert np.array_equal(geometry.christoffel_derivative(chart, pts), full)
 
 
+@pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
+def test_flat_and_ricci_flat_match_the_curvature(name, params, x):
+    # Chart.flat, derived from ignorable, holds exactly where Gamma is
+    # identically zero, and ricci_flat exactly where the Ricci tensor
+    # vanishes to roundoff of the Riemann tensor, at random in-domain points
+    chart = geometry.make_chart(name, **params)
+    rng = np.random.default_rng(19)
+    pts = np.asarray(x) + 0.3 * rng.standard_normal((16, 4))
+    assert np.all(chart.contains(pts))
+    assert chart.flat == (not np.any(geometry.christoffel(chart, pts)))
+    curv = geometry.riemann(chart, pts)
+    scale = np.max(np.abs(curv.riemann), axis=(-4, -3, -2, -1))
+    small = np.max(np.abs(curv.ricci), axis=(-2, -1)) <= 1e-12 * scale
+    assert np.all(small) if chart.ricci_flat else not np.any(small)
+
+
 def test_closed_forms_reject_degenerate_point(schw_chart):
     horizon = np.array([[0.0, 10.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):

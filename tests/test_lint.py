@@ -124,16 +124,82 @@ def test_sphere_quadrature_goes_through_integrate():
     assert not hits, f"einsum over sphere weights outside sphere.py: {hits}"
 
 
+def structure_constant_probes(source):
+    """Line numbers of the ``np.any(<expr>.c)`` calls in ``source``: whether
+    an algebra is abelian is asked of ``AlgebraBasis.abelian``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "any"
+            and node.args and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "c"]
+
+
+def test_checker_flags_a_structure_constant_probe():
+    source = '''
+def _mirrors(basis):
+    if not np.any(basis.c):
+        return 0
+    return 2 if np.any(basis.c[0]) else 0
+'''
+    assert structure_constant_probes(source) == [3]
+
+
+def test_abelian_is_asked_of_the_basis():
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            if path.stem != "liegauge"
+            for line in structure_constant_probes(path.read_text())]
+    assert not hits, f"np.any over structure constants: {hits}"
+
+
+def class_assignments(source, name):
+    """(class, line) of every assignment to ``name`` directly in a class
+    body of ``source``; assignments inside methods do not count."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [getattr(stmt, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == name
+                   for t in targets):
+                found.append((cls.name, stmt.lineno))
+    return found
+
+
+def test_checker_flags_a_class_flag():
+    source = '''
+class Minkowski(Chart):
+    name = "minkowski"
+    flat = True
+    ricci_flat = True
+
+    def optical(self):
+        flat = 2.0 / self.s
+        return flat
+'''
+    assert class_assignments(source, "flat") == [("Minkowski", 4)]
+
+
+def test_no_class_sets_flat():
+    # Chart.flat is derived from Chart.ignorable; a class attribute would
+    # shadow the property
+    hits = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
+            for hit in class_assignments(path.read_text(), "flat")]
+    assert not hits, f"class bodies assigning flat: {hits}"
+
+
 #: public functions with no caller in ``src/``, and why each stays
 NO_SRC_CALLER = {
     "geometry.inverse_metric": "bench/tracing.py wraps it",
-    "bounds.gronwall_envelope": "ROADMAP item 5 plans its caller",
-    "bounds.check_series": "ROADMAP item 5 plans its caller",
-    "energy.deformation_bound": "ROADMAP item 5 plans its caller",
-    "energy.gradient_energy_density": "ROADMAP item 5 plans its caller",
-    "sphere.SphereGrid.high_mode_fraction": "ROADMAP item 10 plans its "
+    "bounds.gronwall_envelope": "ROADMAP item 6 plans its caller",
+    "bounds.check_series": "ROADMAP item 6 plans its caller",
+    "energy.deformation_bound": "ROADMAP item 6 plans its caller",
+    "energy.gradient_energy_density": "ROADMAP item 6 plans its caller",
+    "sphere.SphereGrid.high_mode_fraction": "ROADMAP item 11 plans its "
                                             "caller",
-    "runner.load_report": "ROADMAP item 7: not yet placed",
+    "runner.load_report": "ROADMAP item 8: not yet placed",
 }
 
 

@@ -193,7 +193,7 @@ def _trchibar_lbar_route(b):
     spectrally along the spheres, by differences along the rays."""
     opt = b.optical()
     Yt = np.swapaxes(opt["Ytilde"], -1, -2)             # (..., mu, b)
-    dLbar = b._angular(b.Lbar) \
+    dLbar = b.grid.gradient(b.Lbar) \
         - opt["cb"][..., None, :] * b._s_derivative(b.Lbar)[..., :, None]
     gamma = geometry.christoffel(b.chart, b.x)
     nab = dLbar + np.einsum("...mab,...b,...ac->...mc", gamma, b.Lbar, Yt)
