@@ -13,8 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 DEGENERATE_DET = 1e-12
-#: imaginary step of every complex-step derivative: ``christoffel_derivative``
-#: and the twin cone of ``nullcone``
+#: imaginary step of the complex-step derivative ``christoffel_derivative``
 COMPLEX_STEP = 1e-20
 
 
@@ -33,11 +32,11 @@ class FrameError(GeometryError):
 def as_points(x):
     """``x`` as a float array, or as a complex one when it is complex.
 
-    Complex points carry the complex-step twin cone of ``nullcone``; the
-    metric, its first derivatives, the inverse metric, the Christoffel
-    symbols, ``unit_time`` and ``orthonormal_frame`` keep them complex.
-    ``christoffel_derivative`` and ``riemann`` take real points only: the
-    derivative is itself a complex step of ``christoffel``.
+    Complex points carry the complex step of ``christoffel_derivative``
+    through the metric diagonal, its first derivatives, the inverse diagonal
+    and ``christoffel``; ``christoffel_along``, ``unit_time`` and
+    ``orthonormal_frame`` keep them complex too.  ``christoffel_derivative``
+    and ``riemann`` take real points only.
     """
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)

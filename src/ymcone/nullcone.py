@@ -12,19 +12,38 @@ continuum: nabla_L L = 0 on the rays; the unit normal that = (-g_tt)^(-1/2)
 d_t of the t-slices is orthogonal to the screen, so the screen part of their
 extrinsic curvature is k_bc = g(Gamma(Ytilde_b, that), Ytilde_c); and
 Lbar = -phi (2 that + phi L) gives tr chibar = -phi (2 tr k + phi trchi).
-Derivatives transverse to the cone itself (mass aspect, frame shift)
-come from one twin cone by complex-step differentiation.  Let f(d, s)
-be a per-node field on the cone from the vertex p + d T_p, with that vertex
-moved along the timelike geodesic through p.  The point q(s) + h Lbar is taken
-to lie on the cone from p - 2h T_p at affine parameter s - h, exactly so in
-flat space; then d_Lbar f = -2 d_d f - d_s f.  The twin cone from the complex
-vertex p + i eps T_p, eps = ``geometry.COMPLEX_STEP``, gives d_d f =
-Im f(i eps, s) / eps with no step size and no subtractive cancellation
-(Squire & Trapp, SIAM Rev. 40, 1998).  On curved charts the twin relation is
-only approximate; see ``lbar_derivative``.  Flat charts need no twin for the
-mass aspect: there Lbar = -(2 that + L), trchi = 2/s and tr chibar = -2/s,
-so mu = Lbar(2/s) + trchi tr chibar / 2 + 2 omega trchi = 2/s^2 - 2/s^2 = 0
-and omega = -g(nabla_Lbar Lbar, L) / 4 = 0 (``mass_aspect``).
+
+The mass aspect mu = Lbar(trchi) + trchi tr chibar / 2 + 2 omega trchi,
+omega = -g(nabla_Lbar Lbar, L) / 4, reads L off the cone, on the cones from
+the vertices p + d T_p along the timelike geodesic through p; ``mass_aspect``
+takes it from the one cone by the null structure equations (Christodoulou &
+Klainerman, 1993).  With g(L, Lbar) = -2, a screen e_A normal to L and Lbar
+and R(W, Z, X, Y) = g(W, [nabla_X, nabla_Y] Z) as in ``geometry.riemann``:
+
+- L = grad u for u = d: both are affine null generators, so their ratio is
+  constant on each ray, and it is 1 at the vertex, where du(T_p) = 1 =
+  g(L, T_p).  So H = nabla L is symmetric, H(L, .) = 0, trchi = div L, and
+  eta = zeta: nabla_Lbar L = -2 omega L + 2 zeta, zeta_A = H(Lbar, e_A) / 2.
+- Differentiating trchi = (g^-1 + (L Lbar + Lbar L) / 2)^bc H_bc along Lbar
+  with nabla_a H_bc = nabla_b H_ac + R_cdab L^d gives the four terms
+  H(nabla_Lbar L, Lbar) = 4 |zeta|^2, sum_A (nabla_A H(Lbar, .))(e_A) =
+  2 div zeta - 2 omega trchi, -sum_A H(e_A, nabla_A Lbar) = -2 |zeta|^2 -
+  chi.chibar and sum_A R(e_A, L, Lbar, e_A) = 2 rho - Ric(L, Lbar), with
+  rho = R(Lbar, L, Lbar, L) / 4.
+- So mu = 2 div zeta + 2 |zeta|^2 - chihat.chibarhat + 2 rho - Ric(L, Lbar):
+  the omega terms cancel, as mu does not change when L is rescaled off the
+  cone.  chibar = -phi (2 k + phi chi), so -chihat.chibarhat = phi
+  (2 khat.chihat + phi |chihat|^2).
+- div zeta is taken on the sections of the cone by the t-slices, to which
+  the screen is tangent: their tangents Ytilde_b = Y_b - cb L are d_b -
+  cb d_s in the cone coordinates (s, theta^b), with the s-spheres' metric
+  m_bc, so div zeta = (d_b W^b - cb_b d_s W^b) / sqrt(m), W^b = sqrt(m)
+  m^bc zeta_c.
+- zeta_b = -phi g(that, nabla_b L) leaves out the zero phi^2 g(L, nabla_b
+  L) / 2 of g(Lbar, nabla_b L) / 2, whose roundoff div zeta scales by 1/s^2.
+
+On a flat chart zeta = chihat = 0 with no curvature, so mu = 0 exactly:
+Lbar(2/s) + trchi tr chibar / 2 = 2/s^2 - 2/s^2.
 
 Array layout: per-node fields have shape (n_s + 1, n_theta, n_phi, ...) with
 slice index 0 at the vertex.
@@ -57,11 +76,7 @@ def _trace2(a, b):
 
 
 class NullConeBundle:
-    """Fan of past null geodesics from ``vertex`` with frames and scalars.
-
-    A complex ``vertex`` and ``T_p`` give the complex-step twin of
-    ``lbar_derivative``; every array of such a bundle is complex.
-    """
+    """Fan of past null geodesics from ``vertex`` with frames and scalars."""
 
     #: RK4 steps between projections of L back onto the null cone
     renorm_every = 100
@@ -171,8 +186,7 @@ class NullConeBundle:
 
     @property
     def phi(self):
-        """Null lapse 1/gLt, 1 at the vertex; computed per read, so the
-        complex twin holds no extra array."""
+        """Null lapse 1/gLt, 1 at the vertex; computed per read."""
         return 1.0 / self.gLt
 
     @property
@@ -198,10 +212,11 @@ class NullConeBundle:
     def optical(self):
         """Compute (and cache) optical scalars at every node.
 
-        Returns a dict with keys: trchi, chihat2, zeta, J, kscreen, minv, cb,
-        Ytilde and chi_asym (the largest antisymmetric part of chi past the
-        vertex closure, a scalar).  Only x and L are differentiated; the
-        geodesic equation and the closed form of that give the rest.
+        Returns a dict with keys: trchi, chihat2, khat_chihat (khat.chihat),
+        zeta, J, kscreen, minv, cb, Ytilde and chi_asym (the largest
+        antisymmetric part of chi past the vertex closure, a scalar).  Only
+        x and L are differentiated; the geodesic equation and the closed
+        form of that give the rest.
         Slices with s < s_min carry the flat-cone closure (trchi = 2/s,
         chihat = zeta = 0, J continued as s^2 times the limit shape).
         """
@@ -213,11 +228,11 @@ class NullConeBundle:
         shape = (n1, nth, nph)
 
         def empty(*tail):
-            return np.empty(shape + tail, dtype=self.x.dtype)
+            return np.empty(shape + tail)
 
         out = {
-            "trchi": empty(), "chihat2": empty(), "J": empty(),
-            "kscreen": empty(), "zeta": empty(2), "cb": empty(2),
+            "trchi": empty(), "chihat2": empty(), "khat_chihat": empty(),
+            "J": empty(), "kscreen": empty(), "zeta": empty(2), "cb": empty(2),
             "minv": empty(2, 2), "Ytilde": empty(2, 4), "chi_asym": 0.0,
         }
         # d_b of the positions (d_b x^mu = Y) and of L in one GEMM, each
@@ -264,13 +279,18 @@ class NullConeBundle:
             with np.errstate(divide="ignore", invalid="ignore"):
                 minv = minv / det[..., None, None]
                 trchi = _trace2(minv, chi)
-                chi2 = _trace2(chi, minv @ chi @ np.swapaxes(minv, -1, -2))
-                zeta = 0.5 * (gLbar[..., None, :] @ nabL)[..., 0, :]
-                out["kscreen"][sl] = _trace2(minv, kt)
+                chi_up = minv @ chi @ np.swapaxes(minv, -1, -2)
+                chi2 = _trace2(chi, chi_up)
+                # zeta = -phi g(that, nabla_b L): see the module docstring
+                zeta = -((d[sl] * that[sl])[..., None, :] @ nabL)[..., 0, :] \
+                    / self.gLt[sl][..., None]
+                k = _trace2(minv, kt)
+                out["khat_chihat"][sl] = _trace2(kt, chi_up) - 0.5 * k * trchi
+                out["kscreen"][sl] = k
             out["trchi"][sl] = trchi
             out["chihat2"][sl] = chi2 - 0.5 * trchi ** 2
             out["zeta"][sl] = zeta
-            out["J"][sl] = np.sqrt(np.where(det.real < 0.0, 0.0, det)) / sin_th
+            out["J"][sl] = np.sqrt(np.where(det < 0.0, 0.0, det)) / sin_th
             out["minv"][sl] = minv
             out["cb"][sl] = cb
             out["Ytilde"][sl] = np.swapaxes(Yt, -1, -2)     # (..., b, mu)
@@ -281,6 +301,7 @@ class NullConeBundle:
             flat = 2.0 / self.s
         out["trchi"][near] = flat[near, None, None]
         out["chihat2"][near] = 0.0
+        out["khat_chihat"][near] = 0.0
         out["zeta"][near] = 0.0
         # J ~ s^2 continuation using the shape at the first live slice
         ilive = int(np.searchsorted(self.s, self.s_min))
@@ -292,8 +313,8 @@ class NullConeBundle:
         k = out["kscreen"]
         k[0] = 3.0 * k[1] - 3.0 * k[2] + k[3] if self.n_s >= 3 else k[1]
         live = ~near
-        if np.any(out["J"][live].real <= 0.0):
-            bad = np.argwhere(out["J"].real <= 0.0)
+        if np.any(out["J"][live] <= 0.0):
+            bad = np.argwhere(out["J"] <= 0.0)
             bad = bad[bad[:, 0] >= ilive]
             if bad.size:
                 i, t, p_ = bad[0]
@@ -458,78 +479,49 @@ class NullConeBundle:
         return Crossing(self, i0, np.clip(frac, 0.0, 1.0))
 
     # ------------------------------------------------------------------
-    # transverse (off-cone) derivatives via the complex-step twin cone
+    # mass aspect
     # ------------------------------------------------------------------
 
-    def _twin(self):
-        """The cone from p + i eps T_p on the same grid, s range and step.
-
-        Its velocity T_p - i eps Gamma(T_p, T_p) follows the timelike
-        geodesic through p to first order in eps, which is all the complex
-        step sees.
-        """
-        if "twin" in self._cache:
-            return self._cache["twin"]
-        eps = geometry.COMPLEX_STEP
-        accel = self._geodesic_rhs(self.p, self.T_p)[1]
-        twin = NullConeBundle(self.chart, self.p + 1j * eps * self.T_p,
-                              self.grid, s_max=self.s[-1], ds=self.ds,
-                              T_p=self.T_p + 1j * eps * accel)
-        self._cache["twin"] = twin
-        return twin
-
-    def lbar_derivative(self, extract):
-        """Derivative along Lbar of a per-node field, -2 d_d f - d_s f.
-
-        ``extract(bundle) -> per-node array`` is applied to this bundle and
-        to its complex twin; d_d f is the twin's imaginary part over eps and
-        d_s f the central difference along the rays of this bundle.  The
-        twin relation is exact in flat space; on a curved chart the vertex
-        family direction it yields differs from Lbar by an L component of
-        order s^2 times the curvature.
-        """
-        d_vertex = np.imag(extract(self._twin())) / geometry.COMPLEX_STEP
-        return -2.0 * d_vertex - self._s_derivative(extract(self))
-
     def mass_aspect(self):
-        """Mass aspect mu and frame shift omega per node.
-
-        mu = nabla_Lbar trchi + trchi tr chibar / 2 + 2 omega trchi;
-        omega = -g(nabla_Lbar Lbar, L) / 4.  The Lbar-direction derivatives
-        come from ``lbar_derivative``.  Lbar = -phi (2 that + phi L) with
-        that and L orthogonal to the screen, so tr chibar = -phi (2 k +
-        phi trchi) with k = ``kscreen``.  Below s_min the flat closure gives
-        mu = omega = 0.  On a flat chart both vanish identically and are
-        returned as exact zeros, with no twin: the cones from p + d T_p
-        foliate the straight-ray cone with Lbar = -(2 that + L), trchi = 2/s
-        and tr chibar = -2/s, so omega = 0 and mu = 2/s^2 - 2/s^2 = 0.
+        """Mass aspect mu = 2 div zeta + 2 |zeta|^2 + phi (2 khat.chihat +
+        phi |chihat|^2) + 2 rho - Ric(L, Lbar) per node (module docstring),
+        with the curvature from ``geometry.riemann`` in s-chunks.  Zero below
+        s_min, the flat closure, and exact zeros with no curvature pass on a
+        flat chart.  Cached.
         """
         if "mass_aspect" in self._cache:
             return self._cache["mass_aspect"]
-        if self.chart.flat:
-            mu, omega = np.zeros((2,) + self.gLt.shape)
-            self._cache["mass_aspect"] = (mu, omega)
-            return mu, omega
-        opt = self.optical()
-        # differentiate only the regular part of trchi; the universal 2/s
-        # vertex singularity would wreck the s-difference near s=0
-        with np.errstate(divide="ignore"):
-            d_trchi = (2.0 / self.s ** 2)[:, None, None] \
-                + self.lbar_derivative(lambda b: b.expansion_deficit)
-        nab_Lbar = self.lbar_derivative(lambda b: b.Lbar)
-        for i0 in range(0, self.n_s + 1, self.chunk):   # + Gamma(Lbar, Lbar)
-            sl = slice(i0, i0 + self.chunk)
-            nab_Lbar[sl] -= self._geodesic_rhs(self.x[sl], self.Lbar[sl])[1]
-        omega = -0.25 * self.dot(nab_Lbar, self.L)
-        trchi, phi = opt["trchi"], self.phi
-        with np.errstate(invalid="ignore"):
-            tr_chibar = -phi * (2.0 * opt["kscreen"] + phi * trchi)
-            mu = d_trchi + 0.5 * trchi * tr_chibar + 2.0 * omega * trchi
-        near = self.s < self.s_min
-        mu[near] = 0.0
-        omega[near] = 0.0
-        self._cache["mass_aspect"] = (mu, omega)
-        return mu, omega
+        mu = np.zeros(self.gLt.shape)
+        if not self.chart.flat:
+            opt = self.optical()
+            # the live slices, and at least the three an s-difference needs
+            live = slice(min(int(np.searchsorted(self.s, self.s_min)),
+                             self.n_s - 2), None)
+            zeta, minv = opt["zeta"][live], opt["minv"][live]
+            sqm = opt["J"][live] * self.grid.sin_theta[None, :, None]
+            W = np.einsum("stp,stpbc,stpc->stpb", sqm, minv, zeta)
+            div = self.grid.on_nodes(self.grid.div, np.moveaxis(W, -1, 1))
+            div = div.reshape(sqm.shape) - np.einsum(
+                "stpb,stpb->stp", opt["cb"][live], self._s_derivative(W))
+            phi = self.phi[live]
+            mu[live] = 2.0 * div / sqm \
+                + 2.0 * np.einsum("stpb,stpbc,stpc->stp", zeta, minv, zeta) \
+                + phi * (2.0 * opt["khat_chihat"][live]
+                         + phi * opt["chihat2"][live])
+            for i0 in range(live.start, self.n_s + 1, self.chunk):
+                sl = slice(i0, i0 + self.chunk)
+                curv = geometry.riemann(self.chart, self.x[sl])
+                L, Lbar = self.L[sl], self.Lbar[sl]
+                # R(Lbar, L, Lbar, L) = B R B^T for the bivector B = Lbar L
+                B = (Lbar[..., :, None] * L[..., None, :]).reshape(
+                    L.shape[:-1] + (1, 16))
+                rho4 = B @ curv.riemann.reshape(B.shape[:-2] + (16, 16)) \
+                    @ np.swapaxes(B, -1, -2)
+                mu[sl] += 0.5 * rho4[..., 0, 0] \
+                    - np.einsum("...ab,...a,...b->...", curv.ricci, L, Lbar)
+            mu[self.s < self.s_min] = 0.0
+        self._cache["mass_aspect"] = mu
+        return mu
 
 
 class Crossing:

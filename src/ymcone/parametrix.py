@@ -237,6 +237,9 @@ def assemble_representation(bundle, seeds, field, potential=None,
     crossing = bundle.crossing(t_slice)
     stop = crossing.stop
     opt = bundle.optical()
+    # the mass aspect's own curvature pass runs before this call's arrays
+    # are allocated, which keeps it off the peak memory
+    mu = bundle.mass_aspect()
 
     conn = connection(bundle, potential)
     # the seed-free node terms cover only the slices the identity reads
@@ -265,7 +268,6 @@ def assemble_representation(bundle, seeds, field, potential=None,
     del box_nodes
 
     # --- seed-free factors of the cone corrections ------------------------
-    mu, _omega = bundle.mass_aspect()
     F_LLbar = None
     if not basis.abelian:
         F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",

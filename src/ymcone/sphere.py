@@ -154,19 +154,18 @@ class SphereGrid:
         """``op`` (rows of ``grad``, or ``div``) over the node axes of f as
         one GEMM.  f is (n, <op.shape[1] node values>, *tail): (n, n_theta,
         n_phi, ...) for ``grad``, (n, 2, n_theta, n_phi, ...) for ``div``.
-        Returns (n, op.shape[0], prod(tail)).  A complex f goes through as
-        the float64 view of its memory, in the same one real GEMM.
+        Returns (n, op.shape[0], prod(tail)).
         """
-        f = np.ascontiguousarray(f, dtype=np.result_type(f, np.float64))
+        f = np.asarray(f, dtype=float)
         n, k = f.shape[0], op.shape[1]
-        real = f.reshape(n, k // self.n_nodes, self.n_nodes, -1).view(
-            np.float64).transpose(1, 2, 0, 3)
+        blocks = f.reshape(n, k // self.n_nodes, self.n_nodes, -1).transpose(
+            1, 2, 0, 3)
         # op annihilates constant blocks; differencing each block against its
         # first node keeps that exact, where 1/s^2 would amplify roundoff
-        x = np.empty(real.shape)
-        np.subtract(real, real[:, :1], out=x)
+        x = np.empty(blocks.shape)
+        np.subtract(blocks, blocks[:, :1], out=x)
         out = op @ x.reshape(k, -1)
-        return out.reshape(op.shape[0], n, -1).transpose(1, 0, 2).view(f.dtype)
+        return out.reshape(op.shape[0], n, -1).transpose(1, 0, 2)
 
     def high_mode_fraction(self, f):
         """Energy fraction in the top third of the Legendre spectrum.

@@ -5,7 +5,8 @@ einsum with their complex-step derivative, valid on any chart; the
 Kretschmann invariant; the deformation tensor of a vector field with a
 Jacobian; the cyclic Bianchi residual; the sphere's angular gradient; the
 integral over one s-sphere of a cone, the shell integration-by-parts defect
-and the vertex shell limit of the parametrix; the stress tensor and the
+and the vertex shell limit of the parametrix; the mass aspect of a cone by
+its definition off the cone; the stress tensor and the
 direct form of the null flux density; the homogeneous SU(2) oscillator, an
 exact non-abelian Yang-Mills solution; and u(1) standing-wave data for the
 lattice evolution.
@@ -14,11 +15,11 @@ lattice evolution.
 import numpy as np
 from scipy.special import ellipj
 
-from ymcone import parametrix
+from ymcone import nullcone, parametrix
 from ymcone.energy import _stress
 from ymcone.evolution import EvolutionError, GaugeState
 from ymcone.geometry import (COMPLEX_STEP, _embed, _require_nondegenerate,
-                             _zeros, inverse_metric, riemann)
+                             _zeros, christoffel, inverse_metric, riemann)
 from ymcone.liegauge import (FieldStrength, GaugePotential,
                              gauge_covariant_derivative, su2)
 
@@ -176,6 +177,72 @@ def vertex_limit(bundle, seed, field, potential=None, n_shells=8):
     ss, vals = vertex_shell_values(bundle, seed, field, potential, n_shells)
     coef = np.polyfit(ss, vals, 1)
     return float(np.polyval(coef, 0.0))
+
+
+def _timelike_geodesic(chart, p, T, h, steps=8):
+    """The point and velocity at parameter h on the geodesic through p with
+    velocity T, by ``steps`` RK4 steps."""
+    def rhs(y):
+        x, v = y
+        return np.stack([v, -chart.christoffel_along(x, v) @ v])
+
+    y, dt = np.stack([p, T]), h / steps
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def exact_split_mass_aspect(bundle, h=1e-3):
+    """mu = nabla_Lbar trchi + trchi tr chibar / 2 + 2 omega trchi, omega =
+    -g(nabla_Lbar Lbar, L) / 4, from L and Lbar off the cone.
+
+    The cones from gamma(+-h) on the timelike geodesic gamma through the
+    vertex, with T_p = gamma'(+-h), give X = d_d x by central differences.
+    Solving Lbar = alpha X + beta L + gamma^A Y_A at each node, with Y_A =
+    d_A x, gives d_Lbar = alpha d_d + beta d_s + gamma^A d_A, exact up to
+    the differences in d and s and the spectral d_A.  mu is zero where the
+    bundle's vertex closure holds, s < s_min.
+    """
+    b = bundle
+    cones = [nullcone.NullConeBundle(b.chart, x, b.grid, s_max=b.s[-1],
+                                     ds=b.ds, T_p=v)
+             for x, v in (_timelike_geodesic(b.chart, b.p, b.T_p, step)
+                          for step in (h, -h))]
+    Y = b.grid.gradient(b.x)                          # (..., 4, 2)
+    split = np.zeros(b.x.shape)                       # alpha, beta, gamma^A
+    basis = np.stack([(cones[0].x - cones[1].x) / (2.0 * h), b.L,
+                      Y[..., 0], Y[..., 1]], axis=-1)
+    split[1:] = np.linalg.solve(basis[1:], b.Lbar[1:, ..., None])[..., 0]
+
+    def d_lbar(extract):
+        """d_Lbar of the per-node field ``extract(cone)``."""
+        f = extract(b)
+        d_d = (extract(cones[0]) - extract(cones[1])) / (2.0 * h)
+        return np.einsum("stp,stp...->stp...", split[..., 0], d_d) \
+            + np.einsum("stp,stp...->stp...", split[..., 1],
+                        b._s_derivative(f)) \
+            + np.einsum("stpa,stp...a->stp...", split[..., 2:],
+                        b.grid.gradient(f))
+
+    # trchi = q + 2/s with q = ``expansion_deficit``: d_d (2/s) = 0 and
+    # d_s (2/s) = -2/s^2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_trchi = d_lbar(lambda c: c.expansion_deficit) \
+            - 2.0 * split[..., 1] / b.s[:, None, None] ** 2
+    nab_lbar = d_lbar(lambda c: c.Lbar) + np.einsum(
+        "...cab,...a,...b->...c", christoffel(b.chart, b.x), b.Lbar, b.Lbar)
+    omega = -0.25 * b.dot(nab_lbar, b.L)
+    opt = b.optical()
+    trchi, phi = opt["trchi"], b.phi
+    tr_chibar = -phi * (2.0 * opt["kscreen"] + phi * trchi)
+    with np.errstate(invalid="ignore"):
+        mu = d_trchi + 0.5 * trchi * tr_chibar + 2.0 * omega * trchi
+    mu[b.s < b.s_min] = 0.0
+    return mu
 
 
 def stress_tensor(chart, x, F):

@@ -123,7 +123,7 @@ def test_closed_forms_match_generic_route(name, params, x):
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_christoffel_along_matches_generic_route(name, params, x):
     # Gamma^c_ab v^b in closed form against the generic symbols contracted
-    # with v, at real and complex (twin-cone) points, three vectors per point
+    # with v, at real and complex points, three vectors per point
     # broadcast against it
     chart = geometry.make_chart(name, **params)
     rng = np.random.default_rng(13)
@@ -254,9 +254,9 @@ def test_inverse_metric_identity(schw_chart):
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_orthonormal_frame_gram(name, params, x):
-    # the unit normal that, a boosted timelike hint, and the twin cone's
-    # complex vertex p + i eps that with hint that + i eps v, where the
-    # bilinear (unconjugated) Gram matrix must still be diag(-1, 1, 1, 1)
+    # the unit normal that, a boosted timelike hint, and the complex point
+    # p + i eps that with hint that + i eps v, where the bilinear
+    # (unconjugated) Gram matrix must still be diag(-1, 1, 1, 1)
     chart = geometry.make_chart(name, **params)
     x = np.asarray(x, dtype=float)
     that = geometry.unit_time(chart, x)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import ymcone
 
@@ -188,6 +189,50 @@ def test_no_class_sets_flat():
     hits = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
             for hit in class_assignments(path.read_text(), "flat")]
     assert not hits, f"class bodies assigning flat: {hits}"
+
+
+#: numpy's complex scalar types, by attribute name
+COMPLEX_TYPES = re.compile(r"complex(64|128|256|floating)?|c(single|double"
+                           r"|longdouble)")
+#: complex dtype strings
+COMPLEX_DTYPES = re.compile(r"[<>=]?(complex(64|128|256)?|c(8|16|32))")
+
+
+def complex_values(source):
+    """Line numbers of the complex literals (``1j``) and complex dtypes in
+    ``source``: the name ``complex``, numpy's complex scalar types and
+    complex dtype strings."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        value = node.value if isinstance(node, ast.Constant) else None
+        if isinstance(value, complex) \
+                or isinstance(value, str) and COMPLEX_DTYPES.fullmatch(value) \
+                or isinstance(node, ast.Name) and node.id == "complex" \
+                or isinstance(node, ast.Attribute) \
+                and COMPLEX_TYPES.fullmatch(node.attr):
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_checker_flags_complex_values():
+    source = '''
+def shifted(self, eps):
+    """A complex vertex, with np.iscomplexobj as its probe."""
+    z = self.p + 1j * eps
+    w = np.zeros(3, dtype=complex)
+    u = np.empty(3, dtype=np.complex128)
+    return z.astype("c16"), u.real, np.iscomplexobj(w)
+'''
+    assert complex_values(source) == [4, 5, 6, 7]
+
+
+def test_no_complex_values_outside_geometry():
+    # the one complex step is geometry.christoffel_derivative; a cone, its
+    # optics and its mass aspect are real
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            if path.stem != "geometry"
+            for line in complex_values(path.read_text())]
+    assert not hits, f"complex values outside geometry.py: {hits}"
 
 
 #: public functions with no caller in ``src/``, and why each stays

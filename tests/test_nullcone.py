@@ -5,6 +5,8 @@ import pytest
 
 from ymcone import energy, geometry, liegauge, nullcone, runner, sphere
 
+import oracles
+
 
 def test_flat_expansion_closed_form(flat_bundle):
     opt = flat_bundle.optical()
@@ -217,16 +219,14 @@ def test_trchibar_identity_matches_lbar_route(schw_bundle, flrw_bundle):
 
 
 def test_mass_aspect_vanishes_flat(flat_bundle):
-    mu, omega = flat_bundle.mass_aspect()
-    assert np.max(np.abs(mu)) <= 1e-10
-    assert np.max(np.abs(omega)) <= 1e-10
+    assert np.max(np.abs(flat_bundle.mass_aspect())) <= 1e-10
 
 
 @pytest.fixture(scope="module")
 def straight_cones():
     """One straight-ray cone twice: on Minkowski, set in closed form, and on
     FLRW with p = 0, whose metric is flat but whose chart is not flagged
-    flat, so it runs the RK4 fan and the complex twin."""
+    flat, so it runs the RK4 fan and the curved mass aspect."""
     grid = sphere.SphereGrid(8, 16)
     vertex = np.array([2.0, 0.0, 0.0, 0.0])
     return tuple(
@@ -242,13 +242,11 @@ def test_closed_form_fan_matches_rk4_fan(straight_cones):
     assert np.max(np.abs(closed.L - rk4.L)) < 1e-14
 
 
-def test_twin_route_mass_aspect_vanishes_on_a_flat_metric(straight_cones):
-    # the generic route (twin cone and lbar_derivative) on a flat metric
+def test_on_cone_mass_aspect_vanishes_on_a_flat_metric(straight_cones):
+    # the curved route (div zeta, the shear terms and a Riemann pass) on a
+    # flat metric; 3.5e-13 here
     _, rk4 = straight_cones
-    mu, omega = rk4.mass_aspect()
-    assert "twin" in rk4._cache
-    assert np.max(np.abs(mu)) <= 1e-10
-    assert np.max(np.abs(omega)) <= 1e-10
+    assert np.max(np.abs(rk4.mass_aspect())) <= 1e-10
 
 
 def test_mass_aspect_bounded_schwarzschild(schw_bundle):
@@ -257,30 +255,60 @@ def test_mass_aspect_bounded_schwarzschild(schw_bundle):
     assert np.max(np.abs(mu)) < 5.0
 
 
-def test_transverse_derivative_pairs_like_lbar(schw_bundle):
-    # the complex-step derivative of the node positions is the vertex-family
-    # direction V; g(V, L) = g(Lbar, L) = -2 up to the s-difference error.
-    # Dropping the twin's imaginary part would give a residual of 2.  The
-    # end slices are left out: the s-difference is one-sided there.
-    V = schw_bundle.lbar_derivative(lambda b: b.x)
-    res = schw_bundle.dot(V - schw_bundle.Lbar, schw_bundle.L)
-    assert np.max(np.abs(res[1:-1])) < 1e-6
+def test_mass_aspect_on_the_shortest_curved_cone(schw_bundle):
+    # round(s_max / ds) = 11, the fewest slices a scenario may ask for,
+    # leaves two live slices; the s-difference of div zeta needs three
+    b = nullcone.NullConeBundle(schw_bundle.chart, schw_bundle.p,
+                                schw_bundle.grid, s_max=0.11, ds=0.01)
+    mu = b.mass_aspect()
+    assert np.all(np.isfinite(mu)) and np.any(mu[b.s >= b.s_min])
 
 
-def test_transverse_derivative_end_slices(schw_bundle):
-    # the one-sided s-differences on the first and last slices are second
-    # order, like the central ones inside
-    V = schw_bundle.lbar_derivative(lambda b: b.x)
-    res = schw_bundle.dot(V - schw_bundle.Lbar, schw_bundle.L)
-    assert np.max(np.abs(res[[0, -1]])) < 1e-6
+def _mass_aspect_gap(bundle):
+    """max |mu - exact split| over s in [0.25, 0.45], clear of the vertex
+    closure and of the one-sided s-differences at the last slices."""
+    gap = np.abs(bundle.mass_aspect()
+                 - oracles.exact_split_mass_aspect(bundle))
+    return np.max(gap[(bundle.s >= 0.25) & (bundle.s <= 0.45)])
 
 
-def test_flat_transverse_derivative(flat_bundle):
-    # d/dLbar of t: Lbar = -(2 that + L); flat L has L^t = -1, so
-    # Lbar^t = -1 and the derivative of t along Lbar is -1.
-    dt = flat_bundle.lbar_derivative(lambda b: b.x[..., 0])
-    live = flat_bundle.s >= flat_bundle.s_min
-    assert np.max(np.abs(dt[live] + 1.0)) < 1e-6
+@pytest.mark.parametrize("name", ["schwarzschild", "flrw"])
+def test_mass_aspect_matches_the_exact_split(name, schw_bundle):
+    # the on-cone mu against its definition off the cone, on 8x16 at ds
+    # 0.02, 0.01 and 0.005.  Observed: from schw_bundle's vertex (r = 10),
+    # 6.1e-7, 1.6e-7 and 4.0e-8 (order 2.0); on FLRW p = 0.5 from the
+    # spatial origin, where mu = R / 3 = 0, 2.8e-4, 7.4e-5 and 1.9e-5
+    # (order 1.9), the oracle's own s-differences.  The complex twin cone
+    # that computed mu before missed by 4.0e-3 and 0.16 at every ds.
+    chart, vertex = {
+        "schwarzschild": (schw_bundle.chart, schw_bundle.p),
+        "flrw": (geometry.make_chart("flrw", power=0.5),
+                 np.array([2.0, 0.0, 0.0, 0.0]))}[name]
+    grid = sphere.SphereGrid(8, 16)
+    gaps = np.array([_mass_aspect_gap(nullcone.NullConeBundle(
+        chart, vertex, grid, s_max=0.5, ds=ds)) for ds in (0.02, 0.01, 0.005)])
+    assert np.all(np.log2(gaps[:-1] / gaps[1:]) > 1.7), gaps
+    assert gaps[-1] < {"schwarzschild": 1e-7, "flrw": 5e-5}[name], gaps
+
+
+def test_mass_aspect_matches_the_exact_split_on_schw_bundle(schw_bundle):
+    # 1.2e-5 at 6x12, set by the angular resolution, which the 8x16 ladder
+    # above removes; the complex twin cone missed by 3.8e-3
+    assert _mass_aspect_gap(schw_bundle) < 1e-4
+
+
+@pytest.mark.parametrize("power", [0.5, 1.0])
+def test_flrw_mass_aspect_is_a_third_of_the_scalar_curvature(power):
+    # the cone from a comoving vertex is round, so zeta = chihat = khat = 0,
+    # and conformally flat, so 2 rho - Ric(L, Lbar) = R / 3: mu = 2p(2p - 1)
+    # / t^2.  Without the Ricci term mu would miss by 1.5 / t^2 at p = 1
+    chart = geometry.make_chart("flrw", power=power)
+    b = nullcone.NullConeBundle(chart, np.array([2.0, 0.0, 0.0, 0.0]),
+                                sphere.SphereGrid(6, 12), s_max=0.5,
+                                ds=0.005)
+    live = b.s >= b.s_min
+    want = 2.0 * power * (2.0 * power - 1.0) / b.x[..., 0] ** 2
+    assert np.max(np.abs(b.mass_aspect() - want)[live]) < 1e-8
 
 
 def test_vertex_normalization_schwarzschild(schw_bundle):

@@ -354,8 +354,7 @@ def _bundles_built(monkeypatch, doc):
 
 
 def test_cone_experiments_share_one_bundle(monkeypatch):
-    # one cone for all four cone experiments; on a flat chart the mass
-    # aspect vanishes in closed form, so the parametrix builds no twin
+    # one cone for all four cone experiments
     assert _bundles_built(monkeypatch, {
         "chart": "minkowski",
         "field": {"profile": "plane_wave"},
@@ -365,15 +364,15 @@ def test_cone_experiments_share_one_bundle(monkeypatch):
     }) == 1
 
 
-def test_curved_cone_experiments_add_one_twin(monkeypatch):
-    # one main cone for the cone experiments, plus the one complex-step
-    # twin cone of the mass aspect that the curved parametrix needs
+def test_curved_cone_experiments_share_one_bundle(monkeypatch):
+    # one cone for the cone experiments on a curved chart too: the mass
+    # aspect comes from that cone, with no second one
     assert _bundles_built(monkeypatch, {
         "chart": "schwarzschild",
         "field": {"profile": "coulomb"},
         "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.0, "ds": 0.02},
         "experiments": ["cone_geometry", "parametrix", "energy_balance"],
-    }) == 2
+    }) == 1
 
 
 @pytest.mark.parametrize("seed", [29, 50])

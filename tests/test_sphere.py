@@ -109,22 +109,6 @@ def test_grad_matches_every_real_harmonic(node_grid):
         assert np.max(np.abs(out[1] - dph)) <= 1e-10, l
 
 
-def test_complex_input_is_its_real_and_imaginary_parts(node_grid):
-    g = node_grid
-    rng = np.random.default_rng(3)
-    shape = (5, g.n_theta, g.n_phi, 3)
-    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    out = g.on_nodes(g.grad, f)
-    assert out.dtype == np.complex128
-    parts = g.on_nodes(g.grad, f.real) + 1j * g.on_nodes(g.grad, f.imag)
-    assert np.max(np.abs(out - parts)) <= 1e-14 * np.max(np.abs(out))
-    field = f[..., 0]
-    grad = oracles.angular_gradient(g, field)
-    parts = oracles.angular_gradient(g, field.real) \
-        + 1j * oracles.angular_gradient(g, field.imag)
-    assert np.max(np.abs(grad - parts)) <= 1e-14 * np.max(np.abs(grad))
-
-
 def test_div_of_harmonic_gradient_is_sphere_laplacian(node_grid):
     # (1/sin) [d_theta (sin d_theta Y) + d_phi (d_phi Y / sin)] = -l(l+1) Y.
     # sin(theta) d_theta Y has degree l + 1, so the top degree is left out.
