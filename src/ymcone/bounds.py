@@ -1,66 +1,56 @@
-"""Integral-inequality envelopes and diagnostic-series certification.
+"""Quadratic comparison envelopes with blow-up detection.
 
-Two comparison envelopes are provided:
+The Pachpatte envelope is the equality solution of
+b(t) = c + p * int b^2 + q * int int b^2, that is of the ODE system
+b' = p b^2 + q B, B' = b^2.
 
-* linear (Gronwall): b(t) = c * exp(integral of k), the sharp bound for any
-  series satisfying y <= c + int k y;
-* quadratic (Pachpatte): the equality solution of
-  b(t) = c + p * int b^2 + q * int int b^2, integrated as the ODE system
-  b' = p b^2 + q B, B' = b^2, with blow-up detection.
-
-The quadratic envelope is integrated in the reciprocal variable u = 1/b,
-which stays smooth through a blow-up: u' = -p - q B u^2.  A blow-up inside
-the interval is reported as the linearly interpolated zero crossing of u,
-never raised as an exception.  An independent Picard fixed-point iteration
-of the integral equation serves as a cross-check oracle.
+It is integrated in the reciprocal variable u = 1/b, which stays smooth
+through a blow-up: u' = -p - q B u^2.  A blow-up inside the interval is
+reported as the linearly interpolated zero crossing of u, never raised as
+an exception.  An independent Picard fixed-point iteration of the integral
+equation serves as a cross-check oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 _HUGE = 1e300
 
 
+class BoundsError(ValueError):
+    """An envelope that cannot be formed on its interval."""
+
+
 @dataclass
 class BoundSpec:
-    """Parameters of a bounding inequality on a time interval.
+    """Parameters of the quadratic inequality b' = p b^2 + q int b^2 on a
+    time interval.
 
-    form: "linear" (b' = k(t) b) or "quadratic" (b' = p b^2 + q int b^2).
     c: initial value b(t0), must be nonnegative.
-    k: rate function for the linear form (callable of t).
     single_coef / double_coef: the multipliers p and q of the single- and
-    double-integral quadratic terms (absorbed constants made explicit).
+    double-integral terms (absorbed constants made explicit).
     """
 
-    form: str
     c: float
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
-    k: Optional[Callable[[float], float]] = None
     single_coef: float = 1.0
     double_coef: float = 1.0
 
     def __post_init__(self):
         problems = []
-        if self.form not in ("linear", "quadratic"):
-            problems.append("form must be 'linear' or 'quadratic'")
         if not self.c >= 0.0:
             problems.append("c must be nonnegative")
         if not self.t1 > self.t0:
             problems.append("t1 must exceed t0")
         if not self.dt > 0.0:
             problems.append("dt must be positive")
-        if self.form == "linear" and self.k is None:
-            problems.append("linear form requires a rate function k")
-        if self.form == "quadratic" and (
-            self.single_coef < 0.0 or self.double_coef < 0.0
-        ):
+        if self.single_coef < 0.0 or self.double_coef < 0.0:
             problems.append("quadratic coefficients must be nonnegative")
         if problems:
             raise ValueError("invalid BoundSpec: " + "; ".join(problems))
@@ -68,33 +58,6 @@ class BoundSpec:
     def grid(self):
         n = max(2, int(round((self.t1 - self.t0) / self.dt)) + 1)
         return np.linspace(self.t0, self.t1, n)
-
-
-def gronwall_envelope(spec):
-    """Sharp linear envelope b(t) = c * exp(int_{t0}^t k).
-
-    The rate integral is accumulated with adaptive quadrature on each grid
-    cell, so integrable endpoint singularities (e.g. k ~ 1/sqrt(t)) are
-    handled.  Returns (t, b).
-    """
-    from scipy.integrate import IntegrationWarning, quad   # slow import
-
-    t = spec.grid()
-    cell = np.empty(t.size - 1)
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # a quadrature warning on a cell signals a non-integrable rate
-        warnings.simplefilter("error", IntegrationWarning)
-        for i in range(t.size - 1):
-            try:
-                cell[i], _ = quad(spec.k, t[i], t[i + 1], limit=200)
-            except IntegrationWarning:
-                cell[i] = np.nan
-    if not np.all(np.isfinite(cell)):
-        raise ValueError("rate function is not integrable on the grid")
-    acc = np.concatenate([[0.0], np.cumsum(cell)])
-    if np.any(acc < -1e-12):
-        raise ValueError("rate function must be nonnegative")
-    return t, spec.c * np.exp(acc)
 
 
 @dataclass
@@ -183,7 +146,7 @@ def picard_envelope(spec, tol=1e-13, max_iter=500):
     Iterates b <- c + p int b^2 + q int int b^2 with cumulative Simpson
     quadrature (``_cumulative_simpson``, numpy only) until the sup-norm
     update falls below tol.  Diverging iterates indicate blow-up inside the
-    interval and raise ValueError.
+    interval and raise BoundsError.
     """
     t = spec.grid()
     p, q = spec.single_coef, spec.double_coef
@@ -194,40 +157,9 @@ def picard_envelope(spec, tol=1e-13, max_iter=500):
         double = _cumulative_simpson(single, t)
         b_new = spec.c + p * single + q * double
         if not np.all(np.isfinite(b_new)) or np.max(b_new) > _HUGE:
-            raise ValueError("Picard iteration diverges: blow-up in interval")
+            raise BoundsError("Picard iteration diverges: blow-up in interval")
         delta = np.max(np.abs(b_new - b))
         b = b_new
         if delta < tol * max(1.0, np.max(np.abs(b))):
             return Envelope(t, b)
-    raise ValueError("Picard iteration did not converge")
-
-
-@dataclass
-class Verdict:
-    """Outcome of comparing a diagnostic series against an envelope."""
-
-    within: bool
-    t_violation: Optional[float] = None
-    margin: float = 0.0
-
-
-def check_series(t_series, values, envelope, rtol=1e-9, atol=0.0):
-    """Certify a sampled diagnostic series against a bounding envelope.
-
-    The envelope is linearly interpolated onto the series grid; samples past
-    a blow-up time are unconstrained.  Returns a Verdict with the first
-    violation time and the worst ratio value/bound.
-    """
-    t_series = np.asarray(t_series, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t_series.min() < envelope.t[0] - 1e-12 or t_series.max() > envelope.t[-1] + 1e-12:
-        raise ValueError("series grid extends beyond the envelope interval")
-    bound = np.interp(t_series, envelope.t, envelope.b)
-    ok = values <= bound * (1.0 + rtol) + atol
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(bound > 0.0, values / bound, np.where(values > atol, np.inf, 0.0))
-    margin = float(np.nanmax(ratio)) if ratio.size else 0.0
-    if np.all(ok):
-        return Verdict(within=True, margin=margin)
-    first = int(np.argmin(ok))
-    return Verdict(within=False, t_violation=float(t_series[first]), margin=margin)
+    raise BoundsError("Picard iteration did not converge")

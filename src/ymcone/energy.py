@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import liegauge, parametrix
+from . import parametrix
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +165,6 @@ def bulk_term(chart, F, bundle, t0, t1, n_time=12, n_radial=16):
         dens = bulk_density(chart, pts, F) * _volume(chart.diagonal(pts))
         total += wt * float(np.sum(w * dens))
     return total
-
-
-def deformation_bound(chart, crossing, n_radial=12):
-    """max |pi(d/dt)| frame components over the slice region (the measured
-    counterpart of the integrable-deformation hypothesis).  In the static
-    frame the only nonzero ones are pi_aa = d_t g_aa / (2 |g_aa|)."""
-    pts, _w = slice_region_quadrature(crossing, n_radial)
-    rate = 0.5 * chart.ddiagonal(pts)[..., 0, :] * chart.inverse_diagonal(pts)
-    return float(np.max(np.abs(rate)))
-
-
-# ---------------------------------------------------------------------------
-# first-order (gradient) energy density
-# ---------------------------------------------------------------------------
-
-def gradient_energy_density(chart, x, F, A):
-    """(1/2) sum_eab |D_e F_ab|^2 / |g_ee g_aa g_bb|: the squared components
-    of DF in the static frame |g_aa|^(-1/2) d_a; every term is nonnegative.
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.abs(chart.inverse_diagonal(x))
-    DF = liegauge.gauge_covariant_derivative(chart, x, F, A)
-    return 0.5 * np.einsum("...eabk,...eabk,...e,...a,...b->...",
-                           DF, DF, w, w, w)
 
 
 # ---------------------------------------------------------------------------

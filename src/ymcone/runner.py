@@ -500,10 +500,16 @@ def _exp_energy_balance(scn, bundle):
 
 def _exp_bounds(scn, bundle):
     c, t1, dt = scn.bounds["c"], scn.bounds["t1"], scn.bounds["dt"]
-    ric = bounds.BoundSpec("quadratic", 1.0, 0.0, 2.0, dt, double_coef=0.0)
+    # the Riccati envelope blows up at t = 1 on purpose; the full one may not
+    ric = bounds.BoundSpec(1.0, 0.0, 2.0, dt, double_coef=0.0)
     blow = bounds.pachpatte_envelope(ric)
-    full = bounds.BoundSpec("quadratic", c, 0.0, t1, dt)
+    full = bounds.BoundSpec(c, 0.0, t1, dt)
     env = bounds.pachpatte_envelope(full)
+    if env.t_blowup is not None:
+        raise bounds.BoundsError(
+            f"the envelope of 'bounds.c' = {c:g} blows up at "
+            f"t* = {env.t_blowup:.6g} before 'bounds.t1' = {t1:g}; "
+            f"lower 'bounds.c' or 'bounds.t1'")
     oracle = bounds.picard_envelope(full)
     metrics = {
         "riccati_blowup_error": abs(blow.t_blowup - 1.0),
@@ -656,16 +662,6 @@ def emit(report, out_dir):
             csv.writer(fh).writerows(rows)
         written.append(p)
     return written
-
-
-def load_report(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema version "
-                         f"{doc.get('schema_version')!r}; "
-                         f"this reader handles {SCHEMA_VERSION}")
-    return doc
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _legendre_table(lmax, x):
 
 
 class SphereGrid:
-    """Gauss-Legendre x uniform-phi product grid with spectral transforms."""
+    """Gauss-Legendre x uniform-phi product grid with spectral derivatives."""
 
     def __init__(self, n_theta, n_phi):
         if n_phi % 2:
@@ -62,7 +62,6 @@ class SphereGrid:
         self.weights = (self.gl_weights[:, None]
                         * np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
         self.lmax = self.n_theta - 1
-        self._P = _legendre_table(self.lmax, self.cos_theta)
         # Legendre orders the d/dtheta transform keeps: 0..min(lmax, n_phi/2)
         self.m_count = min(self.lmax, self.n_phi // 2) + 1
         self.n_nodes = self.n_theta * self.n_phi
@@ -80,9 +79,10 @@ class SphereGrid:
         sin(k (phi_q - phi_p)) without the unmatched Nyquist mode.
         """
         nth, nph, x = self.n_theta, self.n_phi, self.cos_theta
+        table = _legendre_table(self.lmax, x)
         D = []
         for m in range(self.m_count):
-            P = self._P[m]
+            P = table[m]
             prev = np.concatenate([np.zeros_like(P[:1]), P[:-1]])
             l = np.arange(m, self.lmax + 1)[:, None]
             c = np.sqrt((2.0 * l + 1.0) * (l - m) * (l + m) / (2.0 * l - 1.0))
@@ -112,23 +112,6 @@ class SphereGrid:
     def integrate(self, f):
         """Solid-angle integral of f(..., n_theta, n_phi)."""
         return np.einsum("...tp,tp->...", np.asarray(f), self.weights)
-
-    # -- spectral analysis -------------------------------------------------
-
-    def analyze(self, f):
-        """Per-m Legendre coefficients of a real or complex field.
-
-        Returns a list indexed by m of coefficient arrays with a trailing
-        l-axis of length lmax + 1 - m.
-        """
-        f = np.asarray(f)
-        fm = np.fft.fft(f, axis=-1) / self.n_phi   # (..., n_theta, n_phi)
-        coeffs = []
-        for m in range(self.m_count):
-            # a_lm = sum_i w_i Pbar_l^m(x_i) f_m(x_i)
-            coeffs.append(np.einsum("lt,t,...t->...l",
-                                    self._P[m], self.gl_weights, fm[..., :, m]))
-        return coeffs
 
     def gradient(self, f):
         """Spectral (d_theta, d_phi) of f (n, nth, nph, ...), new last axis."""
@@ -166,21 +149,3 @@ class SphereGrid:
         np.subtract(blocks, blocks[:, :1], out=x)
         out = op @ x.reshape(k, -1)
         return out.reshape(op.shape[0], n, -1).transpose(1, 0, 2)
-
-    def high_mode_fraction(self, f):
-        """Energy fraction in the top third of the Legendre spectrum.
-
-        Aliasing diagnostic: values above ~1e-3 mean the grid under-resolves
-        the field.
-        """
-        coeffs = self.analyze(np.asarray(f, dtype=float))
-        total = 0.0
-        high = 0.0
-        cut = int(np.ceil(2 * self.lmax / 3))
-        for m, a in enumerate(coeffs):
-            p = np.abs(a) ** 2
-            ls = np.arange(m, self.lmax + 1)
-            mult = 1.0 if m == 0 else 2.0
-            total += mult * np.sum(p, axis=-1)
-            high += mult * np.sum(p[..., ls >= cut], axis=-1)
-        return high / np.maximum(total, 1e-300)

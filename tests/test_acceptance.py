@@ -300,11 +300,11 @@ def test_criterion_10_bianchi_order():
 
 
 def test_criterion_11_inequality_checker():
-    ric = bounds.BoundSpec("quadratic", 1.0, 0.0, 2.0, 1e-4, double_coef=0.0)
+    ric = bounds.BoundSpec(1.0, 0.0, 2.0, 1e-4, double_coef=0.0)
     blow = bounds.pachpatte_envelope(ric)
     blow_err = abs(blow.t_blowup - 1.0)
 
-    full = bounds.BoundSpec("quadratic", 0.1, 0.0, 1.0, 1e-3)
+    full = bounds.BoundSpec(0.1, 0.0, 1.0, 1e-3)
     env = bounds.pachpatte_envelope(full)
     oracle = bounds.picard_envelope(full)
     mismatch = float(np.max(np.abs(env.b - oracle.b)))

@@ -1,4 +1,4 @@
-"""Envelope oracles: closed forms, quadrature/Picard cross-checks, monotonicity."""
+"""Envelope oracles: closed forms, the Picard cross-check, monotonicity."""
 
 import numpy as np
 import pytest
@@ -8,28 +8,8 @@ from hypothesis import strategies as st
 from ymcone import bounds
 
 
-def test_zero_rate_envelope_constant():
-    spec = bounds.BoundSpec("linear", 2.0, 0.0, 1.0, 1e-3, k=lambda t: 0.0)
-    t, b = bounds.gronwall_envelope(spec)
-    assert np.max(np.abs(b - 2.0)) == 0.0
-
-
-def test_unit_rate_envelope_hits_e():
-    spec = bounds.BoundSpec("linear", 1.0, 0.0, 1.0, 1e-3, k=lambda t: 1.0)
-    _, b = bounds.gronwall_envelope(spec)
-    assert abs(b[-1] - np.e) < 1e-12
-
-
-def test_integrable_singularity_matches_quadrature_oracle():
-    # k = 1/sqrt(t): int_0^1 k = 2, so b(1) = c * e^2
-    spec = bounds.BoundSpec("linear", 1.0, 0.0, 1.0, 1e-2,
-                            k=lambda t: 1.0 / np.sqrt(t) if t > 0 else 0.0)
-    _, b = bounds.gronwall_envelope(spec)
-    assert abs(b[-1] - np.exp(2.0)) < 1e-8
-
-
 def test_quadratic_zero_start_stays_zero():
-    spec = bounds.BoundSpec("quadratic", 0.0, 0.0, 1.0, 1e-3)
+    spec = bounds.BoundSpec(0.0, 0.0, 1.0, 1e-3)
     env = bounds.pachpatte_envelope(spec)
     assert np.max(np.abs(env.b)) == 0.0
     assert env.t_blowup is None
@@ -38,8 +18,7 @@ def test_quadratic_zero_start_stays_zero():
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_riccati_blowup_time_closed_form(c):
     # without the double integral, b = c / (1 - c t): blow-up at 1/c
-    spec = bounds.BoundSpec("quadratic", c, 0.0, 2.5 / c, 1e-4,
-                            double_coef=0.0)
+    spec = bounds.BoundSpec(c, 0.0, 2.5 / c, 1e-4, double_coef=0.0)
     env = bounds.pachpatte_envelope(spec)
     assert env.t_blowup is not None
     assert abs(env.t_blowup - 1.0 / c) < 1e-4
@@ -47,17 +26,24 @@ def test_riccati_blowup_time_closed_form(c):
 
 
 def test_riccati_profile_closed_form():
-    spec = bounds.BoundSpec("quadratic", 1.0, 0.0, 0.5, 1e-4, double_coef=0.0)
+    spec = bounds.BoundSpec(1.0, 0.0, 0.5, 1e-4, double_coef=0.0)
     env = bounds.pachpatte_envelope(spec)
     exact = 1.0 / (1.0 - env.t)
     assert np.max(np.abs(env.b - exact)) < 1e-10
 
 
 def test_full_quadratic_matches_picard_oracle():
-    spec = bounds.BoundSpec("quadratic", 0.1, 0.0, 1.0, 1e-3)
+    spec = bounds.BoundSpec(0.1, 0.0, 1.0, 1e-3)
     env = bounds.pachpatte_envelope(spec)
     oracle = bounds.picard_envelope(spec)
     assert np.max(np.abs(env.b - oracle.b)) < 1e-6
+
+
+def test_picard_blowup_raises_bounds_error():
+    # b = c + int b^2 + int int b^2 blows up before t = 1 for c = 5
+    with np.errstate(all="ignore"), pytest.raises(bounds.BoundsError,
+                                                  match="diverges"):
+        bounds.picard_envelope(bounds.BoundSpec(5.0, 0.0, 1.0, 1e-3))
 
 
 @pytest.mark.parametrize("grid", ["uniform", "random"])
@@ -81,63 +67,17 @@ def test_cumulative_simpson_is_scipys(n, grid):
 @given(st.floats(min_value=0.01, max_value=0.3),
        st.floats(min_value=0.001, max_value=0.2))
 def test_envelope_monotone_in_initial_value(c, dc):
-    lo = bounds.pachpatte_envelope(
-        bounds.BoundSpec("quadratic", c, 0.0, 1.0, 1e-2))
-    hi = bounds.pachpatte_envelope(
-        bounds.BoundSpec("quadratic", c + dc, 0.0, 1.0, 1e-2))
+    lo = bounds.pachpatte_envelope(bounds.BoundSpec(c, 0.0, 1.0, 1e-2))
+    hi = bounds.pachpatte_envelope(bounds.BoundSpec(c + dc, 0.0, 1.0, 1e-2))
     assert np.all(hi.b >= lo.b - 1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=0.0, max_value=2.0),
-       st.floats(min_value=0.0, max_value=2.0))
-def test_linear_envelope_monotone_in_rate(k1, k2):
-    lo, hi = sorted((k1, k2))
-    s1 = bounds.BoundSpec("linear", 1.0, 0.0, 1.0, 1e-2, k=lambda t: lo)
-    s2 = bounds.BoundSpec("linear", 1.0, 0.0, 1.0, 1e-2, k=lambda t: hi)
-    _, b1 = bounds.gronwall_envelope(s1)
-    _, b2 = bounds.gronwall_envelope(s2)
-    assert np.all(b2 >= b1 - 1e-12)
-
-
-def test_series_certification():
-    spec = bounds.BoundSpec("quadratic", 0.2, 0.0, 1.0, 1e-3)
-    env = bounds.pachpatte_envelope(spec)
-    assert bounds.check_series(env.t, np.zeros_like(env.t), env).within
-    assert bounds.check_series(env.t, env.b, env).within
-    v = bounds.check_series(env.t, 2.0 * env.b, env)
-    assert not v.within
-    assert abs(v.margin - 2.0) < 1e-9
-
-
-def test_series_under_envelope_by_construction():
-    # any series solving the inequality with slack is certified
-    spec = bounds.BoundSpec("quadratic", 0.3, 0.0, 1.0, 1e-3)
-    env = bounds.pachpatte_envelope(spec)
-    series = 0.9 * env.b
-    assert bounds.check_series(env.t, series, env).within
-
-
-def test_check_series_rejects_out_of_range():
-    spec = bounds.BoundSpec("quadratic", 0.1, 0.0, 1.0, 1e-2)
-    env = bounds.pachpatte_envelope(spec)
-    with pytest.raises(ValueError):
-        bounds.check_series(np.array([0.5, 1.5]), np.array([0.0, 0.0]), env)
 
 
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
-        bounds.BoundSpec("linear", -1.0, 0.0, 1.0, 1e-3, k=lambda t: 1.0)
+        bounds.BoundSpec(-1.0, 0.0, 1.0, 1e-3)                # c < 0
     with pytest.raises(ValueError):
-        bounds.BoundSpec("linear", 1.0, 0.0, 1.0, 1e-3)       # missing rate
+        bounds.BoundSpec(1.0, 1.0, 0.5, 1e-3)                 # t1 < t0
     with pytest.raises(ValueError):
-        bounds.BoundSpec("cubic", 1.0)
+        bounds.BoundSpec(1.0, 0.0, 1.0, 0.0)                  # dt <= 0
     with pytest.raises(ValueError):
-        bounds.BoundSpec("quadratic", 1.0, 1.0, 0.5, 1e-3)    # t1 < t0
-
-
-def test_nonintegrable_rate_reported():
-    spec = bounds.BoundSpec("linear", 1.0, 0.0, 1.0, 1e-2,
-                            k=lambda t: 1.0 / t if t > 0 else np.inf)
-    with pytest.raises(ValueError):
-        bounds.gronwall_envelope(spec)
+        bounds.BoundSpec(1.0, 0.0, 1.0, 1e-3, double_coef=-1.0)

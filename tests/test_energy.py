@@ -216,16 +216,3 @@ def test_divergence_identity_schwarzschild(schw_bundle, u1):
                                             schw_bundle, -0.45, -0.2)
     # static chart, static field: the bulk term vanishes (Killing time)
     assert rep["relative_residual"] < 1e-2
-
-
-def test_deformation_bound_zero_for_killing_time(schw_bundle):
-    cr = schw_bundle.crossing(-0.3)
-    val = energy.deformation_bound(schw_bundle.chart, cr, n_radial=6)
-    assert abs(val) < 1e-7
-
-
-def test_gradient_energy_density_nonnegative(flat_chart, u1):
-    F = _wave(u1)
-    pts = np.random.default_rng(2).standard_normal((10, 4))
-    dens = energy.gradient_energy_density(flat_chart, pts, F, None)
-    assert np.all(dens >= -1e-12)

@@ -238,13 +238,6 @@ def test_no_complex_values_outside_geometry():
 #: public functions with no caller in ``src/``, and why each stays
 NO_SRC_CALLER = {
     "geometry.inverse_metric": "bench/tracing.py wraps it",
-    "bounds.gronwall_envelope": "ROADMAP item 6 plans its caller",
-    "bounds.check_series": "ROADMAP item 6 plans its caller",
-    "energy.deformation_bound": "ROADMAP item 6 plans its caller",
-    "energy.gradient_energy_density": "ROADMAP item 6 plans its caller",
-    "sphere.SphereGrid.high_mode_fraction": "ROADMAP item 11 plans its "
-                                            "caller",
-    "runner.load_report": "ROADMAP item 8: not yet placed",
 }
 
 
@@ -304,3 +297,35 @@ def test_every_public_def_has_a_src_reference():
         f"public defs with no reference in src/: {found}"
     assert set(NO_SRC_CALLER) <= set(found), \
         f"allowlisted defs now referenced: {set(NO_SRC_CALLER) - set(found)}"
+
+
+def scipy_imports(source):
+    """Line numbers of the ``import scipy[...]`` and ``from scipy[...]
+    import`` statements anywhere in ``source``, function bodies included:
+    a run needs numpy alone."""
+    def scipy(name):
+        return name == "scipy" or name.startswith("scipy.")
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(scipy(alias.name) for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and scipy(node.module))
+
+
+def test_checker_flags_a_scipy_import():
+    source = '''
+import scipyish
+from . import scipy
+
+def gronwall_envelope(spec):
+    from scipy.integrate import IntegrationWarning, quad   # slow import
+    import numpy, scipy.special as sp
+    return quad(spec.k, spec.t0, spec.t1)
+'''
+    assert scipy_imports(source) == [6, 7]
+
+
+def test_src_imports_no_scipy():
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            for line in scipy_imports(path.read_text())]
+    assert not hits, f"scipy imports in src/: {hits}"

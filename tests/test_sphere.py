@@ -70,12 +70,6 @@ def test_derivative_of_harmonic_eigenfunction(grid):
     assert np.max(np.abs(grid.dtheta(y) - fd)) < 1e-7
 
 
-def test_high_mode_fraction_small_for_smooth(grid):
-    th, ph = _angles(grid)
-    f = np.exp(np.cos(th)) * (1.0 + 0.1 * np.cos(ph) * np.sin(th))
-    assert grid.high_mode_fraction(f) < 1e-8
-
-
 def test_directions_are_unit(grid):
     d = grid.directions()
     assert np.max(np.abs(np.einsum("tpm,tpm->tp", d, d) - 1.0)) < 1e-13
