@@ -8,7 +8,7 @@ Modules:
     parametrix -- cone transport field and the representation formula
     energy     -- stress tensor, energies, fluxes, divergence identity
     evolution  -- temporal-gauge Cauchy evolution on periodic grids
-    bounds     -- comparison envelopes (linear and quadratic integral bounds)
+    bounds     -- the quadratic comparison envelope and its Picard oracle
     runner     -- scenario configs, experiments, reports, CLI
 """
 

@@ -19,6 +19,10 @@ from typing import Optional
 import numpy as np
 
 _HUGE = 1e300
+#: the Picard oracle stops once its sup-norm update falls below PICARD_TOL
+#: relative to max(1, sup b), and gives up after PICARD_MAX_ITER iterates
+PICARD_TOL = 1e-13
+PICARD_MAX_ITER = 500
 
 
 class BoundsError(ValueError):
@@ -140,26 +144,29 @@ def _cumulative_simpson(y, x):
     return np.concatenate(([0.0], np.cumsum(cells)))
 
 
-def picard_envelope(spec, tol=1e-13, max_iter=500):
+def picard_envelope(spec):
     """Independent fixed-point solution of the quadratic integral equation.
 
     Iterates b <- c + p int b^2 + q int int b^2 with cumulative Simpson
     quadrature (``_cumulative_simpson``, numpy only) until the sup-norm
-    update falls below tol.  Diverging iterates indicate blow-up inside the
-    interval and raise BoundsError.
+    update falls below PICARD_TOL.  Diverging iterates indicate blow-up
+    inside the interval and raise BoundsError, and nothing else: their
+    overflow and the inf - inf that follows are not warned about.
     """
     t = spec.grid()
     p, q = spec.single_coef, spec.double_coef
     b = np.full_like(t, spec.c)
-    for _ in range(max_iter):
-        sq = b * b
-        single = _cumulative_simpson(sq, t)
-        double = _cumulative_simpson(single, t)
-        b_new = spec.c + p * single + q * double
-        if not np.all(np.isfinite(b_new)) or np.max(b_new) > _HUGE:
-            raise BoundsError("Picard iteration diverges: blow-up in interval")
-        delta = np.max(np.abs(b_new - b))
-        b = b_new
-        if delta < tol * max(1.0, np.max(np.abs(b))):
-            return Envelope(t, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(PICARD_MAX_ITER):
+            sq = b * b
+            single = _cumulative_simpson(sq, t)
+            double = _cumulative_simpson(single, t)
+            b_new = spec.c + p * single + q * double
+            if not np.all(np.isfinite(b_new)) or np.max(b_new) > _HUGE:
+                raise BoundsError("Picard iteration diverges: blow-up in "
+                                  "interval")
+            delta = np.max(np.abs(b_new - b))
+            b = b_new
+            if delta < PICARD_TOL * max(1.0, np.max(np.abs(b))):
+                return Envelope(t, b)
     raise BoundsError("Picard iteration did not converge")

@@ -82,12 +82,13 @@ def slice_region_quadrature(crossing, n_radial=24):
     return pts, w
 
 
-def slice_energy(chart, F, crossing, n_radial=24):
+def slice_energy(F, crossing, n_radial=24):
     """E(t) over the cone-interior region of the crossing's slice.
 
     Integrand: T_{that that} sqrt(-g_tt) with the slice metric volume, i.e.
     T_{that that} sqrt|det g|.
     """
+    chart = crossing.bundle.chart
     pts, w = slice_region_quadrature(crossing, n_radial)
     dens = frame_energy_density(chart, pts, F)
     return float(np.sum(w * dens * _volume(chart.diagonal(pts))))
@@ -148,12 +149,13 @@ def bulk_density(chart, x, F):
     return np.einsum("...m,...mm->...", pi, _stress(d, inv, F(x)))
 
 
-def bulk_term(chart, F, bundle, t0, t1, n_time=12, n_radial=16):
+def bulk_term(F, bundle, t0, t1, n_time=12, n_radial=24):
     """Integral of pi^{mn}(d/dt) T_{mn} over the cone interior in [t0, t1].
 
     Exactly 0.0, with no crossing built, where t is ``ignorable`` (d/dt is
     Killing, pi = 0); elsewhere Gauss-Legendre in t over star-shaped slices.
     """
+    chart = bundle.chart
     if 0 in chart.ignorable:
         return 0.0
     tq, wq = np.polynomial.legendre.leggauss(n_time)
@@ -171,15 +173,14 @@ def bulk_term(chart, F, bundle, t0, t1, n_time=12, n_radial=16):
 # the assembled identity
 # ---------------------------------------------------------------------------
 
-def divergence_identity_report(chart, F, bundle, t0, t1, n_radial=24,
-                               n_time=12):
+def divergence_identity_report(F, bundle, t0, t1, n_radial=24, n_time=12):
     """Evaluate E(t1) - E(t0) + flux + bulk and report every term."""
     cr0 = bundle.crossing(t0)
     cr1 = bundle.crossing(t1)
-    E0 = slice_energy(chart, F, cr0, n_radial)
-    E1 = slice_energy(chart, F, cr1, n_radial)
+    E0 = slice_energy(F, cr0, n_radial)
+    E1 = slice_energy(F, cr1, n_radial)
     flux = cone_flux(bundle, F, cr0, cr1)
-    bulk = bulk_term(chart, F, bundle, t0, t1, n_time, n_radial)
+    bulk = bulk_term(F, bundle, t0, t1, n_time, n_radial)
     residual = E1 - E0 + flux + bulk
     return {
         "E_start": E0, "E_end": E1, "flux": flux, "bulk": bulk,

@@ -43,6 +43,9 @@ from .liegauge import su2
 #: (stable to 2 sqrt 2 on the imaginary axis) on this stencil (largest 2-D
 #: frequency 1.940 / dx) is stable to dt / dx = 1.458
 CFL_LIMIT = 1.0
+#: ``run_diagnostics`` reports a row every 1 / N_REPORTS of its steps,
+#: rounded down (at least every step)
+N_REPORTS = 20
 
 
 class EvolutionError(RuntimeError):
@@ -250,10 +253,11 @@ def crossed_stream_data(lattice, basis, amplitude=0.1):
     return GaugeState(lattice, basis, A, E)
 
 
-def run_diagnostics(state, dt, t_final, n_reports=20):
-    """Evolve to t_final collecting (t, energy, constraint) rows."""
+def run_diagnostics(state, dt, t_final):
+    """Evolve to t_final collecting (t, energy, constraint) rows: the
+    initial one and one every n_total // N_REPORTS steps."""
     n_total = int(round(t_final / dt))
-    stride = max(1, n_total // n_reports)
+    stride = max(1, n_total // N_REPORTS)
     rows = [(state.time, total_energy(state), constraint_residual(state))]
     done = 0
     while done < n_total:

@@ -34,9 +34,8 @@ def as_points(x):
 
     Complex points carry the complex step of ``christoffel_derivative``
     through the metric diagonal, its first derivatives, the inverse diagonal
-    and ``christoffel``; ``christoffel_along``, ``unit_time`` and
-    ``orthonormal_frame`` keep them complex too.  ``christoffel_derivative``
-    and ``riemann`` take real points only.
+    and ``christoffel``, and go no further: every other operator, and
+    ``christoffel_derivative`` itself, takes real points.
     """
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)
@@ -95,8 +94,8 @@ class Chart:
         """True where x lies in the chart, as ``domain`` says."""
         with np.errstate(all="ignore"):
             d = self.diagonal(x)
-        return np.isfinite(d).all(axis=-1) & (d.real[..., 0] < 0) \
-            & (d.real[..., 1:] > 0).all(axis=-1)
+        return np.isfinite(d).all(axis=-1) & (d[..., 0] < 0) \
+            & (d[..., 1:] > 0).all(axis=-1)
 
     def rays_outside(self, x):
         """Mask of the rays of one cone slice ``x`` that left the chart."""
@@ -192,8 +191,7 @@ class Minkowski(Chart):
         return _zeros(as_points(x), 4, 4)
 
     def christoffel_along(self, x, v):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(v)) + (4,)
-        return np.zeros(shape, dtype=np.result_type(as_points(x), v))
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)) + (4,))
 
 
 class Schwarzschild(Chart):
@@ -216,7 +214,7 @@ class Schwarzschild(Chart):
         return np.array([0.0, self.coordinate_scale, np.pi / 2, 0.0])
 
     def contains(self, x):
-        th = as_points(x)[..., 2].real
+        th = np.asarray(x, dtype=float)[..., 2]
         return super().contains(x) & (th > 0.0) & (th < np.pi)
 
     def rays_outside(self, x):
@@ -224,9 +222,9 @@ class Schwarzschild(Chart):
         leave no gap of pi or more: the axis then pierces the hull of its
         points, so rays between them cross it."""
         out = super().rays_outside(x)
-        phi = np.sort(np.mod(x[..., 3].real, 2.0 * np.pi), axis=None)
+        phi = np.sort(np.mod(x[..., 3], 2.0 * np.pi), axis=None)
         if np.max(np.diff(phi, append=phi[0] + 2.0 * np.pi)) < np.pi:
-            near = np.argmin(np.abs(np.sin(x[..., 2].real)))
+            near = np.argmin(np.abs(np.sin(x[..., 2])))
             out[np.unravel_index(near, out.shape)] = True
         return out
 
@@ -413,8 +411,8 @@ def riemann(chart, x):
 def unit_time(chart, x):
     """Future unit timelike vector along d/dt, (-g_tt)^(-1/2) d/dt, shape
     (..., 4)."""
-    x = as_points(x)
-    v = _zeros(x, 4)
+    x = np.asarray(x, dtype=float)
+    v = np.zeros(x.shape)
     v[..., 0] = (-chart.diagonal(x)[..., 0]) ** -0.5
     return v
 
@@ -429,15 +427,15 @@ def orthonormal_frame(chart, x, time_axis_hint):
     nonzero t component.  Batched over leading axes of ``x``.  Raises
     FrameError when the hint is not timelike at some point.
     """
-    x = as_points(x)
+    x = np.asarray(x, dtype=float)
     d = chart.diagonal(x)
-    hint = np.broadcast_to(as_points(time_axis_hint), x.shape[:-1] + (4,))
+    hint = np.broadcast_to(np.asarray(time_axis_hint, dtype=float), x.shape)
     norm2 = _dot(d, hint, hint)
-    if np.any(norm2.real >= 0):
+    if np.any(norm2 >= 0):
         raise FrameError("time axis hint is not timelike")
     vecs = [hint / np.sqrt(-norm2)[..., None]]
     for axis in (1, 2, 3):
-        cand = np.zeros(x.shape[:-1] + (4,), dtype=vecs[0].dtype)
+        cand = np.zeros(x.shape)
         cand[..., axis] = 1.0
         for sign, v in zip((-1.0, 1.0, 1.0), vecs):
             # minus sign: projector onto timelike leg flips with g(v,v) = -1

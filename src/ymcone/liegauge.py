@@ -200,17 +200,16 @@ def ym_residual(chart, x, F, A):
     return np.einsum("...a,...aabk->...bk", inv, DF)
 
 
-def wave_source(chart, x, F, curv):
+def wave_source(chart, x, f, basis, curv):
     """Right-hand side of the tensorial wave equation satisfied by F.
 
     S_{mn} = -2 R_{gmna} F^{ag} - R_{mg} F_n^g - R_{ng} F^g_m
              - 2 [F^a_m, F_{na}],
     antisymmetric in (m, n); vanishes for an abelian field on a flat chart.
+    ``f`` holds the values F(x), (..., 4, 4, dim), in the algebra ``basis``.
     ``curv`` is ``geometry.riemann(chart, x)``, unused (may be None) on a
     flat chart.
     """
-    x = np.asarray(x, dtype=float)
-    f = F(x)
     inv = chart.inverse_diagonal(x)
     out = np.zeros_like(f)
     if not chart.flat:
@@ -220,9 +219,9 @@ def wave_source(chart, x, F, curv):
         out = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup) \
             - np.einsum("...mg,...ngk->...mnk", Ric, fmixed) \
             + np.einsum("...ng,...mgk->...mnk", Ric, fmixed)  # -R_ng F^g_m
-    if not F.basis.abelian:           # [F^a_m, F_na] per a
-        comm = F.basis.bracket((inv[..., :, None, None] * f)[..., None, :],
-                               np.swapaxes(f, -3, -2)[..., None, :, :])
+    if not basis.abelian:             # [F^a_m, F_na] per a
+        comm = basis.bracket((inv[..., :, None, None] * f)[..., None, :],
+                             np.swapaxes(f, -3, -2)[..., None, :, :])
         out = out - 2.0 * comm.sum(axis=-4)
     return out
 

@@ -89,7 +89,7 @@ class NullConeBundle:
                  T_p=None):
         self.chart = chart
         self.grid = grid
-        self.p = geometry.as_points(vertex)
+        self.p = np.asarray(vertex, dtype=float)
         self.ds = float(ds)
         self.n_s = int(round(s_max / ds))
         self.s = self.ds * np.arange(self.n_s + 1)
@@ -98,7 +98,7 @@ class NullConeBundle:
 
         if T_p is None:
             T_p = geometry.unit_time(chart, self.p)
-        self.T_p = geometry.as_points(T_p)
+        self.T_p = np.asarray(T_p, dtype=float)
         if abs(_dot(chart.diagonal(self.p), self.T_p, self.T_p) + 1.0) > 1e-10:
             raise ConeError("vertex time axis must be unit timelike")
 
@@ -149,7 +149,7 @@ class NullConeBundle:
                 raise self._domain_error(*np.argwhere(outside)[0])
             self.x, self.L = x, L
             return
-        x = np.empty((self.n_s + 1, nth, nph, 4), dtype=L0.dtype)
+        x = np.empty((self.n_s + 1, nth, nph, 4))
         L = np.empty_like(x)
         x[0] = np.broadcast_to(self.p, (nth, nph, 4))
         L[0] = L0

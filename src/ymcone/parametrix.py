@@ -257,7 +257,8 @@ def assemble_representation(bundle, seeds, field, potential=None,
         x = x_read[sl]
         curv = None if chart.flat else geometry.riemann(chart, x)
         if box_nodes is not None:
-            box_nodes[sl] = liegauge.wave_source(chart, x, field, curv)
+            box_nodes[sl] = liegauge.wave_source(chart, x, F_nodes[sl],
+                                                 basis, curv)
         if K is not None:
             K[sl] = 0.5 * np.einsum("...g,...agnm,...m,...n->...ga",
                                     chart.inverse_diagonal(x),

@@ -236,8 +236,7 @@ def test_criterion_07_energy_conservation(timings):
 def test_criterion_08_divergence_identity(flat_big, u1):
     field, _ = runner.make_field(u1, "plane_wave",
                                  {"omega": 1.0, "direction": [1.0, 1.0, 0.0]})
-    rep = energy.divergence_identity_report(flat_big.chart, field, flat_big,
-                                            -1.5, -0.75)
+    rep = energy.divergence_identity_report(field, flat_big, -1.5, -0.75)
     flat_res = rep["relative_residual"]
     flat_ok = flat_res < 1e-3 and rep["bulk"] == 0.0
 
@@ -250,8 +249,8 @@ def test_criterion_08_divergence_identity(flat_big, u1):
         b = nullcone.NullConeBundle(chart, VERTEX_SCHW,
                                     sphere.SphereGrid(nth, nph),
                                     s_max=0.6, ds=ds)
-        rep_s = energy.divergence_identity_report(
-            chart, coulomb, b, -0.5, -0.25, n_radial=n_rad)
+        rep_s = energy.divergence_identity_report(coulomb, b, -0.5, -0.25,
+                                                  n_radial=n_rad)
         residuals.append(rep_s["relative_residual"])
     curved_ok = residuals[-1] < 1e-2 and residuals[-1] < residuals[0]
     ok = flat_ok and curved_ok

@@ -41,8 +41,8 @@ def test_full_quadratic_matches_picard_oracle():
 
 def test_picard_blowup_raises_bounds_error():
     # b = c + int b^2 + int int b^2 blows up before t = 1 for c = 5
-    with np.errstate(all="ignore"), pytest.raises(bounds.BoundsError,
-                                                  match="diverges"):
+    # and nothing else: no overflow RuntimeWarning escapes first
+    with pytest.raises(bounds.BoundsError, match="diverges"):
         bounds.picard_envelope(bounds.BoundSpec(5.0, 0.0, 1.0, 1e-3))
 
 

@@ -121,8 +121,7 @@ def test_slice_quadrature_ball_volume(flat_bundle):
 
 def test_bulk_term_zero_flat(flat_bundle, u1):
     F = _wave(u1)
-    val = energy.bulk_term(flat_bundle.chart, F, flat_bundle, -0.8, -0.4,
-                           n_time=4, n_radial=8)
+    val = energy.bulk_term(F, flat_bundle, -0.8, -0.4, n_time=4, n_radial=8)
     assert abs(val) < 1e-12
 
 
@@ -155,8 +154,7 @@ def test_bulk_term_skips_the_field_where_time_is_killing(schw_bundle, u1,
 
         monkeypatch.setattr(bundle, "crossing", crossing)
         F, shapes = _counting(runner.coulomb_field(u1))
-        val = energy.bulk_term(bundle.chart, F, bundle, -0.45, -0.2,
-                               n_time=4, n_radial=6)
+        val = energy.bulk_term(F, bundle, -0.45, -0.2, n_time=4, n_radial=6)
         assert val == 0.0
         assert shapes == []
         assert crossings == []
@@ -171,7 +169,7 @@ def test_bulk_term_on_flrw_is_the_deformation_integral():
                                      ds=0.005)
     F, shapes = _counting(_su2_bump())
     t0, t1 = 1.6, 1.8
-    got = energy.bulk_term(chart, F, bundle, t0, t1, n_time=3, n_radial=6)
+    got = energy.bulk_term(F, bundle, t0, t1, n_time=3, n_radial=6)
     tq, wq = np.polynomial.legendre.leggauss(3)
     want = 0.0
     for tv, wt in zip(0.5 * (t1 - t0) * (tq + 1.0) + t0, 0.5 * (t1 - t0) * wq):
@@ -204,15 +202,13 @@ def test_cone_flux_samples_only_the_slices_it_reads(schw_bundle, u1):
 
 def test_divergence_identity_flat(flat_bundle, u1):
     F = _wave(u1)
-    rep = energy.divergence_identity_report(flat_bundle.chart, F,
-                                            flat_bundle, -0.9, -0.45)
+    rep = energy.divergence_identity_report(F, flat_bundle, -0.9, -0.45)
     assert rep["bulk"] == 0.0
     assert rep["relative_residual"] < 1e-3
 
 
 def test_divergence_identity_schwarzschild(schw_bundle, u1):
     F = runner.coulomb_field(u1)
-    rep = energy.divergence_identity_report(schw_bundle.chart, F,
-                                            schw_bundle, -0.45, -0.2)
+    rep = energy.divergence_identity_report(F, schw_bundle, -0.45, -0.2)
     # static chart, static field: the bulk term vanishes (Killing time)
     assert rep["relative_residual"] < 1e-2

@@ -131,8 +131,7 @@ def test_state_shape_guard(lattice):
 def test_run_diagnostics_rows(lattice):
     u1 = liegauge.u1()
     state = oracles.abelian_wave_data(lattice, u1)
-    out, rows = evolution.run_diagnostics(state, 0.2 * lattice.dx, 0.2,
-                                          n_reports=5)
+    out, rows = evolution.run_diagnostics(state, 0.2 * lattice.dx, 0.2)
     assert rows.shape[1] == 3
     assert abs(rows[-1, 0] - 0.2) < 1e-12
     assert abs(out.time - 0.2) < 1e-12

@@ -123,21 +123,17 @@ def test_closed_forms_match_generic_route(name, params, x):
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_christoffel_along_matches_generic_route(name, params, x):
     # Gamma^c_ab v^b in closed form against the generic symbols contracted
-    # with v, at real and complex points, three vectors per point
-    # broadcast against it
+    # with v, three vectors per point broadcast against it
     chart = geometry.make_chart(name, **params)
     rng = np.random.default_rng(13)
     pts = np.asarray(x) + 0.05 * rng.standard_normal((6, 1, 4))
     v = rng.standard_normal((6, 3, 4))
-    for z, w in ((pts, v), (pts + 1e-20j * rng.standard_normal(pts.shape),
-                            v + 1j * rng.standard_normal(v.shape))):
-        got = chart.christoffel_along(z, w)
-        ref = np.einsum("...cab,...b->...ca",
-                        oracles.generic_christoffel(chart, z), w)
-        assert got.shape == ref.shape == (6, 3, 4, 4)
-        assert got.dtype == ref.dtype
-        assert np.max(np.abs(got - ref)) \
-            <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    got = chart.christoffel_along(pts, v)
+    ref = np.einsum("...cab,...b->...ca",
+                    oracles.generic_christoffel(chart, pts), v)
+    assert got.shape == ref.shape == (6, 3, 4, 4)
+    assert got.dtype == ref.dtype == float
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
@@ -254,20 +250,15 @@ def test_inverse_metric_identity(schw_chart):
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
 def test_orthonormal_frame_gram(name, params, x):
-    # the unit normal that, a boosted timelike hint, and the complex point
-    # p + i eps that with hint that + i eps v, where the bilinear
-    # (unconjugated) Gram matrix must still be diag(-1, 1, 1, 1)
+    # the unit normal that and a boosted timelike hint
     chart = geometry.make_chart(name, **params)
     x = np.asarray(x, dtype=float)
     that = geometry.unit_time(chart, x)
     boost = that + 0.6 * np.array([0.0, 1.0, 0.0, 0.0]) \
         / np.sqrt(chart.diagonal(x)[1])
-    eps = geometry.COMPLEX_STEP
-    twin = x + 1j * eps * that
-    v = np.random.default_rng(3).standard_normal(4)
-    for z, hint in ((x, that), (x, boost), (twin, that + 1j * eps * v)):
-        frame = geometry.orthonormal_frame(chart, z, time_axis_hint=hint)
-        g = oracles.metric(chart, z)
+    g = oracles.metric(chart, x)
+    for hint in (that, boost):
+        frame = geometry.orthonormal_frame(chart, x, time_axis_hint=hint)
         gram = np.einsum("am,bn,mn->ab", frame, frame, g)
         assert np.max(np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0]))) < 1e-10
 

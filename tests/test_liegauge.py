@@ -333,7 +333,8 @@ def test_gauge_covariant_derivative_matches_index_formula(schw_chart):
 def test_wave_source_vanishes_flat_abelian(flat_chart):
     u1 = liegauge.u1()
     F = runner.plane_wave_field(u1)
-    src = liegauge.wave_source(flat_chart, np.zeros((3, 4)), F, None)
+    x = np.zeros((3, 4))
+    src = liegauge.wave_source(flat_chart, x, F(x), u1, None)
     assert np.max(np.abs(src)) < 1e-12
 
 
@@ -371,7 +372,7 @@ def test_wave_source_matches_structure_constant_einsum(chart_name, algebra):
         .standard_normal((5, 3, 4))
     curv = geometry.riemann(chart, x)
     ref = _einsum_wave_source(chart, x, F, curv)
-    got = liegauge.wave_source(chart, x, F, curv)
+    got = liegauge.wave_source(chart, x, F(x), F.basis, curv)
     assert got.shape == ref.shape == F(x).shape
     assert np.max(np.abs(got - ref)) \
         <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -403,7 +404,7 @@ def test_wave_source_is_covariant_wave_operator_on_su2_oscillator(
     DDF = geometry._fd_derivative(cov, x, 1e-3) \
         + np.einsum("ijk,bi,amnj->bamnk", c, A(x), cov(x))
     box = np.einsum("a,aamnk->mnk", flat_chart.inverse_diagonal(x), DDF)
-    src = liegauge.wave_source(flat_chart, x, F, None)
+    src = liegauge.wave_source(flat_chart, x, F(x), F.basis, None)
     assert np.max(np.abs(box)) > 0.5
     assert np.max(np.abs(src - box)) <= 1e-9 * np.max(np.abs(box))
 

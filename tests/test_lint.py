@@ -329,3 +329,52 @@ def test_src_imports_no_scipy():
     hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
             for line in scipy_imports(path.read_text())]
     assert not hits, f"scipy imports in src/: {hits}"
+
+
+#: the one place a complex value's parts are read: the complex step, and the
+#: conversion that lets its complex points through to ``christoffel``
+COMPLEX_PARTS_ALLOWED = {("geometry", "as_points"),
+                         ("geometry", "christoffel_derivative")}
+
+
+def complex_parts(source, module):
+    """Line numbers of the ``.real`` and ``.imag`` attributes and the
+    ``iscomplexobj`` probes in ``source`` outside the functions of
+    ``COMPLEX_PARTS_ALLOWED``: every other operator takes real points."""
+    tree = ast.parse(source)
+    allowed = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and (module, fn.name) in COMPLEX_PARTS_ALLOWED
+               for n in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in allowed
+                  and (isinstance(node, ast.Attribute)
+                       and node.attr in ("real", "imag", "iscomplexobj")
+                       or isinstance(node, ast.Name)
+                       and node.id == "iscomplexobj"))
+
+
+def test_checker_flags_complex_parts():
+    source = '''
+def as_points(x):
+    x = np.asarray(x)
+    return x if np.iscomplexobj(x) else x.astype(float, copy=False)
+
+def christoffel_derivative(chart, x):
+    return christoffel(chart, x + 1e-20j).imag / 1e-20
+
+def orthonormal_frame(chart, x, time_axis_hint):
+    norm2 = _dot(chart.diagonal(x), time_axis_hint, time_axis_hint)
+    if np.any(norm2.real >= 0):
+        raise FrameError("time axis hint is not timelike")
+    return iscomplexobj(norm2), norm2.imag
+'''
+    assert complex_parts(source, "geometry") == [11, 13, 13]
+    assert complex_parts(source, "nullcone") == [4, 7, 11, 13, 13]
+
+
+def test_complex_parts_only_in_the_complex_step():
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            for line in complex_parts(path.read_text(), path.stem)]
+    assert not hits, f".real, .imag or iscomplexobj outside the complex " \
+                     f"step: {hits}"

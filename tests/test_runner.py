@@ -272,20 +272,27 @@ def test_bad_field_params_name_the_field(field):
     ({"parametrix": 0.0}, "parametrix"),
     ({"cone_geometry": float("inf")}, "cone_geometry"),
     ({"energy_balance_drift": 1e-4}, "energy_balance_drift"),
+    ({"evolution": 1.0}, "evolution"),
 ])
 def test_bad_tolerances_name_the_key(tolerances, key):
+    # the verdict thresholds are fixed: a 'tolerances' section, even one
+    # that names an experiment, is an unknown top-level key
     with pytest.raises(runner.ConfigError) as exc:
         runner.parse_config(dict(MINIMAL, tolerances=tolerances))
-    assert any(f"tolerances.{key}" in p for p in exc.value.problems)
+    assert exc.value.problems == ["unknown top-level keys: tolerances"]
 
 
 def test_evolution_reads_its_own_tolerance():
+    # the verdict is energy drift < 1e-4: the default step drifts by 1.1e-4
+    # over a quarter crossing, half of it by 3.6e-6
     doc = {"chart": "minkowski", "algebra": "su2",
-           "evolution": {"n": 8, "crossings": 0.25},
            "experiments": ["evolution"]}
-    for tol, ok in ((1.0, True), (1e-300, False)):
-        scn = runner.parse_config(dict(doc, tolerances={"evolution": tol}))
-        assert runner.run(scn).passed["evolution"] is ok
+    for dt_factor, ok in ((0.1, True), (0.2, False)):
+        scn = runner.parse_config(dict(doc, evolution={
+            "n": 8, "crossings": 0.25, "dt_factor": dt_factor}))
+        report = runner.run(scn)
+        assert report.passed["evolution"] is ok
+        assert (report.metrics["evolution"]["energy_drift"] < 1e-4) is ok
 
 
 def test_transport_gauge_rotation_passes():
@@ -382,6 +389,22 @@ def test_curved_cone_experiments_share_one_bundle(monkeypatch):
         "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.0, "ds": 0.02},
         "experiments": ["cone_geometry", "parametrix", "energy_balance"],
     }) == 1
+
+
+def test_cartan_samples_leaving_the_chart_name_the_sample():
+    # at r = 2.25 the samples spread 0.05 coordinate_scale in the vertex
+    # frame, and some of them or their difference stencils cross r = 2M:
+    # the check refuses them before it evaluates anything, so no
+    # RuntimeWarning from the static frame's power escapes
+    scn = runner.parse_config({"chart": "schwarzschild",
+                               "vertex": [0.0, 2.25, math.pi / 2, 0.0],
+                               "experiments": ["cartan_check"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = runner.run(scn)
+    error = report.metrics["cartan_check"]["error"]
+    assert error.startswith("GeometryError: Cartan sample 2 at [")
+    assert scn.chart.domain in error
 
 
 @pytest.mark.parametrize("seed", [29, 50])
