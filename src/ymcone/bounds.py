@@ -1,11 +1,11 @@
 """Quadratic comparison envelopes with blow-up detection.
 
 The Pachpatte envelope is the equality solution of
-b(t) = c + p * int b^2 + q * int int b^2, that is of the ODE system
-b' = p b^2 + q B, B' = b^2.
+b(t) = c + int b^2 + q * int int b^2, that is of the ODE system
+b' = b^2 + q B, B' = b^2.
 
 It is integrated in the reciprocal variable u = 1/b, which stays smooth
-through a blow-up: u' = -p - q B u^2.  A blow-up inside the interval is
+through a blow-up: u' = -1 - q B u^2.  A blow-up inside the interval is
 reported as the linearly interpolated zero crossing of u, never raised as
 an exception.  An independent Picard fixed-point iteration of the integral
 equation serves as a cross-check oracle.
@@ -31,19 +31,18 @@ class BoundsError(ValueError):
 
 @dataclass
 class BoundSpec:
-    """Parameters of the quadratic inequality b' = p b^2 + q int b^2 on a
+    """Parameters of the quadratic inequality b' = b^2 + q int b^2 on a
     time interval.
 
     c: initial value b(t0), must be nonnegative.
-    single_coef / double_coef: the multipliers p and q of the single- and
-    double-integral terms (absorbed constants made explicit).
+    double_coef: the multiplier q of the double-integral term (an absorbed
+    constant made explicit).
     """
 
     c: float
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
-    single_coef: float = 1.0
     double_coef: float = 1.0
 
     def __post_init__(self):
@@ -54,8 +53,8 @@ class BoundSpec:
             problems.append("t1 must exceed t0")
         if not self.dt > 0.0:
             problems.append("dt must be positive")
-        if self.single_coef < 0.0 or self.double_coef < 0.0:
-            problems.append("quadratic coefficients must be nonnegative")
+        if self.double_coef < 0.0:
+            problems.append("double_coef must be nonnegative")
         if problems:
             raise ValueError("invalid BoundSpec: " + "; ".join(problems))
 
@@ -73,13 +72,13 @@ class Envelope:
     t_blowup: Optional[float] = None
 
 
-def _quadratic_rhs(u, B, p, q):
+def _quadratic_rhs(u, B, q):
     usafe = max(abs(u), 1e-150)
-    return -p - q * B * u * u, 1.0 / (usafe * usafe)
+    return -1.0 - q * B * u * u, 1.0 / (usafe * usafe)
 
 
 def pachpatte_envelope(spec):
-    """Equality solution of b = c + p int b^2 + q int int b^2.
+    """Equality solution of b = c + int b^2 + q int int b^2.
 
     RK4 on the reciprocal system (u = 1/b, B = int b^2).  If u reaches zero
     inside the interval, the envelope blows up; the crossing time is
@@ -89,15 +88,15 @@ def pachpatte_envelope(spec):
     b = np.zeros_like(t)
     if spec.c == 0.0:
         return Envelope(t, b)
-    p, q = spec.single_coef, spec.double_coef
+    q = spec.double_coef
     u, B = 1.0 / spec.c, 0.0
     b[0] = spec.c
     for i in range(t.size - 1):
         h = t[i + 1] - t[i]
-        du1, dB1 = _quadratic_rhs(u, B, p, q)
-        du2, dB2 = _quadratic_rhs(u + 0.5 * h * du1, B + 0.5 * h * dB1, p, q)
-        du3, dB3 = _quadratic_rhs(u + 0.5 * h * du2, B + 0.5 * h * dB2, p, q)
-        du4, dB4 = _quadratic_rhs(u + h * du3, B + h * dB3, p, q)
+        du1, dB1 = _quadratic_rhs(u, B, q)
+        du2, dB2 = _quadratic_rhs(u + 0.5 * h * du1, B + 0.5 * h * dB1, q)
+        du3, dB3 = _quadratic_rhs(u + 0.5 * h * du2, B + 0.5 * h * dB2, q)
+        du4, dB4 = _quadratic_rhs(u + h * du3, B + h * dB3, q)
         u_new = u + (h / 6.0) * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
         B_new = B + (h / 6.0) * (dB1 + 2.0 * dB2 + 2.0 * dB3 + dB4)
         if u_new <= 0.0 or not np.isfinite(u_new):
@@ -147,21 +146,21 @@ def _cumulative_simpson(y, x):
 def picard_envelope(spec):
     """Independent fixed-point solution of the quadratic integral equation.
 
-    Iterates b <- c + p int b^2 + q int int b^2 with cumulative Simpson
+    Iterates b <- c + int b^2 + q int int b^2 with cumulative Simpson
     quadrature (``_cumulative_simpson``, numpy only) until the sup-norm
     update falls below PICARD_TOL.  Diverging iterates indicate blow-up
     inside the interval and raise BoundsError, and nothing else: their
     overflow and the inf - inf that follows are not warned about.
     """
     t = spec.grid()
-    p, q = spec.single_coef, spec.double_coef
+    q = spec.double_coef
     b = np.full_like(t, spec.c)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(PICARD_MAX_ITER):
             sq = b * b
             single = _cumulative_simpson(sq, t)
             double = _cumulative_simpson(single, t)
-            b_new = spec.c + p * single + q * double
+            b_new = spec.c + single + q * double
             if not np.all(np.isfinite(b_new)) or np.max(b_new) > _HUGE:
                 raise BoundsError("Picard iteration diverges: blow-up in "
                                   "interval")

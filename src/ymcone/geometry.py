@@ -71,7 +71,8 @@ class Chart:
     #: makes d/dt Killing, and ``energy.bulk_term`` 0
     ignorable = ()
     #: where ``contains`` holds, for error messages
-    domain = "the metric diagonal is finite with signature (-,+,+,+)"
+    domain = ("the metric diagonal is finite with signature (-,+,+,+) and "
+              "|det g| >= DEGENERATE_DET")
 
     # diagonal[..., a] = g_aa
     def diagonal(self, x):
@@ -91,11 +92,14 @@ class Chart:
         return np.zeros(4)
 
     def contains(self, x):
-        """True where x lies in the chart, as ``domain`` says."""
+        """True where x lies in the chart, as ``domain`` says: where
+        ``inverse_diagonal`` holds too."""
         with np.errstate(all="ignore"):
             d = self.diagonal(x)
+            det = np.abs(np.prod(d, axis=-1))
         return np.isfinite(d).all(axis=-1) & (d[..., 0] < 0) \
-            & (d[..., 1:] > 0).all(axis=-1)
+            & (d[..., 1:] > 0).all(axis=-1) & np.isfinite(det) \
+            & (det >= DEGENERATE_DET)
 
     def rays_outside(self, x):
         """Mask of the rays of one cone slice ``x`` that left the chart."""
@@ -395,9 +399,14 @@ def riemann(chart, x):
     index; Ricci is the contraction R_mn = R^c_mcn.
     """
     gamma = christoffel(chart, x)
-    # half[r, s, m, n] = d_m Gamma^r_ns + Gamma^r_ml Gamma^l_ns
-    half = np.einsum("...mrns->...rsmn", christoffel_derivative(chart, x)) \
-        + np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    lead = gamma.shape[:-3]
+    # gg[r, m, n, s] = Gamma^r_ml Gamma^l_ns, one GEMM of (rm, l) by (l, ns)
+    gg = (gamma.reshape(lead + (16, 4)) @ gamma.reshape(lead + (4, 16))) \
+        .reshape(lead + (4, 4, 4, 4))
+    # half[r, s, m, n] = d_m Gamma^r_ns + Gamma^r_ml Gamma^l_ns, summed in
+    # gg's memory: a third array of this size raises the peak RSS
+    half = np.moveaxis(gg, -1, -3)
+    half += np.einsum("...mrns->...rsmn", christoffel_derivative(chart, x))
     up = half - np.swapaxes(half, -1, -2)
     ricci = np.einsum("...cmcn->...mn", up)
     low = chart.diagonal(x)[..., :, None, None, None] * up

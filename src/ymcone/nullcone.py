@@ -67,7 +67,8 @@ class CausticError(ConeError):
 
 
 class ChartDomainError(ConeError):
-    """A ray left the chart (``Chart.rays_outside``)."""
+    """A ray left the chart (``Chart.rays_outside`` on a slice,
+    ``Chart.contains`` at an RK4 stage point)."""
 
 
 def _trace2(a, b):
@@ -155,11 +156,20 @@ class NullConeBundle:
         L[0] = L0
         h = self.ds
         xc, Lc = x[0].copy(), L[0].copy()
+
+        def stage(i, k, xs, Ls):
+            """The right-hand side at stage k of the step to slice i, once
+            its points are known to lie in the chart."""
+            inside = self.chart.contains(xs)
+            if not inside.all():
+                raise self._domain_error(i, *np.argwhere(~inside)[0], stage=k)
+            return self._geodesic_rhs(xs, Ls)
+
         for i in range(1, self.n_s + 1):
             k1x, k1L = self._geodesic_rhs(xc, Lc)
-            k2x, k2L = self._geodesic_rhs(xc + 0.5 * h * k1x, Lc + 0.5 * h * k1L)
-            k3x, k3L = self._geodesic_rhs(xc + 0.5 * h * k2x, Lc + 0.5 * h * k2L)
-            k4x, k4L = self._geodesic_rhs(xc + h * k3x, Lc + h * k3L)
+            k2x, k2L = stage(i, 2, xc + 0.5 * h * k1x, Lc + 0.5 * h * k1L)
+            k3x, k3L = stage(i, 3, xc + 0.5 * h * k2x, Lc + 0.5 * h * k2L)
+            k4x, k4L = stage(i, 4, xc + h * k3x, Lc + h * k3L)
             xc = xc + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Lc = Lc + (h / 6.0) * (k1L + 2 * k2L + 2 * k3L + k4L)
             outside = self.chart.rays_outside(xc)
@@ -170,11 +180,14 @@ class NullConeBundle:
             x[i], L[i] = xc, Lc
         self.x, self.L = x, L
 
-    def _domain_error(self, i, th, ph):
-        """The error for ray (th, ph) outside the chart on slice i."""
+    def _domain_error(self, i, th, ph, stage=None):
+        """The error for ray (th, ph) outside the chart on slice i, or at
+        RK4 stage ``stage`` of the step to slice i."""
+        where = "" if stage is None else \
+            f" (RK4 stage {stage} of the step to that s)"
         return ChartDomainError(
             f"ray (theta, phi) = ({th}, {ph}) leaves chart "
-            f"'{self.chart.name}' at s = {self.s[i]:.6g}")
+            f"'{self.chart.name}' at s = {self.s[i]:.6g}{where}")
 
     # ------------------------------------------------------------------
     # pointwise frame fields

@@ -263,7 +263,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
             K[sl] = 0.5 * np.einsum("...g,...agnm,...m,...n->...ga",
                                     chart.inverse_diagonal(x),
                                     curv.riemann, bundle.L[sl],
-                                    bundle.Lbar[sl])
+                                    bundle.Lbar[sl], optimize=True)
     box_up = None if box_nodes is None \
         else raise_two_form(chart, x_read, box_nodes)
     del box_nodes

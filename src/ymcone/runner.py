@@ -50,12 +50,28 @@ def make_algebra(name):
         raise ConfigError([str(exc)]) from None
 
 
+def _first_direction(basis, form, dform=None):
+    """The real two-form ``form(x) -> (..., 4, 4)`` in the first algebra
+    direction as a FieldStrength; its jacobian is ``dform(x) -> (..., 4[a],
+    4, 4)`` when given, else finite differences."""
+    def lift(g):
+        def fn(x):
+            val = g(np.asarray(x, dtype=float))
+            out = np.zeros(val.shape + (basis.dim,))
+            out[..., 0] = val
+            return out
+        return fn
+
+    return liegauge.FieldStrength(
+        basis, lift(form), jac=None if dform is None else lift(dform))
+
+
 def plane_wave_field(basis, omega=1.0, amplitude=1.0, direction=(1.0, 0.0, 0.0)):
     """Transverse null plane wave F_mn = a (k_m e_n - k_n e_m) cos(k.x).
 
     Exact source-free Maxwell solution on the flat chart; the wave covector
     is k = omega (-1, khat) and the polarization is a unit vector orthogonal
-    to khat.  Lives in the first algebra direction.
+    to khat.
     """
     khat = np.asarray(direction, dtype=float)
     khat = khat / np.linalg.norm(khat)
@@ -65,23 +81,17 @@ def plane_wave_field(basis, omega=1.0, amplitude=1.0, direction=(1.0, 0.0, 0.0))
     pol3 = trial - np.dot(trial, khat) * khat
     pol = np.concatenate([[0.0], pol3 / np.linalg.norm(pol3)])
     two_form = amplitude * (np.outer(k, pol) - np.outer(pol, k))
+    dtwo_form = np.einsum("a,mn->amn", k, two_form)
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
+    def form(x):
         phase = np.einsum("...m,m->...", x, k)
-        out = np.zeros(x.shape[:-1] + (4, 4, basis.dim))
-        out[..., :, :, 0] = np.cos(phase)[..., None, None] * two_form
-        return out
+        return np.cos(phase)[..., None, None] * two_form
 
-    def jac(x):
-        x = np.asarray(x, dtype=float)
+    def dform(x):
         phase = np.einsum("...m,m->...", x, k)
-        out = np.zeros(x.shape[:-1] + (4, 4, 4, basis.dim))
-        out[..., :, :, :, 0] = (-np.sin(phase))[..., None, None, None] \
-            * np.einsum("a,mn->amn", k, two_form)
-        return out
+        return (-np.sin(phase))[..., None, None, None] * dtwo_form
 
-    return liegauge.FieldStrength(basis, fn, jac=jac)
+    return _first_direction(basis, form, dform)
 
 
 def constant_field(basis, components=((0, 1, 1.0),)):
@@ -90,18 +100,9 @@ def constant_field(basis, components=((0, 1, 1.0),)):
     for m, n, v in components:
         mat[int(m), int(n)] += float(v)
         mat[int(n), int(m)] -= float(v)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (4, 4, basis.dim))
-        out[..., :, :, 0] = mat
-        return out
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (4, 4, 4, basis.dim))
-
-    return liegauge.FieldStrength(basis, fn, jac=jac)
+    return _first_direction(
+        basis, lambda x: np.broadcast_to(mat, x.shape[:-1] + (4, 4)),
+        lambda x: np.zeros(x.shape[:-1] + (4, 4, 4)))
 
 
 def coulomb_field(basis, charge=1.0):
@@ -110,15 +111,13 @@ def coulomb_field(basis, charge=1.0):
     An exact source-free solution on the Schwarzschild chart (the metric
     determinant factors cancel in the divergence).
     """
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        r = x[..., 1]
-        out = np.zeros(x.shape[:-1] + (4, 4, basis.dim))
-        out[..., 0, 1, 0] = charge / r ** 2
-        out[..., 1, 0, 0] = -charge / r ** 2
+    def form(x):
+        out = np.zeros(x.shape[:-1] + (4, 4))
+        out[..., 0, 1] = charge / x[..., 1] ** 2
+        out[..., 1, 0] = -out[..., 0, 1]
         return out
 
-    return liegauge.FieldStrength(basis, fn)
+    return _first_direction(basis, form)
 
 
 def su2_bump_potential(basis, amplitude=0.1, width=1.0):
@@ -187,7 +186,7 @@ _EVOLUTION_DEFAULTS = {"n": 32, "length": 1.0, "dt_factor": 0.2,
 _BOUNDS_DEFAULTS = {"c": 0.1, "t1": 1.0, "dt": 1e-3}
 
 _TOP_KEYS = {"chart", "algebra", "field", "vertex", "cone", "evolution",
-             "bounds", "experiments", "seed", "out_dir"}
+             "bounds", "experiments", "seed"}
 
 
 @dataclass
@@ -203,7 +202,6 @@ class Scenario:
     bounds: dict
     experiments: list
     seed: int
-    out_dir: str | None
     # built once by parse_config; the experiments share them
     chart: geometry.Chart = dc_field(repr=False)
     basis: liegauge.AlgebraBasis = dc_field(repr=False)
@@ -388,10 +386,6 @@ def parse_config(doc):
         problems.append("'seed' must be a nonnegative integer")
         seed = 0
 
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        problems.append("'out_dir' must be a path string")
-
     if not problems:        # chart, algebra, profile and experiments known
         basis = make_algebra(algebra)
         field, potential = _checked_field(profile, params, basis, vertex,
@@ -405,7 +399,7 @@ def parse_config(doc):
         raise ConfigError(problems)
     return Scenario(chart_name, dict(chart_params), algebra, profile,
                     dict(params), vertex, cone, evo, bnd, list(experiments),
-                    seed, out_dir, chart_obj, basis, field, potential, raw=doc)
+                    seed, chart_obj, basis, field, potential, raw=doc)
 
 
 # ----------------------------------------------------------------------
@@ -603,14 +597,7 @@ class RunReport:
     rows: dict = dc_field(repr=False, default_factory=dict)
 
     def to_json(self):
-        return {
-            "schema_version": self.schema_version,
-            "code_version": self.code_version,
-            "config_hash": self.config_hash,
-            "metrics": self.metrics,
-            "passed": self.passed,
-            "partial": self.partial,
-        }
+        return {k: v for k, v in vars(self).items() if k != "rows"}
 
 
 def run(scenario):
@@ -672,7 +659,7 @@ def main(argv=None):
         p = sub.add_parser(cmd)
         p.add_argument("config")
         if cmd == "run":
-            p.add_argument("--out", default=None)
+            p.add_argument("--out", default="ymcone_out")
     sub.add_parser("catalog")
     args = parser.parse_args(argv)
 
@@ -699,13 +686,11 @@ def main(argv=None):
         print(f"valid: {config_path} ({len(scenario.experiments)} experiments)")
         return 0
 
-    out_dir = args.out or os.environ.get("YMCONE_OUT") \
-        or scenario.out_dir or "ymcone_out"
     report = run(scenario)
     try:
-        written = emit(report, out_dir)
+        written = emit(report, args.out)
     except OSError as exc:
-        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     for name, ok in report.passed.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")

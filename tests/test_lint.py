@@ -378,3 +378,37 @@ def test_complex_parts_only_in_the_complex_step():
             for line in complex_parts(path.read_text(), path.stem)]
     assert not hits, f".real, .imag or iscomplexobj outside the complex " \
                      f"step: {hits}"
+
+
+#: the names through which a process reads its environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """Line numbers of every name or attribute in ``source`` that reads the
+    process environment (``os.environ``, ``os.getenv`` and their bytes
+    forms): a run's inputs are its config and its command line, which the
+    report can record."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                  or isinstance(node, ast.Name) and node.id in ENVIRONMENT)
+
+
+def test_checker_flags_an_environment_read():
+    source = '''
+import os
+from os import getenv
+
+def main(args, scenario):
+    out_dir = args.out or os.environ.get("YMCONE_OUT") \\
+        or scenario.out_dir or "ymcone_out"
+    threads = getenv("OPENBLAS_NUM_THREADS")
+    return out_dir, os.path.join(out_dir, "report.json"), threads
+'''
+    assert environment_reads(source) == [6, 8]
+
+
+def test_src_reads_no_environment():
+    hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
+            for line in environment_reads(path.read_text())]
+    assert not hits, f"environment reads in src/: {hits}"

@@ -94,6 +94,7 @@ def test_absent_potential_is_none(algebra):
     ({"evolution": {"n": 4}}, "evolution.n"),
     ({"cone": {"n_phi": 2}}, "cone.n_phi"),
     ({"cone": {"n_theta": 1}}, "cone.n_theta"),
+    ({"out_dir": "reports"}, "out_dir"),      # --out alone names it
 ])
 def test_strict_section_values_name_the_field(doc, field):
     with pytest.raises(runner.ConfigError) as exc:
@@ -143,6 +144,30 @@ def test_cone_around_the_polar_axis_names_the_ray():
     with pytest.raises(runner.ConfigError) as exc:
         runner.parse_config(doc)
     assert any("0 < theta < pi" in p for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("power,s_max,error", [
+    # the step to s = 1.52 ends where |det g| = t^6 < DEGENERATE_DET, outside
+    # the chart; its stage points must not be evaluated past t = 0 either
+    (1.0, 3.5, "at s = 1.52"),
+    # stage 2 of the step to s = 1.01 reaches t < 0.1, where the metric is
+    # degenerate although its diagonal has the right signs
+    (2.0, 1.1, "at s = 1.01 (RK4 stage 2 of the step to that s)"),
+])
+def test_flrw_cone_past_the_big_bang_names_ray_and_s(power, s_max, error):
+    # the vertex's past rays reach a = 0; the fan stops at the first step
+    # that leaves the chart, and no floating-point warning escapes
+    scn = runner.parse_config({
+        "chart": {"name": "flrw", "params": {"power": power}},
+        "vertex": [3.0, 0.0, 0.0, 0.0],
+        "cone": {"n_theta": 4, "n_phi": 8, "s_max": s_max, "ds": 0.01},
+        "experiments": ["cone_geometry"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = runner.run(scn)
+    assert report.metrics["cone_geometry"]["error"] == (
+        "ChartDomainError: ray (theta, phi) = (0, 0) leaves chart 'flrw' "
+        + error)
 
 
 def test_valid_chart_params_and_vertex_parse():
@@ -352,6 +377,9 @@ def test_report_schema_version_checked(tmp_path):
     with open(tmp_path / "report.json") as fh:
         doc = json.load(fh)
     assert doc["schema_version"] == runner.SCHEMA_VERSION
+    # the report's own fields, less the CSV rows
+    assert set(doc) == {"schema_version", "code_version", "config_hash",
+                        "metrics", "passed", "partial"}
 
 
 def _bundles_built(monkeypatch, doc):
@@ -458,13 +486,13 @@ def test_cli_missing_file(capsys):
     assert runner.main(["run", "/nonexistent/cfg.json"]) == 2
 
 
-def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
+def test_cli_run_without_out_writes_ymcone_out(tmp_path, capsys,
+                                              monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(MINIMAL))
-    target = tmp_path / "envout"
-    monkeypatch.setenv("YMCONE_OUT", str(target))
+    monkeypatch.chdir(tmp_path)
     assert runner.main(["run", str(cfg)]) == 0
-    assert (target / "report.json").exists()
+    assert (tmp_path / "ymcone_out" / "report.json").exists()
 
 
 def test_plane_wave_profile_is_transverse():
@@ -537,6 +565,15 @@ def catalog_docs(draw):
            "seed": draw(st.integers(0, 1000))}
     if chart == "schwarzschild":
         doc["vertex"] = [0.0, draw(st.floats(2.2, 12.0)), math.pi / 2, 0.0]
+    if chart in ("schwarzschild", "schwarzschild-isotropic"):
+        doc["chart"] = {"name": chart,
+                        "params": {"mass": draw(st.sampled_from([0.5, 1.0]))}}
+    if chart == "flrw":
+        # the default vertex t = 2(1 + p) reaches the big bang a = 0 at s = 2;
+        # the derandomized draws favour the first value of each list
+        doc["chart"] = {"name": chart, "params": {
+            "power": draw(st.sampled_from([1.0, 2.0, 0.5]))}}
+        doc["cone"]["s_max"] = draw(st.sampled_from([2.5, 1.2]))
     return doc
 
 
