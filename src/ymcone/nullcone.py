@@ -473,8 +473,14 @@ class NullConeBundle:
         """Per-ray interpolation data where coordinate time crosses t_value.
 
         Returns a ``Crossing`` with fractional indices; ``interpolate`` maps
-        any per-node array to the crossing ring (cubic in s).
+        any per-node array to the crossing ring (cubic in s).  A slice at or
+        above the vertex time, or one that some ray never reaches, raises
+        ``ConeError``.
         """
+        if t_value >= self.p[0]:
+            raise ConeError(f"the slice t = {t_value:.6g} does not lie below "
+                            f"the vertex time {self.p[0]:.6g}: the past cone "
+                            f"meets no ring there")
         t = self.x[..., 0]                         # (n_s+1, nth, nph)
         below = t <= t_value
         if not np.all(np.any(below, axis=0)):

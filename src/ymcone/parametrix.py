@@ -19,9 +19,12 @@ array: its seed axis sits right after the node axes, psi has shape
 (n_s + 1, n_theta, n_phi, n, 4, 4, dim), and the connection's coefficients
 broadcast over it.  ``assemble_representation`` builds its seed-free node
 terms on, and transports and differentiates, only the slices the identity
-reads, 0 .. ``Crossing.stop`` - 1; the stack goes in s-chunks of
+reads, 0 .. ``Crossing.stop`` - 1, the node terms in one chunk pass with one
+F and one Riemann evaluation per chunk; the stack goes in s-chunks of
 ``NullConeBundle.chunk // n`` slices, so a chunk of it holds as many values
-as one geometry chunk of a single seed.
+as one geometry chunk of a single seed.  On each, the zeta term is zeta^c
+D_c psi with zeta^c = 2 m^{bc} zeta_b; its ray part goes into the
+zeroth-order coefficient (mu + q zeta^c cb_c) / 2.
 """
 
 from __future__ import annotations
@@ -214,17 +217,18 @@ def assemble_representation(bundle, seeds, field, potential=None,
     Returns one dict per seed, in seed order, with the individual terms,
     their sum, the vertex target and the relative error.  The identity is
     linear in the seed, so every term that does not involve the transported
-    weight (the field and its wave operator at the nodes, the curvature
-    coupling, the mass aspect, the ring data) is computed once for all
-    seeds, and the weight of the whole stack in one pass: one transport
-    march with the seed axis after the node axes, psi (stop, nth, nph, n, 4,
-    4, dim), then the sphere operators on s-chunks of ``bundle.chunk // n``
-    slices, each reduced at once to per-node, per-seed pairings.  The pass
-    and the seed-free node terms cover slices 0 .. stop - 1, ``stop`` =
-    ``Crossing.stop``: the cone weights vanish past the ring and the ring
-    interpolation reads up to slice i0 + 2.  The field is assumed to solve
-    the Yang-Mills system, for which its wave operator reduces to curvature
-    couplings and self-interaction (zero on a flat abelian background).
+    weight is computed once for all seeds: F^{ab}, the raised wave source, K
+    and F(L, Lbar) in one pass over chunks of ``bundle.chunk`` slices,
+    zeta^c and the zeroth-order coefficient (mu + q zeta^c cb_c) / 2, and
+    the ring data.  The whole stack's weight goes in one transport march,
+    psi (stop, nth, nph, n, 4, 4, dim), then the sphere operators on
+    s-chunks of ``bundle.chunk // n`` slices, each reduced at once to
+    per-node, per-seed pairings.  Both passes cover slices 0 .. stop - 1,
+    ``stop`` = ``Crossing.stop``: the cone weights vanish past the ring and
+    the ring interpolation reads up to slice i0 + 2.  The field is assumed
+    to solve the Yang-Mills system, for which its wave operator reduces to
+    curvature couplings and self-interaction (zero on a flat abelian
+    background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
@@ -242,38 +246,31 @@ def assemble_representation(bundle, seeds, field, potential=None,
     mu = bundle.mass_aspect()
 
     conn = connection(bundle, potential)
-    # the seed-free node terms cover only the slices the identity reads
-    x_read = bundle.x[:stop]
-    F_nodes = sample_field(bundle, field, (4, 4, basis.dim), stop)
-    F_up = raise_two_form(chart, x_read, F_nodes)
-
-    # --- curvature terms, one Riemann evaluation per chunk ----------------
-    # the field's wave operator (None: zero on a flat abelian chart) and
-    # K[g, a] = g^{gg} R_{a g L Lbar} / 2 (None: zero on a flat chart)
-    box_nodes = None if chart.flat and basis.abelian \
-        else np.empty_like(F_nodes)
-    K = None if chart.flat else np.empty(x_read.shape[:3] + (4, 4))
+    # --- seed-free node terms, one field and Riemann evaluation per chunk
+    # of the slices the identity reads: F^up, the raised wave source (None:
+    # zero on a flat abelian chart), K[g, a] = g^{gg} R_{a g L Lbar} / 2
+    # (None: zero on a flat chart) and F(L, Lbar) (None: abelian)
+    nodes = (stop,) + bundle.x.shape[1:3]
+    F_up = np.empty(nodes + (4, 4, basis.dim))
+    box_up = None if chart.flat and basis.abelian else np.empty_like(F_up)
+    K = None if chart.flat else np.empty(nodes + (4, 4))
+    F_LLbar = None if basis.abelian else np.empty(nodes + (basis.dim,))
     for sl in _chunks(stop, bundle.chunk):
-        x = x_read[sl]
+        x = bundle.x[sl]
+        f = field(x)
+        F_up[sl] = raise_two_form(chart, x, f)
         curv = None if chart.flat else geometry.riemann(chart, x)
-        if box_nodes is not None:
-            box_nodes[sl] = liegauge.wave_source(chart, x, F_nodes[sl],
-                                                 basis, curv)
+        if box_up is not None:
+            box_up[sl] = raise_two_form(
+                chart, x, liegauge.wave_source(chart, x, f, basis, curv))
         if K is not None:
             K[sl] = 0.5 * np.einsum("...g,...agnm,...m,...n->...ga",
                                     chart.inverse_diagonal(x),
                                     curv.riemann, bundle.L[sl],
                                     bundle.Lbar[sl], optimize=True)
-    box_up = None if box_nodes is None \
-        else raise_two_form(chart, x_read, box_nodes)
-    del box_nodes
-
-    # --- seed-free factors of the cone corrections ------------------------
-    F_LLbar = None
-    if not basis.abelian:
-        F_LLbar = np.einsum("stpabk,stpa,stpb->stpk",
-                            F_nodes, bundle.L[:stop], bundle.Lbar[:stop])
-    del F_nodes                 # the seed pass needs only F_up and F_LLbar
+        if F_LLbar is not None:
+            F_LLbar[sl] = np.einsum("stpabk,stpa,stpb->stpk",
+                                    f, bundle.L[sl], bundle.Lbar[sl])
 
     # --- initial-data ring: D_T F + D_N F = D_{2 that + phi L} F with
     # N = that + phi L, plus (phi trchi / 2 + k) F, as one seed-free field
@@ -295,7 +292,13 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # per-node factors get a size-1 seed axis, as in psi's layout
     inv_s = np.zeros((stop, 1, 1, 1))
     inv_s[1:, 0, 0, 0] = 1.0 / bundle.s[1:stop]
-    mu_half = 0.5 * mu[..., None, None, None, None]
+    # with D_L psi = -(q/2) psi, the zeta term 2 m^{bc} zeta_b (D_c psi +
+    # cb_c q psi / 2) is zeta^c D_c psi, zeta^c = 2 m^{bc} zeta_b, plus a
+    # ray part q zeta^c cb_c psi / 2 that joins mu psi / 2 in coef0
+    zeta_up = 2.0 * np.einsum("stpbc,stpb->stpc", opt["minv"][:stop],
+                              opt["zeta"][:stop])
+    coef0 = 0.5 * (mu[:stop] + conn.q[:stop] * np.einsum(
+        "stpc,stpc->stp", zeta_up, opt["cb"][:stop]))
     cone_vals = np.empty(psi.shape[:4])
     source_vals = None if box_up is None else np.empty(psi.shape[:4])
     for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
@@ -307,14 +310,9 @@ def assemble_representation(bundle, seeds, field, potential=None,
         # --- angular / connection corrections on the cone --------------
         dpsi = angular_gauge_derivative(bundle, p, conn, sl)
         correction = screen_laplacian(bundle, dpsi, conn, sl)
-        # tangential derivative along the screen: subtract the ray
-        # component, using D_L psi = -(q/2) psi on the transport solution
-        dpsi += 0.5 * np.einsum("stpb,stp,stpjank->stpbjank",
-                                opt["cb"][sl], conn.q[sl], p)
-        correction += 2.0 * np.einsum("stpbc,stpb,stpcjank->stpjank",
-                                      opt["minv"][sl], opt["zeta"][sl], dpsi)
+        correction += np.einsum("stpc,stpc...->stp...", zeta_up[sl], dpsi)
         del dpsi
-        correction += mu_half[sl] * p
+        correction += coef0[sl, ..., None, None, None, None] * p
         # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
         correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar), basis)
         cone_vals[sl] = pairing(correction, F_up[sl, :, :, None]) \

@@ -98,6 +98,10 @@ def constant_field(basis, components=((0, 1, 1.0),)):
     """Covariantly constant-component F; exact flat abelian solution."""
     mat = np.zeros((4, 4))
     for m, n, v in components:
+        if not all(_finite_number(i) and i in range(4) for i in (m, n)) \
+                or m == n:
+            raise ValueError(f"component indices must be two different "
+                             f"integers in 0-3, got ({m!r}, {n!r})")
         mat[int(m), int(n)] += float(v)
         mat[int(n), int(m)] -= float(v)
     return _first_direction(

@@ -79,6 +79,15 @@ def test_crossing_ring_area_flat(flat_bundle):
     assert abs(area - 4.0 * np.pi * 0.36) < 1e-8
 
 
+@pytest.mark.parametrize("t_slice", [0.0, 0.2])
+def test_crossing_refuses_a_slice_at_or_above_the_vertex(flat_bundle,
+                                                         t_slice):
+    # the past cone from t = 0 meets such a slice at most in its vertex, a
+    # ring at s* = 0 that the reconstruction divides by
+    with pytest.raises(nullcone.ConeError, match="vertex time 0"):
+        flat_bundle.crossing(t_slice)
+
+
 def test_crossing_interpolation_recovers_smooth_field(flat_bundle):
     cr = flat_bundle.crossing(-0.37)
     f = np.sin(flat_bundle.x[..., 0])         # smooth function of t

@@ -285,6 +285,9 @@ def test_unmet_needs_rejected_in_one_message(chart, algebra, profile,
     {"profile": "coulomb"},                   # singular at the default vertex
     {"profile": "plane_wave", "params": {"omega": True}},   # would run as 1
     {"profile": "constant", "params": {"components": [[0, True, 1.0]]}},
+    {"profile": "constant", "params": {"components": [[0.5, 1.9, 1.0]]}},
+    {"profile": "constant", "params": {"components": [[-1, 0, 1.0]]}},
+    {"profile": "constant", "params": {"components": [[1, 1, 1.0]]}},
 ])
 def test_bad_field_params_name_the_field(field):
     with pytest.raises(runner.ConfigError) as exc:
@@ -484,6 +487,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert runner.main(["run", "/nonexistent/cfg.json"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read config /nonexistent/cfg.json: ")
 
 
 def test_cli_run_without_out_writes_ymcone_out(tmp_path, capsys,
@@ -493,6 +498,9 @@ def test_cli_run_without_out_writes_ymcone_out(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     assert runner.main(["run", str(cfg)]) == 0
     assert (tmp_path / "ymcone_out" / "report.json").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert "bounds: pass" in lines
+    assert "report: ymcone_out/report.json" in lines
 
 
 def test_plane_wave_profile_is_transverse():
@@ -551,28 +559,55 @@ YMCONE_ERRORS = {name for mod in (bounds, evolution, geometry, liegauge,
 
 @st.composite
 def catalog_docs(draw):
-    chart = draw(st.sampled_from(runner.CHARTS))
-    doc = {"chart": chart,
-           "algebra": draw(st.sampled_from(runner.ALGEBRAS)),
-           "field": draw(st.sampled_from(list(runner.PROFILES))),
+    """A scenario parse_config accepts: params and a vertex that validate,
+    and only experiments whose needs the chart, algebra and profile meet."""
+    name = draw(st.sampled_from(runner.CHARTS))
+    params = {}
+    if name in ("schwarzschild", "schwarzschild-isotropic"):
+        params["mass"] = draw(st.sampled_from([0.5, 1.0]))
+    if name == "flrw":
+        # the default vertex t = 2(1 + p) reaches the big bang a = 0 at s = 2;
+        # the derandomized draws favour the first value of each list
+        params["power"] = draw(st.sampled_from([1.0, 2.0, 0.5]))
+    chart = geometry.make_chart(name, **params)
+    # a vertex off x1 = 0, where the Coulomb profile is singular; on the
+    # Schwarzschild charts x1 > 2.2 lies outside the horizon of either mass
+    vertex = chart.default_vertex()
+    vertex[1] = draw(st.floats(2.2, 12.0))
+    algebra = draw(st.sampled_from(runner.ALGEBRAS))
+    basis = liegauge.make_algebra(algebra)
+    profile = draw(st.sampled_from([p for p in runner.PROFILES
+                                    if p != "su2_bump" or not basis.abelian]))
+    field_params = {
+        "plane_wave": {"omega": draw(st.sampled_from([1.0, 2.5])),
+                       "direction": draw(st.sampled_from(
+                           [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))},
+        "constant": {"components": [[*draw(st.permutations(range(4)))[:2],
+                                     draw(st.sampled_from([1.0, -0.5]))]]},
+        "coulomb": {"charge": draw(st.sampled_from([1.0, -2.0]))},
+        "su2_bump": {"amplitude": draw(st.sampled_from([0.1, 0.3]))},
+    }.get(profile, {})
+
+    def met(spec):
+        return (not spec.solution
+                or name in runner.PROFILES[profile].solves_on) \
+            and (not spec.ricci_flat or chart.ricci_flat) \
+            and (not spec.lattice or (chart.flat and not basis.abelian))
+
+    doc = {"chart": {"name": name, "params": params},
+           "algebra": algebra,
+           "field": {"profile": profile, "params": field_params},
+           "vertex": vertex.tolist(),
            "experiments": draw(st.lists(st.sampled_from(
-               list(runner.EXPERIMENTS)), unique=True, max_size=3)),
+               [e for e, spec in runner.EXPERIMENTS.items() if met(spec)]),
+               unique=True, max_size=3)),
            "cone": {"n_theta": 4, "n_phi": 8,
                     "ds": draw(st.sampled_from([0.02, 0.05])),
-                    "s_max": draw(st.sampled_from([0.3, 1.2]))},
+                    "s_max": draw(st.sampled_from([0.6, 1.2]))},
            "evolution": {"n": 8, "crossings": 0.25},
            "bounds": {"c": draw(st.sampled_from([0.1, 5.0]))},
            "seed": draw(st.integers(0, 1000))}
-    if chart == "schwarzschild":
-        doc["vertex"] = [0.0, draw(st.floats(2.2, 12.0)), math.pi / 2, 0.0]
-    if chart in ("schwarzschild", "schwarzschild-isotropic"):
-        doc["chart"] = {"name": chart,
-                        "params": {"mass": draw(st.sampled_from([0.5, 1.0]))}}
-    if chart == "flrw":
-        # the default vertex t = 2(1 + p) reaches the big bang a = 0 at s = 2;
-        # the derandomized draws favour the first value of each list
-        doc["chart"] = {"name": chart, "params": {
-            "power": draw(st.sampled_from([1.0, 2.0, 0.5]))}}
+    if name == "flrw":
         doc["cone"]["s_max"] = draw(st.sampled_from([2.5, 1.2]))
     return doc
 
@@ -580,11 +615,7 @@ def catalog_docs(draw):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(catalog_docs())
 def test_accepted_configs_run_or_name_their_error(doc):
-    try:
-        scn = runner.parse_config(doc)
-    except runner.ConfigError:
-        return
-    report = runner.run(scn)
+    report = runner.run(runner.parse_config(doc))
     for name, metrics in report.metrics.items():
         if "error" in metrics:
             assert metrics["error"].split(":")[0] in YMCONE_ERRORS, metrics
