@@ -24,7 +24,9 @@ F and one Riemann evaluation per chunk; the stack goes in s-chunks of
 ``NullConeBundle.chunk // n`` slices, so a chunk of it holds as many values
 as one geometry chunk of a single seed.  On each, the zeta term is zeta^c
 D_c psi with zeta^c = 2 m^{bc} zeta_b; its ray part goes into the
-zeroth-order coefficient (mu + q zeta^c cb_c) / 2.
+zeroth-order coefficient (mu + q zeta^c cb_c) / 2.  On flat abelian cones
+psi_j = w seed_j, so one scalar weight w is transported and differentiated
+and paired with the seeds only at the end.
 """
 
 from __future__ import annotations
@@ -220,10 +222,12 @@ def assemble_representation(bundle, seeds, field, potential=None,
     weight is computed once for all seeds: F^{ab}, the raised wave source, K
     and F(L, Lbar) in one pass over chunks of ``bundle.chunk`` slices,
     zeta^c and the zeroth-order coefficient (mu + q zeta^c cb_c) / 2, and
-    the ring data.  The whole stack's weight goes in one transport march,
-    psi (stop, nth, nph, n, 4, 4, dim), then the sphere operators on
-    s-chunks of ``bundle.chunk // n`` slices, each reduced at once to
-    per-node, per-seed pairings.  Both passes cover slices 0 .. stop - 1,
+    the ring data.  A flat chart with an abelian algebra transports and
+    differentiates one scalar weight w, paired with the seeds at the end.
+    Otherwise the whole stack's weight goes in one transport march, psi
+    (stop, nth, nph, n, 4, 4, dim), then the sphere operators on s-chunks
+    of ``bundle.chunk // n`` slices, each reduced at once to per-node,
+    per-seed pairings.  Both passes cover slices 0 .. stop - 1,
     ``stop`` = ``Crossing.stop``: the cone weights vanish past the ring and
     the ring interpolation reads up to slice i0 + 2.  The field is assumed
     to solve the Yang-Mills system, for which its wave operator reduces to
@@ -287,11 +291,9 @@ def assemble_representation(bundle, seeds, field, potential=None,
         2.0 * that_ring + phi_ring[..., None] * L_ring)
         + ring_coef[..., None, None, None] * field(x_ring))
 
-    # --- the seed stack, on the slices the identity reads -----------------
-    psi = transport_weight(bundle, seeds, conn, stop)
-    # per-node factors get a size-1 seed axis, as in psi's layout
-    inv_s = np.zeros((stop, 1, 1, 1))
-    inv_s[1:, 0, 0, 0] = 1.0 / bundle.s[1:stop]
+    # --- the weight, on the slices the identity reads ---------------------
+    inv_s = np.zeros((stop, 1, 1))
+    inv_s[1:, 0, 0] = 1.0 / bundle.s[1:stop]
     # with D_L psi = -(q/2) psi, the zeta term 2 m^{bc} zeta_b (D_c psi +
     # cb_c q psi / 2) is zeta^c D_c psi, zeta^c = 2 m^{bc} zeta_b, plus a
     # ray part q zeta^c cb_c psi / 2 that joins mu psi / 2 in coef0
@@ -299,29 +301,44 @@ def assemble_representation(bundle, seeds, field, potential=None,
                               opt["zeta"][:stop])
     coef0 = 0.5 * (mu[:stop] + conn.q[:stop] * np.einsum(
         "stpc,stpc->stp", zeta_up, opt["cb"][:stop]))
-    cone_vals = np.empty(psi.shape[:4])
-    source_vals = None if box_up is None else np.empty(psi.shape[:4])
-    for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
-        p = psi[sl]
-        if source_vals is not None:
-            source_vals[sl] = pairing(p, box_up[sl, :, :, None]) \
-                * inv_s[sl]
+    source_vals = None if box_up is None else np.empty(nodes + seeds.shape[:1])
+    if chart.flat and basis.abelian:
+        # only q acts on psi here, so psi_j = w seed_j for one scalar w
+        w = transport_weight(bundle, np.ones(()), conn, stop)
+        dw = angular_gauge_derivative(bundle, w, conn, slice(0, stop))
+        correction = screen_laplacian(bundle, dw, conn, slice(0, stop))
+        correction += np.einsum("stpc,stpc->stp", zeta_up, dw) + coef0 * w
+        cone_vals = (correction * inv_s)[..., None] \
+            * np.einsum("stpabk,jabk->stpj", F_up, seeds)
+        ring_vals = (crossing.interpolate(w) / s_star)[..., None] \
+            * np.einsum("jabk,...abk->...j", seeds, ring_up)
+    else:
+        # the seed stack psi (stop, nth, nph, n, 4, 4, dim)
+        psi = transport_weight(bundle, seeds, conn, stop)
+        cone_vals = np.empty(psi.shape[:4])
+        for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
+            p = psi[sl]
+            if source_vals is not None:
+                source_vals[sl] = pairing(p, box_up[sl, :, :, None]) \
+                    * inv_s[sl, ..., None]
 
-        # --- angular / connection corrections on the cone --------------
-        dpsi = angular_gauge_derivative(bundle, p, conn, sl)
-        correction = screen_laplacian(bundle, dpsi, conn, sl)
-        correction += np.einsum("stpc,stpc...->stp...", zeta_up[sl], dpsi)
-        del dpsi
-        correction += coef0[sl, ..., None, None, None, None] * p
-        # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
-        correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar), basis)
-        cone_vals[sl] = pairing(correction, F_up[sl, :, :, None]) \
-            * inv_s[sl]
+            # --- angular / connection corrections on the cone ----------
+            dpsi = angular_gauge_derivative(bundle, p, conn, sl)
+            correction = screen_laplacian(bundle, dpsi, conn, sl)
+            correction += np.einsum("stpc,stpc...->stp...", zeta_up[sl],
+                                    dpsi)
+            del dpsi
+            correction += coef0[sl, ..., None, None, None, None] * p
+            # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
+            correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar),
+                                           basis)
+            cone_vals[sl] = pairing(correction, F_up[sl, :, :, None]) \
+                * inv_s[sl, ..., None]
 
-    # --- initial-data ring terms, all seeds in one contraction ------------
-    lam_ring = crossing.interpolate(psi) \
-        / s_star[..., None, None, None, None]
-    ring_vals = np.einsum("...jabk,...abk->...j", lam_ring, ring_up)
+        # --- initial-data ring terms, all seeds in one contraction --------
+        lam_ring = crossing.interpolate(psi) \
+            / s_star[..., None, None, None, None]
+        ring_vals = np.einsum("...jabk,...abk->...j", lam_ring, ring_up)
 
     Fp = field(bundle.p)
     Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))

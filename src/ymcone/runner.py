@@ -439,7 +439,13 @@ def _exp_cone_geometry(scn, bundle):
 def _exp_transport(scn, bundle):
     seed = canonical_seeds(scn.basis)[0]
     conn = parametrix.connection(bundle, scn.potential)
-    psi = parametrix.transport_weight(bundle, seed, conn)
+    # without a connection along L, psi = w seed with a scalar w that stays
+    # 1; else it is rotated (gauge) or reweighted (curvature), size checked
+    parallel = conn.gamma_L is None and conn.a_L is None
+    psi = parametrix.transport_weight(
+        bundle, np.ones(()) if parallel else seed, conn)
+    if parallel:
+        psi = psi[..., None, None, None] * seed
     norms = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi))
     seed_norm = float(np.sqrt(np.einsum("mnk,mnk->", seed, seed)))
     metrics = {
@@ -449,9 +455,6 @@ def _exp_transport(scn, bundle):
     rows = [("s", "max_norm_ratio")] + [
         (float(s), float(np.max(norms[i]) / seed_norm))
         for i, s in enumerate(bundle.s)]
-    # without a connection along L, psi stays the seed; otherwise it is
-    # rotated (gauge) or reweighted (curvature) and only its size is checked
-    parallel = conn.gamma_L is None and conn.a_L is None
     tol = 1e-10 if parallel else 1.5
     key = "max_deviation_from_seed" if parallel else "sup_norm_ratio"
     return metrics, rows, metrics[key] <= tol

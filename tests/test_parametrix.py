@@ -217,6 +217,57 @@ def test_batched_seeds_match_single_seed_calls(name, request, u1, seeds):
             assert abs(rep[key] - alone[key]) <= 1e-12, (i, key)
 
 
+def _weight_shapes(monkeypatch):
+    """Record the shape of what reaches transport_weight (its seed) and the
+    sphere operators (their per-node array)."""
+    seen = {}
+    for name in ("transport_weight", "angular_gauge_derivative",
+                 "screen_laplacian"):
+        def recording(bundle, f, *args, fn=getattr(parametrix, name),
+                      shapes=seen.setdefault(name, [])):
+            shapes.append(np.shape(f))
+            return fn(bundle, f, *args)
+
+        monkeypatch.setattr(parametrix, name, recording)
+    return seen
+
+
+def test_flat_abelian_reconstruction_carries_one_scalar_weight(
+        flat_bundle, u1, seeds, monkeypatch):
+    # on a flat chart with an abelian algebra psi_j = w seed_j, so no array
+    # with a seed axis reaches the transport or the sphere operators: one
+    # scalar weight per node, each operator called once
+    seen = _weight_shapes(monkeypatch)
+    field, potential = runner.make_field(u1, "plane_wave", {"omega": 1.0})
+    parametrix.assemble_representation(flat_bundle, seeds, field,
+                                       potential=potential)
+    nodes = (flat_bundle.crossing(flat_bundle.p[0] - 1.0).stop,) \
+        + flat_bundle.x.shape[1:3]
+    assert seen == {"transport_weight": [()],
+                    "angular_gauge_derivative": [nodes],
+                    "screen_laplacian": [nodes + (2,)]}
+
+
+def test_scalar_weight_route_matches_seed_stack_route(flat_bundle, u1, seeds,
+                                                      monkeypatch):
+    # the same plane wave in su(2) direction 0 is not abelian, so it takes
+    # the seed-stack route; every per-seed term matches the u(1) scalar route
+    seen = _weight_shapes(monkeypatch)
+    reps = {}
+    for basis in (u1, liegauge.su2()):
+        field, potential = runner.make_field(basis, "plane_wave",
+                                             {"omega": 1.0})
+        reps[basis.dim] = parametrix.assemble_representation(
+            flat_bundle, runner.canonical_seeds(basis), field,
+            potential=potential)
+    assert [len(s) for s in seen["transport_weight"]] == [0, 4]
+    assert len(reps[1]) == len(reps[3]) == len(seeds)
+    for j, (scalar, stack) in enumerate(zip(reps[1], reps[3])):
+        for key in ("source_term", "cone_correction_term",
+                    "initial_data_term", "reconstructed"):
+            assert abs(scalar[key] - stack[key]) <= 1e-12, (j, key)
+
+
 def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
                                           monkeypatch):
     # the curvature coupling and the wave source do not depend on the

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymcone import bounds, evolution, geometry, liegauge, nullcone, runner
+from ymcone import (bounds, evolution, geometry, liegauge, nullcone,
+                    parametrix, runner)
 
 MINIMAL = {
     "chart": {"name": "minkowski"},
@@ -420,6 +421,33 @@ def test_curved_cone_experiments_share_one_bundle(monkeypatch):
         "cone": {"n_theta": 6, "n_phi": 12, "s_max": 1.0, "ds": 0.02},
         "experiments": ["cone_geometry", "parametrix", "energy_balance"],
     }) == 1
+
+
+@pytest.mark.parametrize("chart, algebra, profile, s_max, seed_ndim", [
+    ("minkowski", "u1", "plane_wave", 1.2, 0),   # one scalar weight
+    ("minkowski", "su2", "constant", 1.2, 4),    # seed stack: non-abelian
+    ("schwarzschild", "u1", "coulomb", 1.0, 4),  # seed stack: curved
+])
+def test_reconstruction_and_energy_identity_pass(chart, algebra, profile,
+                                                 s_max, seed_ndim,
+                                                 monkeypatch):
+    # the config fuzz reaches these two experiments rarely; here each weight
+    # route of the reconstruction runs both through runner.run
+    seen = []
+    transport = parametrix.transport_weight
+
+    def recording(bundle, seed, *args):
+        seen.append(np.ndim(seed))
+        return transport(bundle, seed, *args)
+
+    monkeypatch.setattr(parametrix, "transport_weight", recording)
+    report = runner.run(runner.parse_config({
+        "chart": chart, "algebra": algebra, "field": {"profile": profile},
+        "cone": {"n_theta": 4, "n_phi": 8, "s_max": s_max, "ds": 0.05},
+        "experiments": ["parametrix", "energy_balance"]}))
+    assert not report.partial, report.metrics
+    assert report.passed == {"parametrix": True, "energy_balance": True}
+    assert seen == [seed_ndim]
 
 
 def test_cartan_samples_leaving_the_chart_name_the_sample():
