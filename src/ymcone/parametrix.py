@@ -20,13 +20,12 @@ array: its seed axis sits right after the node axes, psi has shape
 broadcast over it.  ``assemble_representation`` builds its seed-free node
 terms on, and transports and differentiates, only the slices the identity
 reads, 0 .. ``Crossing.stop`` - 1, the node terms in one chunk pass with one
-F and one Riemann evaluation per chunk; the stack goes in s-chunks of
-``NullConeBundle.chunk // n`` slices, so a chunk of it holds as many values
-as one geometry chunk of a single seed.  On each, the zeta term is zeta^c
-D_c psi with zeta^c = 2 m^{bc} zeta_b; its ray part goes into the
-zeroth-order coefficient (mu + q zeta^c cb_c) / 2.  On flat abelian cones
-psi_j = w seed_j, so one scalar weight w is transported and differentiated
-and paired with the seeds only at the end.
+F and one Riemann evaluation per chunk.  On flat abelian cones psi_j = w
+seed_j, so psi is one scalar weight w (n_s + 1, n_theta, n_phi) instead.
+One loop runs the cone correction on either, in s-chunks that hold as many
+values as one geometry chunk of a single seed; the zeta term is zeta^c D_c
+psi with zeta^c = 2 m^{bc} zeta_b, its ray part in the zeroth-order
+coefficient (mu + q zeta^c cb_c) / 2.
 """
 
 from __future__ import annotations
@@ -62,11 +61,6 @@ def raise_two_form(chart, x, f):
     return out
 
 
-def pairing(f, f_up):
-    """<f_{ab}, g^{ab}> per node for algebra-valued 2-tensors."""
-    return np.einsum("...abk,...abk->...", f, f_up)
-
-
 # ---------------------------------------------------------------------------
 # the cone connection and the operators built on it: transport along L,
 # D_b and D^b D_b on the spheres
@@ -88,6 +82,10 @@ def connection(bundle, potential=None):
     ``expansion_deficit`` trchi - 2/s.  Nothing is seed-dependent or stored
     on the bundle.
     """
+    gauge = potential is not None and not potential.basis.abelian
+    if bundle.chart.flat and not gauge:         # only q acts: no V needed
+        return Connection(None, None, None, None, None,
+                          bundle.expansion_deficit)
     opt = bundle.optical()
     L = bundle.L[..., None, :]
     V = np.concatenate([L, opt["Ytilde"] + opt["cb"][..., None] * L], axis=-2)
@@ -106,7 +104,7 @@ def connection(bundle, potential=None):
             gamma[sl] = bundle.chart.christoffel_along(
                 bundle.x[sl][..., None, :], V[sl])
     a = basis = None
-    if potential is not None and not potential.basis.abelian:
+    if gauge:
         basis = potential.basis
         a = np.einsum("...mi,...vm->...vi",
                       sample_field(bundle, potential, (4, basis.dim)), V)
@@ -122,9 +120,9 @@ def transport_weight(bundle, seed, conn, stop=None):
         dpsi/ds = Gamma(L) hits - [A_L, psi] - (q / 2) psi,  q = trchi - 2/s,
     which is regular at the vertex.  RK4 with midpoint coefficients
     averaged from the two bracketing s nodes.  ``seed`` is one seed
-    two-form (4, 4, dim) or a stack (n, 4, 4, dim) marched together; psi
-    has shape (stop, nth, nph) + seed.shape and covers slices 0 .. stop - 1,
-    every slice when ``stop`` is None.
+    two-form (4, 4, dim), a stack (n, 4, 4, dim) marched together or, if
+    only q acts, a 0-d weight; psi has shape (stop, nth, nph) + seed.shape
+    and covers slices 0 .. stop - 1, every slice when ``stop`` is None.
     """
     seed = np.asarray(seed, dtype=float)
     n1 = bundle.n_s + 1 if stop is None else stop
@@ -157,10 +155,10 @@ def _on_slices(sl, *coefs):
 def angular_gauge_derivative(bundle, f, conn, sl=slice(None)):
     """D_b f along the two sphere tangents for an algebra-valued scalar
     (n1, nth, nph, dim) or two-tensor (n1, nth, nph, 4, 4, dim), with any
-    seed axes after the node axes.  ``f`` holds the bundle's slices ``sl``
-    (all of them by default).  Returns (n1, nth, nph, 2, <tensor>, dim): the
-    spectral angular derivative plus the cone connection ``conn``
-    (``connection``) along Y_b.
+    seed axes after the node axes, or for a bare weight (n1, nth, nph) if
+    only q acts.  ``f`` holds the bundle's slices ``sl`` (all by default).
+    Returns (n1, nth, nph, 2, <tensor>, dim): the spectral angular
+    derivative plus the cone connection ``conn`` (``connection``) along Y_b.
     """
     f = np.asarray(f)
     df = np.moveaxis(bundle.grid.gradient(f), -1, 3)  # (..., 2, <tensor>, dim)
@@ -222,17 +220,15 @@ def assemble_representation(bundle, seeds, field, potential=None,
     weight is computed once for all seeds: F^{ab}, the raised wave source, K
     and F(L, Lbar) in one pass over chunks of ``bundle.chunk`` slices,
     zeta^c and the zeroth-order coefficient (mu + q zeta^c cb_c) / 2, and
-    the ring data.  A flat chart with an abelian algebra transports and
-    differentiates one scalar weight w, paired with the seeds at the end.
-    Otherwise the whole stack's weight goes in one transport march, psi
-    (stop, nth, nph, n, 4, 4, dim), then the sphere operators on s-chunks
-    of ``bundle.chunk // n`` slices, each reduced at once to per-node,
-    per-seed pairings.  Both passes cover slices 0 .. stop - 1,
-    ``stop`` = ``Crossing.stop``: the cone weights vanish past the ring and
-    the ring interpolation reads up to slice i0 + 2.  The field is assumed
-    to solve the Yang-Mills system, for which its wave operator reduces to
-    curvature couplings and self-interaction (zero on a flat abelian
-    background).
+    the ring data.  The weight psi, the seed stack (stop, nth, nph, n, 4, 4,
+    dim) or on a flat abelian cone one scalar w with psi_j = w seed_j, goes
+    in one transport march and one loop over s-chunks that runs the cone
+    correction at psi's rank and reduces each chunk to per-node, per-seed
+    pairings.  Both passes cover slices 0 .. stop - 1, ``stop`` =
+    ``Crossing.stop``: the cone weights vanish past the ring and the ring
+    interpolation reads up to slice i0 + 2.  The field is assumed to solve
+    the Yang-Mills system, for which its wave operator reduces to curvature
+    couplings and self-interaction (zero on a flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
@@ -255,8 +251,9 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # zero on a flat abelian chart), K[g, a] = g^{gg} R_{a g L Lbar} / 2
     # (None: zero on a flat chart) and F(L, Lbar) (None: abelian)
     nodes = (stop,) + bundle.x.shape[1:3]
+    scalar = chart.flat and basis.abelian
     F_up = np.empty(nodes + (4, 4, basis.dim))
-    box_up = None if chart.flat and basis.abelian else np.empty_like(F_up)
+    box_up = None if scalar else np.empty_like(F_up)
     K = None if chart.flat else np.empty(nodes + (4, 4))
     F_LLbar = None if basis.abelian else np.empty(nodes + (basis.dim,))
     for sl in _chunks(stop, bundle.chunk):
@@ -301,44 +298,44 @@ def assemble_representation(bundle, seeds, field, potential=None,
                               opt["zeta"][:stop])
     coef0 = 0.5 * (mu[:stop] + conn.q[:stop] * np.einsum(
         "stpc,stpc->stp", zeta_up, opt["cb"][:stop]))
-    source_vals = None if box_up is None else np.empty(nodes + seeds.shape[:1])
-    if chart.flat and basis.abelian:
-        # only q acts on psi here, so psi_j = w seed_j for one scalar w
-        w = transport_weight(bundle, np.ones(()), conn, stop)
-        dw = angular_gauge_derivative(bundle, w, conn, slice(0, stop))
-        correction = screen_laplacian(bundle, dw, conn, slice(0, stop))
-        correction += np.einsum("stpc,stpc->stp", zeta_up, dw) + coef0 * w
-        cone_vals = (correction * inv_s)[..., None] \
-            * np.einsum("stpabk,jabk->stpj", F_up, seeds)
-        ring_vals = (crossing.interpolate(w) / s_star)[..., None] \
-            * np.einsum("jabk,...abk->...j", seeds, ring_up)
-    else:
-        # the seed stack psi (stop, nth, nph, n, 4, 4, dim)
-        psi = transport_weight(bundle, seeds, conn, stop)
-        cone_vals = np.empty(psi.shape[:4])
-        for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
-            p = psi[sl]
-            if source_vals is not None:
-                source_vals[sl] = pairing(p, box_up[sl, :, :, None]) \
-                    * inv_s[sl, ..., None]
+    # only q acts on a flat abelian cone, so psi_j = w seed_j there and one
+    # scalar w per node stands for the stack psi (..., n, 4, 4, dim)
+    psi = transport_weight(bundle, np.ones(()) if scalar else seeds, conn,
+                           stop)
+    rank = (1,) * (psi.ndim - 3)        # psi's axes past the node axes
 
-            # --- angular / connection corrections on the cone ----------
-            dpsi = angular_gauge_derivative(bundle, p, conn, sl)
-            correction = screen_laplacian(bundle, dpsi, conn, sl)
-            correction += np.einsum("stpc,stpc...->stp...", zeta_up[sl],
-                                    dpsi)
-            del dpsi
-            correction += coef0[sl, ..., None, None, None, None] * p
-            # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
-            correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar),
-                                           basis)
-            cone_vals[sl] = pairing(correction, F_up[sl, :, :, None]) \
-                * inv_s[sl, ..., None]
+    def paired(v, up, inv=None):
+        """<v_j, up> per node and seed, times ``inv``: the scalar weight
+        is scaled first and meets <seed_j, up>, the stack after (the
+        rounding order each keeps)."""
+        if scalar:
+            return (v if inv is None else v * inv)[..., None] \
+                * np.einsum("jabk,...abk->...j", seeds, up)
+        out = np.einsum("...jabk,...abk->...j", v, up)
+        return out if inv is None else out * inv[..., None]
 
-        # --- initial-data ring terms, all seeds in one contraction --------
-        lam_ring = crossing.interpolate(psi) \
-            / s_star[..., None, None, None, None]
-        ring_vals = np.einsum("...jabk,...abk->...j", lam_ring, ring_up)
+    cone_vals = np.empty(nodes + seeds.shape[:1])
+    source_vals = None if scalar else np.empty_like(cone_vals)
+    # as many values of psi per chunk as a geometry chunk of one seed holds
+    width = max(1, bundle.chunk * seeds[0].size // psi[0, 0, 0].size)
+    for sl in _chunks(stop, width):
+        p = psi[sl]
+        if source_vals is not None:
+            source_vals[sl] = paired(p, box_up[sl], inv_s[sl])
+
+        # --- angular / connection corrections on the cone ----------------
+        dpsi = angular_gauge_derivative(bundle, p, conn, sl)
+        correction = screen_laplacian(bundle, dpsi, conn, sl)
+        correction += np.einsum("stpc,stpc...->stp...", zeta_up[sl], dpsi)
+        del dpsi
+        correction += coef0[sl].reshape(coef0[sl].shape + rank) * p
+        # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
+        correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar), basis)
+        cone_vals[sl] = paired(correction, F_up[sl], inv_s[sl])
+
+    # --- initial-data ring terms, all seeds in one contraction ------------
+    ring_vals = paired(crossing.interpolate(psi)
+                       / s_star.reshape(s_star.shape + rank), ring_up)
 
     Fp = field(bundle.p)
     Fp_norm = float(np.sqrt(np.sum(Fp ** 2)))

@@ -412,3 +412,44 @@ def test_src_reads_no_environment():
     hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
             for line in environment_reads(path.read_text())]
     assert not hits, f"environment reads in src/: {hits}"
+
+
+#: the weight's operators, which ``assemble_representation`` runs once each
+#: for the scalar weight and the seed stack alike
+WEIGHT_OPERATORS = ("transport_weight", "angular_gauge_derivative",
+                    "screen_laplacian")
+
+
+def call_counts(source, function, names):
+    """How often the body of ``function`` in ``source`` calls each of
+    ``names``, as a plain name or an attribute."""
+    fn, = [node for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.FunctionDef) and node.name == function]
+    called = [node.func.id if isinstance(node.func, ast.Name)
+              else getattr(node.func, "attr", None)
+              for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    return {name: called.count(name) for name in names}
+
+
+def test_checker_flags_a_two_route_reconstruction():
+    source = '''
+def assemble_representation(bundle, seeds, field, potential=None):
+    if chart.flat and basis.abelian:
+        w = transport_weight(bundle, np.ones(()), conn, stop)
+        dw = angular_gauge_derivative(bundle, w, conn, slice(0, stop))
+        correction = screen_laplacian(bundle, dw, conn, slice(0, stop))
+    else:
+        psi = parametrix.transport_weight(bundle, seeds, conn, stop)
+        for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
+            dpsi = angular_gauge_derivative(bundle, psi[sl], conn, sl)
+            correction = screen_laplacian(bundle, dpsi, conn, sl)
+'''
+    assert call_counts(source, "assemble_representation",
+                       WEIGHT_OPERATORS) == dict.fromkeys(WEIGHT_OPERATORS, 2)
+
+
+def test_reconstruction_runs_each_weight_operator_once():
+    counts = call_counts((SRC / "parametrix.py").read_text(),
+                         "assemble_representation", WEIGHT_OPERATORS)
+    assert counts == dict.fromkeys(WEIGHT_OPERATORS, 1), \
+        f"one route for every weight rank: {counts}"

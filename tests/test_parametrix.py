@@ -248,6 +248,27 @@ def test_flat_abelian_reconstruction_carries_one_scalar_weight(
                     "screen_laplacian": [nodes + (2,)]}
 
 
+def test_seed_stack_goes_in_chunks_of_chunk_over_n_slices(
+        schw_bundle, u1, seeds, monkeypatch):
+    # a chunk of the stack holds as many values as a geometry chunk of one
+    # seed: bundle.chunk // n slices of the six-seed stack, the remainder
+    # last, while the transport marches the whole stack once
+    seen = _weight_shapes(monkeypatch)
+    field, potential = runner.make_field(u1, "coulomb", {"charge": 1.0})
+    t_slice = schw_bundle.p[0] - 0.3
+    parametrix.assemble_representation(schw_bundle, seeds, field,
+                                       potential=potential, t_slice=t_slice)
+    stop = schw_bundle.crossing(t_slice).stop
+    width = schw_bundle.chunk // len(seeds)
+    assert stop % width and stop > width      # several chunks, a short last
+    sizes = [min(width, stop - i) for i in range(0, stop, width)]
+    grid, stack = schw_bundle.x.shape[1:3], (len(seeds), 4, 4, 1)
+    assert seen == {
+        "transport_weight": [stack],
+        "angular_gauge_derivative": [(k,) + grid + stack for k in sizes],
+        "screen_laplacian": [(k,) + grid + (2,) + stack for k in sizes]}
+
+
 def test_scalar_weight_route_matches_seed_stack_route(flat_bundle, u1, seeds,
                                                       monkeypatch):
     # the same plane wave in su(2) direction 0 is not abelian, so it takes
