@@ -103,16 +103,17 @@ def flux_density_frame(bundle, F_nodes):
     ``F_nodes`` covers, 0 .. len(F_nodes) - 1.
 
     (|F_{L Lbar}|^2 / (8 phi) + phi (|F_{L e1}|^2 + |F_{L e2}|^2) / 2
-     + |F_{e1 e2}|^2 / (2 phi)) sqrt(-g_tt); each term nonnegative.
+     + |F_{e1 e2}|^2 / (2 phi)) sqrt(-g_tt); each term nonnegative, from
+    FL_b = F_{ab} L^a and F_{ab} e1^a each contracted once more.
     """
     n = len(F_nodes)
-    e = bundle.null_frames()[:n]
-    L, Lb, gLt = bundle.L[:n], bundle.Lbar[:n], bundle.gLt[:n]
+    e, gLt = bundle.null_frames()[:n], bundle.gLt[:n]
     lapse = np.sqrt(-bundle.diagonal_nodes[:n, ..., 0])
-    F_LLb = np.einsum("...abk,...a,...b->...k", F_nodes, L, Lb)
-    F_La = np.einsum("...abk,...a,...cb->...ck", F_nodes, L, e)
-    F_12 = np.einsum("...abk,...a,...b->...k", F_nodes, e[..., 0, :],
-                     e[..., 1, :])
+    FL = np.einsum("...abk,...a->...bk", F_nodes, bundle.L[:n])
+    F_LLb = np.einsum("...bk,...b->...k", FL, bundle.Lbar[:n])
+    F_La = np.einsum("...bk,...cb->...ck", FL, e)
+    F_12 = np.einsum("...bk,...b->...k", np.einsum(
+        "...abk,...a->...bk", F_nodes, e[..., 0, :]), e[..., 1, :])
     sq = lambda v: np.einsum("...k,...k->...", v, v)
     return lapse * (0.125 * gLt * sq(F_LLb)
                     + 0.5 / gLt * (sq(F_La[..., 0, :]) + sq(F_La[..., 1, :]))

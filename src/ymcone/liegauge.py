@@ -152,21 +152,21 @@ def connect(f, gamma, a, basis):
     """-Gamma(V) on each spacetime index of ``f`` plus [A(V), f], for
     ``gamma`` = Gamma^g_ab V^b (..., 4[g], 4[a]) and ``a`` = A(V) (..., dim),
     None where they vanish, and the algebra ``basis`` whose bracket applies
-    A(V).  ``f`` is an algebra-valued scalar (..., dim) or two-tensor (...,
-    4, 4, dim) whose leading axes broadcast against theirs; its axes past
-    theirs (a seed axis) broadcast against size-1 axes.  Returns 0.0 when
-    both are None.
+    A(V).  ``f`` is an algebra-valued scalar (..., dim) or two-form (..., 4,
+    4, dim), antisymmetric in its spacetime slots, so Gamma^g_n f_ag =
+    -(Gamma^T f)_na and one product left = Gamma^T f gives swap(left) - left.
+    Its leading axes broadcast against theirs, and axes past theirs (a seed
+    axis) against size-1 axes.  Returns 0.0 when both are None.
     """
     out = 0.0
-    if gamma is not None and f.ndim > gamma.ndim:      # a two-tensor
+    if gamma is not None and f.ndim > gamma.ndim:      # a two-form
         gamma = gamma.reshape(gamma.shape[:-2]
                               + (1,) * (f.ndim - gamma.ndim - 1)
                               + gamma.shape[-2:])
-        # Gamma^g_a f_gnk + Gamma^g_n f_agk as batched 4x4 products
+        # left_an = Gamma^g_a f_gn as batched 4x4 products
         left = np.swapaxes(gamma, -1, -2) @ f.reshape(f.shape[:-2] + (-1,))
-        right = np.swapaxes(f, -1, -2) @ gamma[..., None, :, :]
-        out = -(left.reshape(left.shape[:-1] + f.shape[-2:])
-                + np.swapaxes(right, -1, -2))
+        left = left.reshape(left.shape[:-1] + f.shape[-2:])
+        out = np.swapaxes(left, -3, -2) - left
     if a is not None:
         a = a.reshape(a.shape[:-1] + (1,) * (f.ndim - a.ndim) + a.shape[-1:])
         out = out + basis.bracket(a, f)
@@ -293,12 +293,15 @@ def cartan_curvature(chart, frame_field, step=1e-4):
     return lambda x: F(x).reshape(np.shape(x)[:-1] + (4, 4, 4, 4))
 
 
-def cartan_ym_residual(chart, x, frame_field, step=1e-4):
+def cartan_ym_residual(chart, x, frame_field, step=1e-4, curvature=None):
     """Covariant divergence of the Cartan curvature, D^mu (F_{mu nu})_{ab},
-    as ``ym_residual`` in the frame algebra.
+    as ``ym_residual`` in the frame algebra; F(x) is ``curvature`` if given.
 
     Vanishes for Ricci-flat charts.  Returns (..., 4[nu], 4, 4).
     """
     A = _cartan_potential(chart, frame_field, step)
-    return ym_residual(chart, x, curvature_from_potential(A), A).reshape(
-        np.shape(x)[:-1] + (4, 4, 4))
+    F = curvature_from_potential(A)
+    if curvature is not None:
+        f = curvature.reshape(np.shape(x)[:-1] + (4, 4, 16))
+        F = FieldStrength(F.basis, lambda _: f, jac=F.jacobian)
+    return ym_residual(chart, x, F, A).reshape(np.shape(x)[:-1] + (4, 4, 4))

@@ -5,7 +5,7 @@ node of a direction sphere grid, integrated at fixed affine step with RK4
 (on a flat chart the rays are straight, x = p + s L_0, set in closed form).
 The affine parameter s is normalized by g(L, T_p) = 1 at the vertex.  All
 transverse (angular) derivatives are spectral on the fixed-s spheres, one
-GEMM of the grid's node matrix ``grad`` over every slice at once; the
+GEMM of the grid's node matrix ``grad`` over a batch of slices; the
 optical scalars, null frames, area density and cone quadrature are derived
 from them.  Only x and L are differentiated, by three identities exact in the
 continuum: nabla_L L = 0 on the rays; the unit normal that = (-g_tt)^(-1/2)
@@ -71,9 +71,23 @@ class ChartDomainError(ConeError):
     ``Chart.contains`` at an RK4 stage point)."""
 
 
-def _trace2(a, b):
-    """sum_bc a_bc b_bc over the trailing 2x2 screen axes."""
-    return (a * b).sum(axis=(-2, -1))
+def _along(w, u):
+    """sum_mu w^mu u_b^mu for w (..., 4[mu]) and u (..., 2[b], 4[mu]), as
+    the pair over b."""
+    return tuple(np.einsum("...m,...m->...", w, u[..., b, :]) for b in (0, 1))
+
+
+def _screen(u, v):
+    """sum_mu u_b^mu v_c^mu of two (..., 2[b], 4[mu]) arrays: its symmetric
+    part as (00, 01, 11), and 01 - 10."""
+    (t00, t01), (t10, t11) = _along(u[..., 0, :], v), _along(u[..., 1, :], v)
+    return (t00, 0.5 * (t01 + t10), t11), t01 - t10
+
+
+def _det2(a, b):
+    """a_00 b_11 + a_11 b_00 - 2 a_01 b_01 for symmetric 2x2 tensors given
+    as (00, 01, 11): 2 det a at b = a, and det m tr(m^-1 b) at a = m."""
+    return a[0] * b[2] + a[2] * b[0] - 2.0 * a[1] * b[1]
 
 
 class NullConeBundle:
@@ -229,111 +243,95 @@ class NullConeBundle:
         zeta, J, kscreen, minv, cb, Ytilde and chi_asym (the largest
         antisymmetric part of chi past the vertex closure, a scalar).  Only
         x and L are differentiated; the geodesic equation and the closed
-        form of that give the rest.
+        form of that give the rest, per s-chunk from the three components
+        of each symmetric 2x2 m, chi and k (``_det2``).  A flat chart has no
+        Gamma, so k = khat.chihat = 0 there.
         Slices with s < s_min carry the flat-cone closure (trchi = 2/s,
         chihat = zeta = 0, J continued as s^2 times the limit shape).
         """
         if "optical" in self._cache:
             return self._cache["optical"]
 
-        nth, nph = self.grid.n_theta, self.grid.n_phi
-        n1 = self.n_s + 1
-        shape = (n1, nth, nph)
+        shape = self.x.shape[:3]
 
         def empty(*tail):
             return np.empty(shape + tail)
 
         out = {
-            "trchi": empty(), "chihat2": empty(), "khat_chihat": empty(),
-            "J": empty(), "kscreen": empty(), "zeta": empty(2), "cb": empty(2),
-            "minv": empty(2, 2), "Ytilde": empty(2, 4), "chi_asym": 0.0,
+            "trchi": empty(), "chihat2": empty(), "J": empty(),
+            "khat_chihat": np.zeros(shape), "kscreen": np.zeros(shape),
+            "zeta": empty(2), "cb": empty(2), "minv": empty(2, 2),
+            "Ytilde": empty(2, 4), "chi_asym": 0.0,
         }
-        # d_b of the positions (d_b x^mu = Y) and of L in one GEMM, each
-        # (n1, nth, nph, 4, 2)
-        dY, dL = np.moveaxis(
-            self.grid.gradient(np.stack([self.x, self.L], axis=3)), 3, 0)
-        d = self.diagonal_nodes
-        Lbar, L, that = self.Lbar, self.L, self.that
+        d, L, that = self.diagonal_nodes, self.L, self.that
         sin_th = self.grid.sin_theta[None, :, None]
 
-        for i0 in range(0, n1, self.chunk):
-            i1 = min(i0 + self.chunk, n1)
-            sl = slice(i0, i1)
-            # Gamma(L) and Gamma(that), each (..., 4[m], 4[a])
-            gL, gT = np.moveaxis(self.chart.christoffel_along(
-                self.x[sl][..., None, :],
-                np.stack([L[sl], that[sl]], axis=-2)), -3, 0)
-            Y = dY[sl]                                    # (..., mu, b)
-            gLbar = d[sl] * Lbar[sl]                      # g_mn Lbar^n
-            cb = -0.5 * (gLbar[..., None, :] @ Y)[..., 0, :]
-            Yt = Y - cb[..., None, :] * L[sl][..., :, None]   # (..., mu, b)
-            gYt = d[sl][..., :, None] * Yt                # g_mn Ytilde^n_c
-            mt = np.swapaxes(Yt, -1, -2) @ gYt
-            det = mt[..., 0, 0] * mt[..., 1, 1] - mt[..., 0, 1] * mt[..., 1, 0]
+        for i0 in range(0, self.n_s + 1, self.chunk):
+            sl = slice(i0, i0 + self.chunk)
+            # d_b of the positions (d_b x^mu = Y_b) and of L in one GEMM, each
+            # (..., 2[b], 4[mu])
+            Y, dL = np.moveaxis(np.swapaxes(self.grid.gradient(
+                np.stack([self.x[sl], L[sl]], axis=3)), -1, -2), 3, 0)
+            Yt = out["Ytilde"][sl]
+            # g(Lbar, Y_b) = -2 cb_b, so that g(Lbar, Ytilde_b) = 0
+            cb = out["cb"][sl] = -0.5 * np.stack(
+                _along(d[sl] * self.Lbar[sl], Y), axis=-1)
+            np.subtract(Y, cb[..., None] * L[sl][..., None, :], out=Yt)
+            gYt = d[sl][..., None, :] * Yt                 # g_mn Ytilde^n_b
+            m, _ = _screen(Yt, gYt)
+            det = 0.5 * _det2(m, m)
             # nabla_L L = 0 on the rays, so nabla along Ytilde_b = Y_b - cb L
             # is nabla along Y_b
-            nabL = dL[sl] + gL @ Y
-            chi = np.swapaxes(nabL, -1, -2) @ gYt
-            asym = np.abs(chi - np.swapaxes(chi, -1, -2))
-            live_chunk = self.s[sl] >= self.s_min
-            if np.any(live_chunk):
-                out["chi_asym"] = max(out["chi_asym"],
-                                      float(np.max(asym[live_chunk])))
-            chi = 0.5 * (chi + np.swapaxes(chi, -1, -2))
-            # that = (-g_tt)^(-1/2) d_t is orthogonal to the screen, so the
-            # derivative of its normalisation drops out of the t-slice
-            # extrinsic curvature k_bc = g(Gamma(Ytilde_b, that), Ytilde_c)
-            kt = np.swapaxes(gT @ Yt, -1, -2) @ gYt
-            minv = np.empty_like(mt)
-            minv[..., 0, 0] = mt[..., 1, 1]
-            minv[..., 1, 1] = mt[..., 0, 0]
-            minv[..., 0, 1] = -mt[..., 0, 1]
-            minv[..., 1, 0] = -mt[..., 1, 0]
+            nabL = dL
+            if not self.chart.flat:
+                # Gamma(L) and Gamma(that), each (..., 4[m], 4[a])
+                gL, gT = np.moveaxis(self.chart.christoffel_along(
+                    self.x[sl][..., None, :],
+                    np.stack([L[sl], that[sl]], axis=-2)), -3, 0)
+                nabL = nabL + np.einsum("...ma,...ba->...bm", gL, Y)
+            chi, asym = _screen(nabL, gYt)
+            out["chi_asym"] = max(out["chi_asym"], float(np.max(np.abs(
+                asym[self.s[sl] >= self.s_min]), initial=0.0)))
             with np.errstate(divide="ignore", invalid="ignore"):
-                minv = minv / det[..., None, None]
-                trchi = _trace2(minv, chi)
-                chi_up = minv @ chi @ np.swapaxes(minv, -1, -2)
-                chi2 = _trace2(chi, chi_up)
-                # zeta = -phi g(that, nabla_b L): see the module docstring
-                zeta = -((d[sl] * that[sl])[..., None, :] @ nabL)[..., 0, :] \
-                    / self.gLt[sl][..., None]
-                k = _trace2(minv, kt)
-                out["khat_chihat"][sl] = _trace2(kt, chi_up) - 0.5 * k * trchi
-                out["kscreen"][sl] = k
-            out["trchi"][sl] = trchi
-            out["chihat2"][sl] = chi2 - 0.5 * trchi ** 2
-            out["zeta"][sl] = zeta
+                mi = out["minv"][sl]                  # adj m / det m
+                mi[..., 0, 0], mi[..., 1, 1] = m[2] / det, m[0] / det
+                mi[..., 0, 1] = mi[..., 1, 0] = -m[1] / det
+                trchi = out["trchi"][sl] = _det2(m, chi) / det
+                out["chihat2"][sl] = 0.5 * trchi ** 2 - _det2(chi, chi) / det
+                if not self.chart.flat:
+                    # that = (-g_tt)^(-1/2) d_t is orthogonal to the screen,
+                    # so the derivative of its normalisation drops out of the
+                    # t-slice extrinsic curvature k_bc = g(Gamma(Ytilde_b,
+                    # that), Ytilde_c)
+                    kt, _ = _screen(
+                        np.einsum("...ma,...ba->...bm", gT, Yt), gYt)
+                    k = out["kscreen"][sl] = _det2(m, kt) / det
+                    out["khat_chihat"][sl] = 0.5 * k * trchi \
+                        - _det2(kt, chi) / det
+            # zeta = -phi g(that, nabla_b L): see the module docstring
+            out["zeta"][sl] = -np.stack(_along(d[sl] * that[sl], nabL),
+                                        axis=-1) / self.gLt[sl][..., None]
             out["J"][sl] = np.sqrt(np.where(det < 0.0, 0.0, det)) / sin_th
-            out["minv"][sl] = minv
-            out["cb"][sl] = cb
-            out["Ytilde"][sl] = np.swapaxes(Yt, -1, -2)     # (..., b, mu)
 
         # vertex closure for s < s_min
         near = self.s < self.s_min
         with np.errstate(divide="ignore"):
-            flat = 2.0 / self.s
-        out["trchi"][near] = flat[near, None, None]
-        out["chihat2"][near] = 0.0
-        out["khat_chihat"][near] = 0.0
-        out["zeta"][near] = 0.0
+            out["trchi"][near] = 2.0 / self.s[near, None, None]
+        for key in ("chihat2", "khat_chihat", "zeta"):
+            out[key][near] = 0.0
         # J ~ s^2 continuation using the shape at the first live slice
-        ilive = int(np.searchsorted(self.s, self.s_min))
-        ilive = min(ilive, self.n_s)
+        ilive = min(int(np.searchsorted(self.s, self.s_min)), self.n_s)
         Jshape = out["J"][ilive] / self.s[ilive] ** 2
         out["J"][near] = self.s[near, None, None] ** 2 * Jshape[None]
         out["minv"][0] = 0.0
         # kt is 0/0 at the vertex: extrapolate k quadratically from slices 1-3
         k = out["kscreen"]
         k[0] = 3.0 * k[1] - 3.0 * k[2] + k[3] if self.n_s >= 3 else k[1]
-        live = ~near
-        if np.any(out["J"][live] <= 0.0):
-            bad = np.argwhere(out["J"] <= 0.0)
-            bad = bad[bad[:, 0] >= ilive]
-            if bad.size:
-                i, t, p_ = bad[0]
-                raise CausticError(
-                    f"area density vanished at s={self.s[i]:.4g}, "
-                    f"node ({t},{p_})")
+        bad = np.argwhere(out["J"][~near] <= 0.0)
+        if bad.size:
+            i, t, p_ = bad[0]
+            raise CausticError(f"area density vanished at "
+                               f"s={self.s[~near][i]:.4g}, node ({t},{p_})")
         self._cache["optical"] = out
         return out
 

@@ -154,7 +154,7 @@ def _on_slices(sl, *coefs):
 
 def angular_gauge_derivative(bundle, f, conn, sl=slice(None)):
     """D_b f along the two sphere tangents for an algebra-valued scalar
-    (n1, nth, nph, dim) or two-tensor (n1, nth, nph, 4, 4, dim), with any
+    (n1, nth, nph, dim) or two-form (n1, nth, nph, 4, 4, dim), with any
     seed axes after the node axes, or for a bare weight (n1, nth, nph) if
     only q acts.  ``f`` holds the bundle's slices ``sl`` (all by default).
     Returns (n1, nth, nph, 2, <tensor>, dim): the spectral angular

@@ -532,8 +532,8 @@ def _exp_cartan_check(scn, bundle):
             f"Cartan sample {i} at {pts[i].tolist()} or its difference "
             f"stencil leaves chart '{chart.name}', which holds the points "
             f"where {chart.domain}")
-    res = liegauge.cartan_ym_residual(chart, pts, frame_field, step=step)
     curv = liegauge.cartan_curvature(chart, frame_field, step=step)(pts)
+    res = liegauge.cartan_ym_residual(chart, pts, frame_field, step, curv)
     riem = geometry.riemann(chart, pts).riemann      # fully lowered R_{rsmn}
     e = frame_field(pts)
     frame_riem = np.einsum("...rsmn,...ar,...bs->...mnab", riem, e, e)

@@ -5,7 +5,8 @@ einsum with their complex-step derivative, valid on any chart; the
 Kretschmann invariant; the deformation tensor of a vector field with a
 Jacobian; the cyclic Bianchi residual; the sphere's angular gradient; the
 integral over one s-sphere of a cone, the shell integration-by-parts defect
-and the vertex shell limit of the parametrix; the mass aspect of a cone by
+and the vertex shell limit of the parametrix; a cone's optical scalars from
+its screen matrices by batched products; the mass aspect of a cone by
 its definition off the cone; the stress tensor and the
 direct form of the null flux density; the homogeneous SU(2) oscillator, an
 exact non-abelian Yang-Mills solution; and u(1) standing-wave data for the
@@ -177,6 +178,52 @@ def vertex_limit(bundle, seed, field, potential=None, n_shells=8):
     ss, vals = vertex_shell_values(bundle, seed, field, potential, n_shells)
     coef = np.polyfit(ss, vals, 1)
     return float(np.polyval(coef, 0.0))
+
+
+def screen_algebra(bundle):
+    """A cone's optical scalars at every node from its screen matrices, by
+    batched 2x2 and 4x4 products: Ytilde_b = Y_b - cb_b L with g(Lbar,
+    Ytilde_b) = 0, m_bc = g(Ytilde_b, Ytilde_c) and its inverse, chi_bc =
+    g(nabla_b L, Ytilde_c) (not symmetrised), trchi = tr(m^-1 chi) and
+    |chihat|^2 = tr(m^-1 chi m^-1 chi) - trchi^2 / 2 for the symmetric part
+    of chi, k_bc = g(Gamma(Ytilde_b, that), Ytilde_c), k = tr(m^-1 k),
+    khat.chihat = tr(m^-1 k m^-1 chi) - k trchi / 2, zeta_b = -phi g(that,
+    nabla_b L) and J = sqrt(det m) / sin(theta).  Gamma is the full
+    ``christoffel``.  No vertex closure: the vertex slice, where m = 0,
+    holds NaN in minv and in what it feeds.
+    """
+    b = bundle
+    # Y = d_b x and d_b L, each (..., 4[mu], 2[b])
+    Y, dL = np.moveaxis(b.grid.gradient(np.stack([b.x, b.L], axis=3)), 3, 0)
+    d, L, that = b.diagonal_nodes, b.L, b.that
+    gamma = christoffel(b.chart, b.x)                   # (..., m, a, b)
+    gL = np.einsum("...mab,...b->...ma", gamma, L)
+    gT = np.einsum("...mab,...b->...ma", gamma, that)
+    cb = -0.5 * ((d * b.Lbar)[..., None, :] @ Y)[..., 0, :]
+    Yt = Y - cb[..., None, :] * L[..., :, None]
+    gYt = d[..., :, None] * Yt
+    m = np.swapaxes(Yt, -1, -2) @ gYt
+    minv = np.full_like(m, np.nan)
+    minv[1:] = np.linalg.inv(m[1:])
+    nabL = dL + gL @ Y
+    chi = np.swapaxes(nabL, -1, -2) @ gYt
+    chis = 0.5 * (chi + np.swapaxes(chi, -1, -2))
+    kt = np.swapaxes(gT @ Yt, -1, -2) @ gYt
+    chi_up = minv @ chis @ minv
+
+    def trace(a, c):
+        return np.einsum("...bc,...cb->...", a, c)
+
+    trchi, k = trace(minv, chis), trace(minv, kt)
+    return {
+        "m": m, "minv": minv, "chi": chi, "trchi": trchi,
+        "chihat2": trace(chis, chi_up) - 0.5 * trchi ** 2,
+        "kscreen": k, "khat_chihat": trace(kt, chi_up) - 0.5 * k * trchi,
+        "zeta": -((d * that)[..., None, :] @ nabL)[..., 0, :]
+        / b.gLt[..., None],
+        "cb": cb,
+        "J": np.sqrt(np.linalg.det(m)) / b.grid.sin_theta[:, None],
+    }
 
 
 def _timelike_geodesic(chart, p, T, h, steps=8):

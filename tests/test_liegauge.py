@@ -295,6 +295,20 @@ def test_cartan_operators_match_index_formulas(case):
     assert np.max(np.abs(got - ref)) <= 1e-14 * scale
 
 
+def test_cartan_residual_reads_the_curvature_it_is_given(schw_chart):
+    # the runner's check hands over the curvature it evaluated at its sample
+    # points: the residual is the same bit for bit, and it is that curvature
+    # which serves as F(x)
+    ff = liegauge.static_diagonal_frame(schw_chart)
+    x = np.array([[0.0, 10.0, 1.2, 0.3], [0.1, 8.0, 1.7, 2.0]])
+    curv = liegauge.cartan_curvature(schw_chart, ff, step=1e-2)(x)
+    ref = liegauge.cartan_ym_residual(schw_chart, x, ff, step=1e-2)
+    assert np.array_equal(
+        liegauge.cartan_ym_residual(schw_chart, x, ff, 1e-2, curv), ref)
+    assert not np.array_equal(liegauge.cartan_ym_residual(
+        schw_chart, x, ff, 1e-2, np.zeros_like(curv)), ref)
+
+
 def test_frame_algebra_bracket_is_the_eta_commutator():
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     X, Y = np.random.default_rng(3).standard_normal((2, 5, 4, 4))
@@ -407,6 +421,27 @@ def test_wave_source_is_covariant_wave_operator_on_su2_oscillator(
     src = liegauge.wave_source(flat_chart, x, F(x), F.basis, None)
     assert np.max(np.abs(box)) > 0.5
     assert np.max(np.abs(src - box)) <= 1e-9 * np.max(np.abs(box))
+
+
+@pytest.mark.parametrize("algebra", ["u1", "su2"])
+def test_connect_on_a_two_form_stack_matches_index_formula(algebra):
+    # a stack of seed two-forms (..., n, 4, 4, dim) under a Gamma that
+    # broadcasts over the seed axis, and on su(2) an A(V) as well: the one
+    # product Gamma^T f against the two index terms written out
+    basis = liegauge.make_algebra(algebra)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((3, 5, 6, 4, 4, basis.dim))
+    f = f - np.swapaxes(f, -3, -2)
+    gamma = rng.standard_normal((3, 5, 4, 4))
+    a = None if basis.abelian else rng.standard_normal((3, 5, basis.dim))
+    got = liegauge.connect(f, gamma, a, basis)
+    ref = -(np.einsum("xyga,xysgnk->xysank", gamma, f)
+            + np.einsum("xygn,xysagk->xysank", gamma, f))
+    if a is not None:
+        ref += np.einsum("ijk,xyi,xysabj->xysabk", basis.c, a, f)
+    assert got.shape == f.shape
+    assert np.array_equal(got, -np.swapaxes(got, -3, -2))
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("basis", [

@@ -171,6 +171,32 @@ def flrw_bundle():
                                    ds=0.005)
 
 
+@pytest.mark.parametrize("name", ["schw_bundle", "flrw_bundle"])
+def test_optical_matches_the_batched_screen_algebra(name, request):
+    # the component arithmetic of ``optical`` against batched matrix
+    # products with the full Christoffel symbols, on the live slices; FLRW
+    # (p = 1/2) is the catalog chart with k != 0.  Each value is compared
+    # against the size of the terms it is built from: trchi for k and zeta
+    # too, trchi^2 for the shear and khat.chihat
+    b = request.getfixturevalue(name)
+    opt, ref = b.optical(), oracles.screen_algebra(b)
+    live = b.s >= b.s_min
+    tr = np.max(np.abs(ref["trchi"][live]))
+    size = {"trchi": tr, "kscreen": tr, "zeta": tr, "chihat2": tr ** 2,
+            "khat_chihat": tr ** 2,
+            "minv": np.max(np.abs(ref["minv"][live])),
+            "cb": np.max(np.abs(opt["Ytilde"][live])),
+            "J": np.max(ref["J"][live])}
+    for key, scale in size.items():
+        gap = np.max(np.abs(opt[key][live] - ref[key][live]))
+        assert gap <= 1e-14 * scale, (key, gap / scale)
+    chi = ref["chi"][live]
+    asym = np.max(np.abs(chi - np.swapaxes(chi, -1, -2)))
+    assert abs(opt["chi_asym"] - asym) <= 1e-14 * np.max(np.abs(chi))
+    if name == "flrw_bundle":
+        assert np.min(np.abs(ref["kscreen"][live])) > 0.1
+
+
 def test_static_slices_have_no_extrinsic_curvature(schw_bundle):
     # d_t is hypersurface-orthogonal and Killing on both Schwarzschild
     # charts, so the t-slices have no second fundamental form
