@@ -17,14 +17,14 @@ All per-node arrays follow the bundle layout (n_s + 1, n_theta, n_phi, ...).
 The identity is linear in the seed, so a stack of n seeds goes through as one
 array: its seed axis sits right after the node axes, psi has shape
 (n_s + 1, n_theta, n_phi, n, 4, 4, dim), and the connection's coefficients
-broadcast over it.  ``assemble_representation`` builds its seed-free node
-terms on, and transports and differentiates, only the slices the identity
-reads, 0 .. ``Crossing.stop`` - 1, the node terms in one chunk pass with one
-F and one Riemann evaluation per chunk.  On flat abelian cones psi_j = w
-seed_j, so psi is one scalar weight w (n_s + 1, n_theta, n_phi) instead.
-One loop runs the cone correction on either, in s-chunks that hold as many
-values as one geometry chunk of a single seed; the zeta term is zeta^c D_c
-psi with zeta^c = 2 m^{bc} zeta_b, its ray part in the zeroth-order
+broadcast over it.  On flat abelian cones psi_j = w seed_j, so psi is one
+scalar weight w (n_s + 1, n_theta, n_phi) instead.
+``assemble_representation`` transports and differentiates either only on the
+slices the identity reads, 0 .. ``Crossing.stop`` - 1, in one loop over
+s-chunks that hold one geometry chunk of F per seed: ``bundle.chunk`` slices
+of w, ``bundle.chunk // n`` slices of the stack.  Each chunk forms its own
+seed-free node terms from one F and one Riemann evaluation; the zeta term is
+zeta^c D_c psi with zeta^c = 2 m^{bc} zeta_b, its ray part in the zeroth-order
 coefficient (mu + q zeta^c cb_c) / 2.
 """
 
@@ -217,18 +217,20 @@ def assemble_representation(bundle, seeds, field, potential=None,
     Returns one dict per seed, in seed order, with the individual terms,
     their sum, the vertex target and the relative error.  The identity is
     linear in the seed, so every term that does not involve the transported
-    weight is computed once for all seeds: F^{ab}, the raised wave source, K
-    and F(L, Lbar) in one pass over chunks of ``bundle.chunk`` slices,
-    zeta^c and the zeroth-order coefficient (mu + q zeta^c cb_c) / 2, and
-    the ring data.  The weight psi, the seed stack (stop, nth, nph, n, 4, 4,
-    dim) or on a flat abelian cone one scalar w with psi_j = w seed_j, goes
-    in one transport march and one loop over s-chunks that runs the cone
-    correction at psi's rank and reduces each chunk to per-node, per-seed
-    pairings.  Both passes cover slices 0 .. stop - 1, ``stop`` =
-    ``Crossing.stop``: the cone weights vanish past the ring and the ring
-    interpolation reads up to slice i0 + 2.  The field is assumed to solve
-    the Yang-Mills system, for which its wave operator reduces to curvature
-    couplings and self-interaction (zero on a flat abelian background).
+    weight is computed once for all seeds.  The weight psi, the seed stack
+    (stop, nth, nph, n, 4, 4, dim) or on a flat abelian cone one scalar w
+    with psi_j = w seed_j, goes in one transport march and one loop over
+    s-chunks, ``bundle.chunk`` slices of w or ``bundle.chunk // n`` slices of
+    the stack.  Each chunk evaluates F and the Riemann tensor once, forms the
+    seed-free node terms from them (F^{ab}, the raised wave source, K,
+    F(L, Lbar), zeta^c and the zeroth-order coefficient (mu + q zeta^c cb_c)
+    / 2), runs the cone correction at psi's rank and reduces it to per-node,
+    per-seed pairings; the ring data are seed-free too.  The loop covers
+    slices 0 .. stop - 1, ``stop`` = ``Crossing.stop``: the cone weights
+    vanish past the ring and the ring interpolation reads up to slice
+    i0 + 2.  The field is assumed to solve the Yang-Mills system, for which
+    its wave operator reduces to curvature couplings and self-interaction
+    (zero on a flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
@@ -246,33 +248,6 @@ def assemble_representation(bundle, seeds, field, potential=None,
     mu = bundle.mass_aspect()
 
     conn = connection(bundle, potential)
-    # --- seed-free node terms, one field and Riemann evaluation per chunk
-    # of the slices the identity reads: F^up, the raised wave source (None:
-    # zero on a flat abelian chart), K[g, a] = g^{gg} R_{a g L Lbar} / 2
-    # (None: zero on a flat chart) and F(L, Lbar) (None: abelian)
-    nodes = (stop,) + bundle.x.shape[1:3]
-    scalar = chart.flat and basis.abelian
-    F_up = np.empty(nodes + (4, 4, basis.dim))
-    box_up = None if scalar else np.empty_like(F_up)
-    K = None if chart.flat else np.empty(nodes + (4, 4))
-    F_LLbar = None if basis.abelian else np.empty(nodes + (basis.dim,))
-    for sl in _chunks(stop, bundle.chunk):
-        x = bundle.x[sl]
-        f = field(x)
-        F_up[sl] = raise_two_form(chart, x, f)
-        curv = None if chart.flat else geometry.riemann(chart, x)
-        if box_up is not None:
-            box_up[sl] = raise_two_form(
-                chart, x, liegauge.wave_source(chart, x, f, basis, curv))
-        if K is not None:
-            K[sl] = 0.5 * np.einsum("...g,...agnm,...m,...n->...ga",
-                                    chart.inverse_diagonal(x),
-                                    curv.riemann, bundle.L[sl],
-                                    bundle.Lbar[sl], optimize=True)
-        if F_LLbar is not None:
-            F_LLbar[sl] = np.einsum("stpabk,stpa,stpb->stpk",
-                                    f, bundle.L[sl], bundle.Lbar[sl])
-
     # --- initial-data ring: D_T F + D_N F = D_{2 that + phi L} F with
     # N = that + phi L, plus (phi trchi / 2 + k) F, as one seed-free field
     x_ring = crossing.interpolate(bundle.x)
@@ -291,15 +266,9 @@ def assemble_representation(bundle, seeds, field, potential=None,
     # --- the weight, on the slices the identity reads ---------------------
     inv_s = np.zeros((stop, 1, 1))
     inv_s[1:, 0, 0] = 1.0 / bundle.s[1:stop]
-    # with D_L psi = -(q/2) psi, the zeta term 2 m^{bc} zeta_b (D_c psi +
-    # cb_c q psi / 2) is zeta^c D_c psi, zeta^c = 2 m^{bc} zeta_b, plus a
-    # ray part q zeta^c cb_c psi / 2 that joins mu psi / 2 in coef0
-    zeta_up = 2.0 * np.einsum("stpbc,stpb->stpc", opt["minv"][:stop],
-                              opt["zeta"][:stop])
-    coef0 = 0.5 * (mu[:stop] + conn.q[:stop] * np.einsum(
-        "stpc,stpc->stp", zeta_up, opt["cb"][:stop]))
     # only q acts on a flat abelian cone, so psi_j = w seed_j there and one
     # scalar w per node stands for the stack psi (..., n, 4, 4, dim)
+    scalar = chart.flat and basis.abelian
     psi = transport_weight(bundle, np.ones(()) if scalar else seeds, conn,
                            stop)
     rank = (1,) * (psi.ndim - 3)        # psi's axes past the node axes
@@ -314,24 +283,46 @@ def assemble_representation(bundle, seeds, field, potential=None,
         out = np.einsum("...jabk,...abk->...j", v, up)
         return out if inv is None else out * inv[..., None]
 
-    cone_vals = np.empty(nodes + seeds.shape[:1])
+    cone_vals = np.empty((stop,) + bundle.x.shape[1:3] + seeds.shape[:1])
     source_vals = None if scalar else np.empty_like(cone_vals)
-    # as many values of psi per chunk as a geometry chunk of one seed holds
-    width = max(1, bundle.chunk * seeds[0].size // psi[0, 0, 0].size)
+    # a chunk of psi holds as many values as one seed's weight (psi_j or w)
+    # holds on a geometry chunk
+    width = bundle.chunk if scalar else max(1, bundle.chunk // len(seeds))
     for sl in _chunks(stop, width):
-        p = psi[sl]
-        if source_vals is not None:
-            source_vals[sl] = paired(p, box_up[sl], inv_s[sl])
+        x, p, L, Lbar = bundle.x[sl], psi[sl], bundle.L[sl], bundle.Lbar[sl]
+        # --- seed-free node terms, from one field and Riemann evaluation
+        f = field(x)
+        F_up = raise_two_form(chart, x, f)
+        curv = None if chart.flat else geometry.riemann(chart, x)
+        if source_vals is not None:     # zero on a flat abelian chart
+            source_vals[sl] = paired(p, raise_two_form(
+                chart, x, liegauge.wave_source(chart, x, f, basis, curv)),
+                inv_s[sl])
+        # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients:
+        # K[g, a] = g^{gg} R_{a g L Lbar} / 2 (None: zero on a flat chart)
+        # and F(L, Lbar) (None: abelian)
+        K = None if curv is None else 0.5 * np.einsum(
+            "...g,...agnm,...m,...n->...ga", chart.inverse_diagonal(x),
+            curv.riemann, L, Lbar, optimize=True)
+        F_LLbar = None if basis.abelian else np.einsum(
+            "stpabk,stpa,stpb->stpk", f, L, Lbar)
+        # with D_L psi = -(q/2) psi, the zeta term 2 m^{bc} zeta_b (D_c psi
+        # + cb_c q psi / 2) is zeta^c D_c psi, zeta^c = 2 m^{bc} zeta_b,
+        # plus a ray part q zeta^c cb_c psi / 2 that joins mu psi / 2 in
+        # coef0
+        zeta_up = 2.0 * np.einsum("stpbc,stpb->stpc", opt["minv"][sl],
+                                  opt["zeta"][sl])
+        coef0 = 0.5 * (mu[sl] + conn.q[sl] * np.einsum(
+            "stpc,stpc->stp", zeta_up, opt["cb"][sl]))
 
         # --- angular / connection corrections on the cone ----------------
         dpsi = angular_gauge_derivative(bundle, p, conn, sl)
         correction = screen_laplacian(bundle, dpsi, conn, sl)
-        correction += np.einsum("stpc,stpc...->stp...", zeta_up[sl], dpsi)
+        correction += np.einsum("stpc,stpc...->stp...", zeta_up, dpsi)
         del dpsi
-        correction += coef0[sl].reshape(coef0[sl].shape + rank) * p
-        # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients
-        correction += liegauge.connect(p, *_on_slices(sl, K, F_LLbar), basis)
-        cone_vals[sl] = paired(correction, F_up[sl], inv_s[sl])
+        correction += coef0.reshape(coef0.shape + rank) * p
+        correction += liegauge.connect(p, K, F_LLbar, basis)
+        cone_vals[sl] = paired(correction, F_up, inv_s[sl])
 
     # --- initial-data ring terms, all seeds in one contraction ------------
     ring_vals = paired(crossing.interpolate(psi)

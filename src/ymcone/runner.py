@@ -445,16 +445,19 @@ def _exp_transport(scn, bundle):
     psi = parametrix.transport_weight(
         bundle, np.ones(()) if parallel else seed, conn)
     if parallel:
-        psi = psi[..., None, None, None] * seed
-    norms = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi))
-    seed_norm = float(np.sqrt(np.einsum("mnk,mnk->", seed, seed)))
+        # psi = w seed: |psi - seed| = |w - 1| |seed| and |psi| / |seed| = |w|
+        deviation = np.max(np.abs(psi - 1.0)) * np.max(np.abs(seed))
+        ratios = np.abs(psi)
+    else:
+        deviation = np.max(np.abs(psi - seed))
+        ratios = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi)) \
+            / np.sqrt(np.einsum("mnk,mnk->", seed, seed))
     metrics = {
-        "max_deviation_from_seed": float(np.max(np.abs(psi - seed))),
-        "sup_norm_ratio": float(np.max(norms) / seed_norm),
+        "max_deviation_from_seed": float(deviation),
+        "sup_norm_ratio": float(np.max(ratios)),
     }
     rows = [("s", "max_norm_ratio")] + [
-        (float(s), float(np.max(norms[i]) / seed_norm))
-        for i, s in enumerate(bundle.s)]
+        (float(s), float(np.max(ratios[i]))) for i, s in enumerate(bundle.s)]
     tol = 1e-10 if parallel else 1.5
     key = "max_deviation_from_seed" if parallel else "sup_norm_ratio"
     return metrics, rows, metrics[key] <= tol

@@ -420,11 +420,17 @@ WEIGHT_OPERATORS = ("transport_weight", "angular_gauge_derivative",
                     "screen_laplacian")
 
 
+def _function(source, name):
+    """The one ``def name`` in ``source``."""
+    fn, = [node for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
+
+
 def call_counts(source, function, names):
     """How often the body of ``function`` in ``source`` calls each of
     ``names``, as a plain name or an attribute."""
-    fn, = [node for node in ast.walk(ast.parse(source))
-           if isinstance(node, ast.FunctionDef) and node.name == function]
+    fn = _function(source, function)
     called = [node.func.id if isinstance(node.func, ast.Name)
               else getattr(node.func, "attr", None)
               for node in ast.walk(fn) if isinstance(node, ast.Call)]
@@ -453,3 +459,32 @@ def test_reconstruction_runs_each_weight_operator_once():
                          "assemble_representation", WEIGHT_OPERATORS)
     assert counts == dict.fromkeys(WEIGHT_OPERATORS, 1), \
         f"one route for every weight rank: {counts}"
+
+
+def chunk_loops(source, function):
+    """How many ``for`` loops in the body of ``function`` in ``source`` run
+    over a ``_chunks(...)`` call."""
+    return sum(isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+               and getattr(node.iter.func, "id", None) == "_chunks"
+               for node in ast.walk(_function(source, function)))
+
+
+def test_checker_flags_a_second_chunk_loop():
+    source = '''
+def assemble_representation(bundle, seeds, field, potential=None):
+    F_up = np.empty(nodes + (4, 4, basis.dim))
+    for sl in _chunks(stop, bundle.chunk):
+        F_up[sl] = raise_two_form(chart, bundle.x[sl], field(bundle.x[sl]))
+    for sl in _chunks(stop, max(1, bundle.chunk // len(seeds))):
+        dpsi = angular_gauge_derivative(bundle, psi[sl], conn, sl)
+        cone_vals[sl] = paired(screen_laplacian(bundle, dpsi, conn, sl),
+                               F_up[sl])
+'''
+    assert chunk_loops(source, "assemble_representation") == 2
+
+
+def test_reconstruction_runs_one_chunk_loop():
+    loops = chunk_loops((SRC / "parametrix.py").read_text(),
+                        "assemble_representation")
+    assert loops == 1, \
+        f"the seed-free node terms share the weight's chunk loop: {loops}"

@@ -236,16 +236,21 @@ def test_flat_abelian_reconstruction_carries_one_scalar_weight(
         flat_bundle, u1, seeds, monkeypatch):
     # on a flat chart with an abelian algebra psi_j = w seed_j, so no array
     # with a seed axis reaches the transport or the sphere operators: one
-    # scalar weight per node, each operator called once
+    # scalar weight per node, in chunks of bundle.chunk slices, the
+    # remainder last
     seen = _weight_shapes(monkeypatch)
     field, potential = runner.make_field(u1, "plane_wave", {"omega": 1.0})
     parametrix.assemble_representation(flat_bundle, seeds, field,
                                        potential=potential)
-    nodes = (flat_bundle.crossing(flat_bundle.p[0] - 1.0).stop,) \
-        + flat_bundle.x.shape[1:3]
-    assert seen == {"transport_weight": [()],
-                    "angular_gauge_derivative": [nodes],
-                    "screen_laplacian": [nodes + (2,)]}
+    stop = flat_bundle.crossing(flat_bundle.p[0] - 1.0).stop
+    width = flat_bundle.chunk
+    assert stop % width and stop > width      # several chunks, a short last
+    sizes = [min(width, stop - i) for i in range(0, stop, width)]
+    grid = flat_bundle.x.shape[1:3]
+    assert seen == {
+        "transport_weight": [()],
+        "angular_gauge_derivative": [(k,) + grid for k in sizes],
+        "screen_laplacian": [(k,) + grid + (2,) for k in sizes]}
 
 
 def test_seed_stack_goes_in_chunks_of_chunk_over_n_slices(
@@ -292,13 +297,13 @@ def test_scalar_weight_route_matches_seed_stack_route(flat_bundle, u1, seeds,
 def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
                                           monkeypatch):
     # the curvature coupling and the wave source do not depend on the
-    # seed and share one Riemann evaluation per chunk, so six seeds cost
-    # as many as one; the cone connection is built once per call, so the
-    # Christoffel evaluations do not grow with the seeds either
-    calls = {"riemann": [], "christoffel": []}
-    for name, seen in calls.items():
+    # seed and share one Riemann evaluation per node, so six seeds cost
+    # as many points as one; the cone connection is built once per call,
+    # so the Christoffel points do not grow with the seeds either
+    points = {"riemann": [], "christoffel": []}
+    for name, seen in points.items():
         def counting(chart, x, fn=getattr(geometry, name), seen=seen):
-            seen.append(1)
+            seen.append(np.prod(np.shape(x)[:-1], dtype=int))
             return fn(chart, x)
 
         monkeypatch.setattr(geometry, name, counting)
@@ -307,16 +312,53 @@ def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
     counts = []
     t_slice = schw_bundle.p[0] - 0.3
     for stack in (seeds[:1], seeds):
-        for seen in calls.values():
+        for seen in points.values():
             seen.clear()
         parametrix.assemble_representation(
             schw_bundle, stack, field, potential=potential, t_slice=t_slice)
-        counts.append({name: len(seen) for name, seen in calls.items()})
+        counts.append({name: sum(seen) for name, seen in points.items()})
     # the seed-free node terms cover only the slices the identity reads
     stop = schw_bundle.crossing(t_slice).stop
-    n_chunks = -(-stop // schw_bundle.chunk)
-    assert [c["riemann"] for c in counts] == [n_chunks, n_chunks]
+    nodes = stop * schw_bundle.x.shape[1] * schw_bundle.x.shape[2]
+    assert [c["riemann"] for c in counts] == [nodes, nodes]
     assert counts[1]["christoffel"] == counts[0]["christoffel"]
+
+
+@pytest.mark.parametrize("name", ["flat", "schwarzschild"])
+def test_seed_free_terms_follow_the_weight_chunks(name, request, u1, seeds,
+                                                  monkeypatch):
+    # F and the Riemann tensor are evaluated on the weight's own chunks,
+    # one geometry chunk of F per seed: bundle.chunk // n slices of the
+    # six-seed stack, bundle.chunk slices of the scalar weight (flat
+    # abelian, where no curvature is evaluated)
+    bundle, field, potential, t_slice = _reconstruction_case(name, request, u1)
+    bundle.mass_aspect()            # its own curvature pass, cached
+    seen = {"field": [], "riemann": []}
+
+    def nodes(fn, xs):
+        def recording(*args):
+            if np.ndim(args[-1]) == 4:      # node slices (k, nth, nph, 4)
+                xs.append(args[-1])
+            return fn(*args)
+        return recording
+
+    monkeypatch.setattr(geometry, "riemann",
+                        nodes(geometry.riemann, seen["riemann"]))
+    traced = liegauge.FieldStrength(u1, nodes(field, seen["field"]),
+                                    jac=field.jacobian)
+    parametrix.assemble_representation(bundle, seeds, traced,
+                                       potential=potential, t_slice=t_slice)
+    stop = bundle.crossing(bundle.p[0] - 1.0 if t_slice is None
+                           else t_slice).stop
+    width = bundle.chunk // (1 if bundle.chart.flat else len(seeds))
+    assert stop % width and stop > width      # several chunks, a short last
+    tiles = [(min(width, stop - i),) + bundle.x.shape[1:] for i in
+             range(0, stop, width)]
+    want = {"field": tiles, "riemann": [] if bundle.chart.flat else tiles}
+    for key, xs in seen.items():
+        assert [np.shape(x) for x in xs] == want[key], key
+        if xs:
+            assert np.array_equal(np.concatenate(xs), bundle.x[:stop]), key
 
 
 def test_flat_reconstruction_builds_no_twin(flat_chart, u1, seeds,

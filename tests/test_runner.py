@@ -335,6 +335,30 @@ def test_transport_gauge_rotation_passes():
     assert report.metrics["transport"]["max_deviation_from_seed"] > 1e-3
 
 
+@pytest.mark.parametrize("algebra, profile", [("u1", "plane_wave"),
+                                                ("su2", "constant")])
+def test_transport_metrics_match_the_full_weight(flat_bundle, algebra,
+                                                 profile):
+    # where no connection acts along L the experiment reads the scalar
+    # weight w; its metrics and rows are those of the full psi = w seed
+    scn = runner.parse_config({"chart": "minkowski", "algebra": algebra,
+                               "field": {"profile": profile},
+                               "experiments": ["transport"]})
+    metrics, rows, _ = runner._exp_transport(scn, flat_bundle)
+    seed = runner.canonical_seeds(scn.basis)[0]
+    psi = parametrix.transport_weight(
+        flat_bundle, seed, parametrix.connection(flat_bundle, scn.potential))
+    ratios = np.sqrt(np.einsum("...mnk,...mnk->...", psi, psi)) \
+        / np.sqrt(np.einsum("mnk,mnk->", seed, seed))
+    assert metrics["max_deviation_from_seed"] == np.max(np.abs(psi - seed))
+    assert metrics["sup_norm_ratio"] == pytest.approx(np.max(ratios),
+                                                      rel=1e-15)
+    assert rows[0] == ("s", "max_norm_ratio")
+    np.testing.assert_array_equal([r[0] for r in rows[1:]], flat_bundle.s)
+    np.testing.assert_allclose([r[1] for r in rows[1:]],
+                               np.max(ratios, axis=(1, 2)), rtol=1e-15)
+
+
 def test_empty_experiment_list_gives_empty_report():
     scn = runner.parse_config({"chart": "minkowski", "experiments": []})
     report = runner.run(scn)
