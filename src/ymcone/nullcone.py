@@ -502,7 +502,8 @@ class NullConeBundle:
     def mass_aspect(self):
         """Mass aspect mu = 2 div zeta + 2 |zeta|^2 + phi (2 khat.chihat +
         phi |chihat|^2) + 2 rho - Ric(L, Lbar) per node (module docstring),
-        with the curvature from ``geometry.riemann`` in s-chunks.  Zero below
+        with the curvature from ``geometry.riemann`` in windows of chunk // 6
+        slices, the width of a six-seed reconstruction's chunk.  Zero below
         s_min, the flat closure, and exact zeros with no curvature pass on a
         flat chart.  Cached.
         """
@@ -525,8 +526,9 @@ class NullConeBundle:
                 + 2.0 * np.einsum("stpb,stpbc,stpc->stp", zeta, minv, zeta) \
                 + phi * (2.0 * opt["khat_chihat"][live]
                          + phi * opt["chihat2"][live])
-            for i0 in range(live.start, self.n_s + 1, self.chunk):
-                sl = slice(i0, i0 + self.chunk)
+            window = max(1, self.chunk // 6)
+            for i0 in range(live.start, self.n_s + 1, window):
+                sl = slice(i0, i0 + window)
                 curv = geometry.riemann(self.chart, self.x[sl])
                 L, Lbar = self.L[sl], self.Lbar[sl]
                 # R(Lbar, L, Lbar, L) = B R B^T for the bivector B = Lbar L

@@ -23,9 +23,10 @@ scalar weight w (n_s + 1, n_theta, n_phi) instead.
 slices the identity reads, 0 .. ``Crossing.stop`` - 1, in one loop over
 s-chunks that hold one geometry chunk of F per seed: ``bundle.chunk`` slices
 of w, ``bundle.chunk // n`` slices of the stack.  Each chunk forms its own
-seed-free node terms from one F and one Riemann evaluation; the zeta term is
-zeta^c D_c psi with zeta^c = 2 m^{bc} zeta_b, its ray part in the zeroth-order
-coefficient (mu + q zeta^c cb_c) / 2.
+seed-free node terms from one F and one Riemann evaluation.  The terms of the
+cone identity live in two functions, which any weight rank shares:
+``cone_correction`` applies the cone's operators to psi and ``ring_frame``
+gives the initial-data ring's seed-free data.
 """
 
 from __future__ import annotations
@@ -203,6 +204,39 @@ def screen_laplacian(bundle, df, conn, sl=slice(None)):
 # reconstruction assembly
 # ---------------------------------------------------------------------------
 
+def cone_correction(bundle, psi, sl, conn, K, F_LLbar, basis):
+    """The cone identity's corrections to ``psi`` on the slices ``sl``, at
+    psi's rank: D^b D_b psi + zeta^c D_c psi + coef0 psi + ``connect(psi, K,
+    F_LLbar, basis)`` with K = R(L, Lbar) and F(L, Lbar), None where zero."""
+    opt = bundle.optical()
+    # with D_L psi = -(q/2) psi, the zeta term 2 m^{bc} zeta_b (D_c psi
+    # + cb_c q psi / 2) is zeta^c D_c psi, zeta^c = 2 m^{bc} zeta_b,
+    # plus a ray part q zeta^c cb_c psi / 2 that joins mu psi / 2 in coef0
+    zeta_up = 2.0 * np.einsum("stpbc,stpb->stpc", opt["minv"][sl],
+                              opt["zeta"][sl])
+    coef0 = 0.5 * (bundle.mass_aspect()[sl] + conn.q[sl] * np.einsum(
+        "stpc,stpc->stp", zeta_up, opt["cb"][sl]))
+    dpsi = angular_gauge_derivative(bundle, psi, conn, sl)
+    correction = screen_laplacian(bundle, dpsi, conn, sl)
+    correction += np.einsum("stpc,stpc...->stp...", zeta_up, dpsi)
+    del dpsi
+    correction += coef0.reshape(coef0.shape + (1,) * (psi.ndim - 3)) * psi
+    correction += liegauge.connect(psi, K, F_LLbar, basis)
+    return correction
+
+
+def ring_frame(bundle, crossing):
+    """The ring's points, N = 2 that + phi L (D_T + D_N with N = that + phi
+    L) and the coefficient phi trchi / 2 + k: its seed-free data."""
+    opt = bundle.optical()
+    x_ring = crossing.interpolate(bundle.x)
+    phi_ring = crossing.interpolate(bundle.phi)
+    N = 2.0 * geometry.unit_time(bundle.chart, x_ring) \
+        + phi_ring[..., None] * crossing.interpolate(bundle.L)
+    return x_ring, N, 0.5 * phi_ring * crossing.interpolate(opt["trchi"]) \
+        + crossing.interpolate(opt["kscreen"])
+
+
 def representation_target(chart, basis, p, seed, field):
     """4 pi <seed_{ab}, F^{ab}(p)>, the quantity the assembly reconstructs."""
     up = raise_two_form(chart, p, np.asarray(seed, float))
@@ -222,15 +256,14 @@ def assemble_representation(bundle, seeds, field, potential=None,
     with psi_j = w seed_j, goes in one transport march and one loop over
     s-chunks, ``bundle.chunk`` slices of w or ``bundle.chunk // n`` slices of
     the stack.  Each chunk evaluates F and the Riemann tensor once, forms the
-    seed-free node terms from them (F^{ab}, the raised wave source, K,
-    F(L, Lbar), zeta^c and the zeroth-order coefficient (mu + q zeta^c cb_c)
-    / 2), runs the cone correction at psi's rank and reduces it to per-node,
-    per-seed pairings; the ring data are seed-free too.  The loop covers
-    slices 0 .. stop - 1, ``stop`` = ``Crossing.stop``: the cone weights
-    vanish past the ring and the ring interpolation reads up to slice
-    i0 + 2.  The field is assumed to solve the Yang-Mills system, for which
-    its wave operator reduces to curvature couplings and self-interaction
-    (zero on a flat abelian background).
+    seed-free node terms from them (F^{ab}, the raised wave source, K and
+    F(L, Lbar)), runs ``cone_correction`` at psi's rank and reduces it to
+    per-node, per-seed pairings; ``ring_frame`` gives the seed-free ring
+    data.  The loop covers slices 0 .. stop - 1, ``stop`` =
+    ``Crossing.stop``: the cone weights vanish past the ring and the ring
+    interpolation reads up to slice i0 + 2.  The field is assumed to solve
+    the Yang-Mills system, for which its wave operator reduces to curvature
+    couplings and self-interaction (zero on a flat abelian background).
     """
     chart, basis = bundle.chart, field.basis
     seeds = np.asarray(seeds, dtype=float)
@@ -242,25 +275,17 @@ def assemble_representation(bundle, seeds, field, potential=None,
         t_slice = bundle.p[0] - 1.0
     crossing = bundle.crossing(t_slice)
     stop = crossing.stop
-    opt = bundle.optical()
     # the mass aspect's own curvature pass runs before this call's arrays
     # are allocated, which keeps it off the peak memory
-    mu = bundle.mass_aspect()
+    bundle.mass_aspect()
 
     conn = connection(bundle, potential)
-    # --- initial-data ring: D_T F + D_N F = D_{2 that + phi L} F with
-    # N = that + phi L, plus (phi trchi / 2 + k) F, as one seed-free field
-    x_ring = crossing.interpolate(bundle.x)
+    # --- initial-data ring: D_N F + (phi trchi / 2 + k) F, one seed-free field
+    x_ring, N, ring_coef = ring_frame(bundle, crossing)
     s_star = crossing.s_star
-    that_ring = geometry.unit_time(chart, x_ring)
-    phi_ring = crossing.interpolate(bundle.phi)
-    L_ring = crossing.interpolate(bundle.L)
     DF = liegauge.gauge_covariant_derivative(chart, x_ring, field, potential)
-    ring_coef = 0.5 * phi_ring * crossing.interpolate(opt["trchi"]) \
-        + crossing.interpolate(opt["kscreen"])
     ring_up = raise_two_form(chart, x_ring, np.einsum(
-        "...mabk,...m->...abk", DF,
-        2.0 * that_ring + phi_ring[..., None] * L_ring)
+        "...mabk,...m->...abk", DF, N)
         + ring_coef[..., None, None, None] * field(x_ring))
 
     # --- the weight, on the slices the identity reads ---------------------
@@ -306,23 +331,9 @@ def assemble_representation(bundle, seeds, field, potential=None,
             curv.riemann, L, Lbar, optimize=True)
         F_LLbar = None if basis.abelian else np.einsum(
             "stpabk,stpa,stpb->stpk", f, L, Lbar)
-        # with D_L psi = -(q/2) psi, the zeta term 2 m^{bc} zeta_b (D_c psi
-        # + cb_c q psi / 2) is zeta^c D_c psi, zeta^c = 2 m^{bc} zeta_b,
-        # plus a ray part q zeta^c cb_c psi / 2 that joins mu psi / 2 in
-        # coef0
-        zeta_up = 2.0 * np.einsum("stpbc,stpb->stpc", opt["minv"][sl],
-                                  opt["zeta"][sl])
-        coef0 = 0.5 * (mu[sl] + conn.q[sl] * np.einsum(
-            "stpc,stpc->stp", zeta_up, opt["cb"][sl]))
-
-        # --- angular / connection corrections on the cone ----------------
-        dpsi = angular_gauge_derivative(bundle, p, conn, sl)
-        correction = screen_laplacian(bundle, dpsi, conn, sl)
-        correction += np.einsum("stpc,stpc...->stp...", zeta_up, dpsi)
-        del dpsi
-        correction += coef0.reshape(coef0.shape + rank) * p
-        correction += liegauge.connect(p, K, F_LLbar, basis)
-        cone_vals[sl] = paired(correction, F_up, inv_s[sl])
+        cone_vals[sl] = paired(cone_correction(bundle, p, sl, conn, K,
+                                               F_LLbar, basis),
+                               F_up, inv_s[sl])
 
     # --- initial-data ring terms, all seeds in one contraction ------------
     ring_vals = paired(crossing.interpolate(psi)

@@ -5,7 +5,9 @@ einsum with their complex-step derivative, valid on any chart; the
 Kretschmann invariant; the deformation tensor of a vector field with a
 Jacobian; the cyclic Bianchi residual; the sphere's angular gradient; the
 integral over one s-sphere of a cone, the shell integration-by-parts defect
-and the vertex shell limit of the parametrix; a cone's optical scalars from
+and the vertex shell limit of the parametrix; the cone identity for a scalar
+from the package's own terms, with exact solutions of box phi = 0 to check
+it on; a cone's optical scalars from
 its screen matrices by batched products; the mass aspect of a cone by
 its definition off the cone; the stress tensor and the
 direct form of the null flux density; the homogeneous SU(2) oscillator, an
@@ -178,6 +180,71 @@ def vertex_limit(bundle, seed, field, potential=None, n_shells=8):
     ss, vals = vertex_shell_values(bundle, seed, field, potential, n_shells)
     coef = np.polyfit(ss, vals, 1)
     return float(np.polyval(coef, 0.0))
+
+
+def scalar_reconstruction(bundle, phi, dphi, t_slice):
+    """Signed error (total - 4 pi phi(p)) / (4 pi |phi(p)|) of the cone
+    identity for a scalar ``phi`` with box phi = 0 and gradient ``dphi``
+    (..., 4), down to the slice t = ``t_slice``: ``rel_error`` for a unit
+    seed.  Only q acts on the scalar weight, so it is the 0-d weight w that
+    ``transport_weight`` marches; the cone term is <``cone_correction``(w),
+    phi> / s with no curvature or bracket action, the ring term (D_N phi +
+    coef phi) w / s from ``ring_frame`` and no source term is left.
+    """
+    crossing = bundle.crossing(t_slice)
+    stop = crossing.stop
+    conn = parametrix.Connection(None, None, None, None, None,
+                                 bundle.expansion_deficit)
+    w = parametrix.transport_weight(bundle, np.ones(()), conn, stop)
+    inv_s = np.zeros((stop, 1, 1))
+    inv_s[1:, 0, 0] = 1.0 / bundle.s[1:stop]
+    cone = parametrix.cone_correction(bundle, w, slice(0, stop), conn,
+                                      None, None, None) \
+        * inv_s * phi(bundle.x[:stop])
+    x_ring, N, coef = parametrix.ring_frame(bundle, crossing)
+    ring = crossing.interpolate(w) / crossing.s_star * (np.einsum(
+        "...m,...m->...", dphi(x_ring), N) + coef * phi(x_ring))
+    total = bundle.cone_integral(cone, crossing) + crossing.ring_integral(ring)
+    target = 4.0 * np.pi * float(phi(bundle.p))
+    return (total - target) / abs(target)
+
+
+def unit_scalar():
+    """(phi, dphi) for phi = 1, which solves box phi = 0 on any chart."""
+    return (lambda x: np.ones(np.shape(x)[:-1]),
+            lambda x: np.zeros(np.shape(x)))
+
+
+def schwarzschild_monopole(mass):
+    """(phi, dphi) for the static l = 0 solution phi = ln(1 - 2M/r) of box
+    phi = 0 on Schwarzschild."""
+    def phi(x):
+        return np.log(1.0 - 2.0 * mass / np.asarray(x)[..., 1])
+
+    def dphi(x):
+        r = np.asarray(x)[..., 1]
+        out = np.zeros(np.shape(x))
+        out[..., 1] = 2.0 * mass / (r * (r - 2.0 * mass))
+        return out
+
+    return phi, dphi
+
+
+def schwarzschild_dipole(mass):
+    """(phi, dphi) for the static l = 1 solution phi = (r - M) cos theta of
+    box phi = 0 on Schwarzschild."""
+    def phi(x):
+        x = np.asarray(x)
+        return (x[..., 1] - mass) * np.cos(x[..., 2])
+
+    def dphi(x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape)
+        out[..., 1] = np.cos(x[..., 2])
+        out[..., 2] = -(x[..., 1] - mass) * np.sin(x[..., 2])
+        return out
+
+    return phi, dphi
 
 
 def screen_algebra(bundle):

@@ -414,8 +414,9 @@ def test_src_reads_no_environment():
     assert not hits, f"environment reads in src/: {hits}"
 
 
-#: the weight's operators, which ``assemble_representation`` runs once each
-#: for the scalar weight and the seed stack alike
+#: the weight's operators, which the reconstruction runs once each for the
+#: scalar weight and the seed stack alike: ``assemble_representation``
+#: transports, ``cone_correction`` differentiates on the spheres
 WEIGHT_OPERATORS = ("transport_weight", "angular_gauge_derivative",
                     "screen_laplacian")
 
@@ -455,10 +456,16 @@ def assemble_representation(bundle, seeds, field, potential=None):
 
 
 def test_reconstruction_runs_each_weight_operator_once():
-    counts = call_counts((SRC / "parametrix.py").read_text(),
-                         "assemble_representation", WEIGHT_OPERATORS)
-    assert counts == dict.fromkeys(WEIGHT_OPERATORS, 1), \
+    source = (SRC / "parametrix.py").read_text()
+    sphere_ops = WEIGHT_OPERATORS[1:]
+    counts = call_counts(source, "assemble_representation",
+                         WEIGHT_OPERATORS + ("cone_correction",))
+    assert counts == {"transport_weight": 1, "cone_correction": 1,
+                      **dict.fromkeys(sphere_ops, 0)}, \
         f"one route for every weight rank: {counts}"
+    counts = call_counts(source, "cone_correction", sphere_ops)
+    assert counts == dict.fromkeys(sphere_ops, 1), \
+        f"one copy of the cone terms: {counts}"
 
 
 def chunk_loops(source, function):

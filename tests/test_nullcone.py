@@ -289,6 +289,29 @@ def test_mass_aspect_bounded_schwarzschild(schw_bundle):
     assert np.max(np.abs(mu)) < 5.0
 
 
+def test_mass_aspect_curvature_runs_in_narrow_windows(schw_chart,
+                                                     monkeypatch):
+    # the Riemann pass of mu tiles the live slices s >= s_min in windows of
+    # at most chunk // 6 slices, the width of a six-seed reconstruction's
+    # chunk, so it stays below the reconstruction's peak; the cone is the
+    # benchmark's Schwarzschild one (53 live slices)
+    b = nullcone.NullConeBundle(schw_chart, (0.0, 10.0, np.pi / 2, 0.0),
+                                sphere.SphereGrid(8, 16), s_max=1.0, ds=0.016)
+    b.optical()
+    seen, riemann = [], geometry.riemann
+
+    def recording(chart, x):
+        seen.append(x)
+        return riemann(chart, x)
+
+    monkeypatch.setattr(geometry, "riemann", recording)
+    b.mass_aspect()
+    live = int(np.searchsorted(b.s, b.s_min))
+    assert len(seen) > 1
+    assert all(len(x) <= b.chunk // 6 for x in seen)
+    assert np.array_equal(np.concatenate(seen), b.x[live:])
+
+
 def test_mass_aspect_on_the_shortest_curved_cone(schw_bundle):
     # round(s_max / ds) = 11, the fewest slices a scenario may ask for,
     # leaves two live slices; the s-difference of div zeta needs three

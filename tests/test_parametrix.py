@@ -477,3 +477,65 @@ def test_representation_target_closed_form(flat_bundle, u1, seeds):
     val = parametrix.representation_target(flat_bundle.chart, u1,
                                            flat_bundle.p, seeds[0], field)
     assert abs(val + 8.0 * np.pi) < 1e-12
+
+
+# --- the scalar rung: the cone identity for solutions of box phi = 0 -------
+
+SCALAR_LADDER = (0.016, 0.008, 0.004)
+SCALAR_CHARTS = {"schwarzschild": ("schwarzschild", {"mass": 1.0}),
+                 "flrw p=1": ("flrw", {"power": 1.0}),
+                 "flrw p=2": ("flrw", {"power": 2.0})}
+
+
+@pytest.fixture(scope="module")
+def scalar_cone():
+    """An 8x16 cone to s_max = depth + 0.3 per (chart, vertex, depth, ds),
+    built once and shared by the scalar cases at that vertex."""
+    built = {}
+
+    def cone(chart, vertex, depth, ds):
+        key = (chart, vertex, depth, ds)
+        if key not in built:
+            name, params = SCALAR_CHARTS[chart]
+            built[key] = nullcone.NullConeBundle(
+                geometry.make_chart(name, **params), np.array(vertex),
+                sphere.SphereGrid(8, 16), s_max=depth + 0.3, ds=ds)
+        return built[key]
+
+    yield cone
+    built.clear()
+
+
+@pytest.mark.parametrize("chart, vertex, depth", [
+    ("schwarzschild", (0.0, 10.0, np.pi / 2, 0.3), 1.0),
+    ("schwarzschild", (0.0, 6.0, np.pi / 2, 0.3), 1.0),
+    ("flrw p=1", (3.0, 0.0, 0.0, 0.0), 1.0),
+    ("flrw p=2", (3.0, 0.0, 0.0, 0.0), 0.4),
+], ids=["schwarzschild-r10", "schwarzschild-r6", "flrw-p1", "flrw-p2"])
+def test_scalar_identity_converges_at_second_order(scalar_cone, chart, vertex,
+                                                   depth):
+    # phi = 1: the identity built from the package's cone terms converges
+    # at the scheme's order on curved cones (errors -1.2e-7 at r = 10 and
+    # -1.1e-6 at r = 6 on the finest cone, -1.1e-4 and -5.4e-4 on FLRW)
+    phi, dphi = oracles.unit_scalar()
+    errs = np.array([oracles.scalar_reconstruction(
+        scalar_cone(chart, vertex, depth, ds), phi, dphi, vertex[0] - depth)
+        for ds in SCALAR_LADDER])
+    orders = np.log2(np.abs(errs[:-1] / errs[1:]))
+    assert np.all((orders >= 1.8) & (orders <= 2.3)), (errs, orders)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: zeroth-order term")
+@pytest.mark.parametrize("theta, solution", [
+    (np.pi / 2, oracles.schwarzschild_monopole),
+    (1.1, oracles.schwarzschild_dipole),
+], ids=["l=0", "l=1"])
+def test_scalar_identity_closes_on_schwarzschild_multipoles(scalar_cone,
+                                                           theta, solution):
+    # the static l = 0 and l = 1 solutions stall near -1.2e-3 at every ds
+    # while the zeroth-order term is mu / 2
+    vertex = (0.0, 6.0, theta, 0.3)
+    err = oracles.scalar_reconstruction(
+        scalar_cone("schwarzschild", vertex, 1.0, SCALAR_LADDER[-1]),
+        *solution(1.0), vertex[0] - 1.0)
+    assert abs(err) < 1e-5, err
