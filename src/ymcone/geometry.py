@@ -3,7 +3,8 @@
 Charts carry an analytic diagonal metric and its analytic first
 derivatives, vectorized over trailing point axes: every operator accepts
 ``x`` of shape ``(..., 4)`` and returns arrays with matching leading axes.
-Signature is (-,+,+,+) and units have c = 1.
+Signature is (-,+,+,+) and units have c = 1.  Curvature is an operator on
+the bivectors ``BIVECTORS``, from g_aa and its derivatives alone.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ from collections import namedtuple
 import numpy as np
 
 DEGENERATE_DET = 1e-12
-#: imaginary step of the complex-step derivative ``christoffel_derivative``
+#: imaginary step of the complex-step derivative ``diagonal_hessian``
 COMPLEX_STEP = 1e-20
+
+#: the rows e_a ^ e_b, a < b, of a bivector: 01, 02, 03, 12, 13, 23
+BIVECTORS = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
+# e_a ^ e_b is _SIGN[a, b] (0.0 for a = b) times the row _ROW[a, b]
+_ROW = np.zeros((4, 4), dtype=int)
+_ROW[BIVECTORS] = _ROW[BIVECTORS[::-1]] = np.arange(6)
+_SIGN = np.sign(np.arange(4) - np.arange(4)[:, None]).astype(float)
 
 
 class GeometryError(ValueError):
@@ -32,10 +40,10 @@ class FrameError(GeometryError):
 def as_points(x):
     """``x`` as a float array, or as a complex one when it is complex.
 
-    Complex points carry the complex step of ``christoffel_derivative``
-    through the metric diagonal, its first derivatives, the inverse diagonal
-    and ``christoffel``, and go no further: every other operator, and
-    ``christoffel_derivative`` itself, takes real points.
+    Complex points carry the complex step of ``diagonal_hessian`` through
+    ``Chart.ddiagonal`` (and the test oracles' step of Gamma through the
+    diagonal, its reciprocal and ``christoffel``); every other operator
+    takes real points.
     """
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)
@@ -53,13 +61,13 @@ class Chart:
     coordinates it does not depend on (``ignorable``), its one symmetry.
     The reciprocal 1/g_aa (``inverse_diagonal``) follows here; the module
     functions ``inverse_metric`` and ``christoffel`` build the full forms
-    from these, and every higher derivative is the complex step of
-    ``christoffel`` (``christoffel_derivative``).
+    from these, ``diagonal_hessian`` takes d_e d_f g_aa as the complex step
+    of ``ddiagonal``, and ``riemann`` builds the curvature from the three.
     The only nonzero symbols are Gamma^c_ac = Gamma^c_ca = d_a g_cc / 2 g_cc
     and Gamma^c_aa = -d_c g_aa / 2 g_cc.  Code outside this module reads the
     diagonal and contracts Gamma with a vector by ``christoffel_along``; the
-    full forms serve ``riemann``, ``liegauge.gauge_covariant_derivative``
-    and the test oracles.
+    full Gamma serves ``liegauge.gauge_covariant_derivative`` and the test
+    oracles.
     """
 
     name = "chart"
@@ -67,7 +75,7 @@ class Chart:
     #: True when the Ricci tensor vanishes identically (a vacuum metric)
     ricci_flat = False
     #: coordinates the metric does not depend on: d_e g = 0, so the complex
-    #: step of ``christoffel_derivative`` along them is skipped; t among them
+    #: step of ``diagonal_hessian`` along them is skipped; t among them
     #: makes d/dt Killing, and ``energy.bulk_term`` 0
     ignorable = ()
     #: where ``contains`` holds, for error messages
@@ -370,47 +378,87 @@ def christoffel(chart, x):
                                 0.5 * chart.inverse_diagonal(x))
 
 
-def christoffel_derivative(chart, x):
-    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]): for each e the
-    complex step Im christoffel(x + i h e_e) / h, h = COMPLEX_STEP, which is
-    exact to roundoff.  Along the chart's ``ignorable`` coordinates the
-    derivative is exact zeros and no step is taken."""
+def diagonal_hessian(chart, x):
+    """d_e d_f g_aa, shape (..., 4[e], 4[f], 4[a]): for each e the complex
+    step Im ddiagonal(x + i h e_e) / h, h = COMPLEX_STEP, which is exact to
+    roundoff.  Along the chart's ``ignorable`` coordinates it is exact zeros
+    and no step is taken."""
     x = np.asarray(x, dtype=float)
-    out = _zeros(x, 4, 4, 4, 4)
+    out = _zeros(x, 4, 4, 4)
     z = x.astype(complex)
     for e in range(4):
         if e in chart.ignorable:
             continue
         z[..., e] += 1j * COMPLEX_STEP
-        out[..., e, :, :, :] = christoffel(chart, z).imag / COMPLEX_STEP
+        out[..., e, :, :] = chart.ddiagonal(z).imag / COMPLEX_STEP
         z[..., e] = x[..., e]
     return out
 
 
-#: lowered Riemann tensor R_abcd and Ricci tensor R_ab at a point batch
-CurvatureTensors = namedtuple("CurvatureTensors", "riemann ricci")
+class Curvature(namedtuple("Curvature", "bivector ricci")):
+    """bivector[..., J, K] = R_abcd for the rows J = (a, b), K = (c, d) of
+    ``BIVECTORS``, (..., 6, 6), and the Ricci tensor, (..., 4, 4)."""
+
+    @property
+    def riemann(self):
+        """R_abcd, (..., 4, 4, 4, 4), for the Cartan check and the tests."""
+        return self.bivector[..., _ROW[:, :, None, None], _ROW] \
+            * (_SIGN[:, :, None, None] * _SIGN)
+
+
+# (b, c, a) of T_bca for the entries R_abac, b < c, then T_bba and T_aab for
+# the diagonal rows (a, b)
+_TERMS = np.hstack([np.array([(b, c, a) for a in range(4)
+                              for b, c in zip(*BIVECTORS)
+                              if a not in (b, c)]).T,
+                    np.array(BIVECTORS)[[1, 1, 0]],
+                    np.array(BIVECTORS)[[0, 0, 1]]])
 
 
 def riemann(chart, x):
-    """Curvature tensors from the analytic connection.
+    """Curvature of the chart's diagonal metric, a ``Curvature``.
 
     Convention: R^r_smn = d_m Gamma^r_ns - d_n Gamma^r_ms
     + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms, lowered on the first
-    index; Ricci is the contraction R_mn = R^c_mcn.
+    index; Ricci is R_mn = R^c_mcn = sum_c R_cmcn / g_cc.  With G_ea =
+    d_e g_aa, h_a = 1/g_aa and no sums, R_abcd = 0 for distinct a, b, c, d,
+    and T_bca = -d_b d_c g_aa / 2 + (G_ba (G_ca h_a + G_cb h_b) + G_ca G_bc
+    h_c) / 4 gives R_abac = T_bca (a, b, c distinct) and R_abab = T_bba +
+    T_aab - sum_e G_ea G_eb h_e / 4, so at most 18 of the 21 entries are
+    nonzero.  Raises DegenerateMetricError where |det g| < DEGENERATE_DET.
     """
-    gamma = christoffel(chart, x)
-    lead = gamma.shape[:-3]
-    # gg[r, m, n, s] = Gamma^r_ml Gamma^l_ns, one GEMM of (rm, l) by (l, ns)
-    gg = (gamma.reshape(lead + (16, 4)) @ gamma.reshape(lead + (4, 16))) \
-        .reshape(lead + (4, 4, 4, 4))
-    # half[r, s, m, n] = d_m Gamma^r_ns + Gamma^r_ml Gamma^l_ns, summed in
-    # gg's memory: a third array of this size raises the peak RSS
-    half = np.moveaxis(gg, -1, -3)
-    half += np.einsum("...mrns->...rsmn", christoffel_derivative(chart, x))
-    up = half - np.swapaxes(half, -1, -2)
-    ricci = np.einsum("...cmcn->...mn", up)
-    low = chart.diagonal(x)[..., :, None, None, None] * up
-    return CurvatureTensors(low, ricci)
+    x = np.asarray(x, dtype=float)
+    h = chart.inverse_diagonal(x)
+    G = chart.ddiagonal(x)                      # [e, a] = d_e g_aa
+    Gh = G * h[..., None, :]
+    b, c, a = _TERMS
+    T = 0.25 * (G[..., b, a] * (Gh[..., c, a] + Gh[..., c, b])
+                + G[..., c, a] * Gh[..., b, c]) \
+        - 0.5 * diagonal_hessian(chart, x)[..., b, c, a]
+    out = np.zeros(x.shape[:-1] + (6, 6))
+    b, c, a = _TERMS[:, :12]
+    out[..., _ROW[a, b], _ROW[a, c]] = out[..., _ROW[a, c], _ROW[a, b]] = \
+        _SIGN[a, b] * _SIGN[a, c] * T[..., :12]
+    a, b = BIVECTORS
+    out[..., range(6), range(6)] = T[..., 12:18] + T[..., 18:] - 0.25 * (
+        np.swapaxes(G, -1, -2) @ (h[..., :, None] * G))[..., a, b]
+    cmcn = out[..., _ROW[:, :, None], _ROW[:, None, :]]     # R_cmcn, unsigned
+    return Curvature(out, np.einsum("...c,cmn,...cmn->...mn", h,
+                                    _SIGN[:, :, None] * _SIGN[:, None, :],
+                                    cmcn))
+
+
+def wedge(u, v):
+    """The bivector u ^ v in the rows of ``BIVECTORS``, shape (..., 6):
+    u^a v^b - u^b v^a for each row (a, b)."""
+    a, b = BIVECTORS
+    return u[..., a] * v[..., b] - u[..., b] * v[..., a]
+
+
+def two_form(w):
+    """The antisymmetric (..., 4, 4, k) form w_ab whose bivector rows are
+    ``w`` (..., 6, k): w_ab = w[row (a, b)] for a < b."""
+    return np.take(w, _ROW, axis=-2) * _SIGN[:, :, None]
 
 
 # ---------------------------------------------------------------------------

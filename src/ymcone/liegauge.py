@@ -206,6 +206,12 @@ def wave_source(chart, x, f, basis, curv):
     S_{mn} = -2 R_{gmna} F^{ag} - R_{mg} F_n^g - R_{ng} F^g_m
              - 2 [F^a_m, F_{na}],
     antisymmetric in (m, n); vanishes for an abelian field on a flat chart.
+    The Riemann term is one product of the bivector operator: F^{ag} is
+    antisymmetric, so R_{gmna} F^{ag} = (R_{gmna} + R_{gnam}) F^{ag} / 2 by
+    the pair symmetries, = -R_{gamn} F^{ag} / 2 = R_{mnga} F^{ga} / 2 by the
+    first Bianchi identity R_{gmna} + R_{gnam} + R_{gamn} = 0, and summing
+    both orders of each pair (g, a) gives -2 sum_J R_{(mn), J} F^J over the
+    rows J = (g, a), g < a, of ``geometry.BIVECTORS``.
     ``f`` holds the values F(x), (..., 4, 4, dim), in the algebra ``basis``.
     ``curv`` is ``geometry.riemann(chart, x)``, unused (may be None) on a
     flat chart.
@@ -213,12 +219,13 @@ def wave_source(chart, x, f, basis, curv):
     inv = chart.inverse_diagonal(x)
     out = np.zeros_like(f)
     if not chart.flat:
-        R, Ric = curv.riemann, curv.ricci
         fmixed = f * inv[..., None, :, None]                # F_n^g
         fupup = inv[..., :, None, None] * fmixed            # F^{ag}
-        out = -2.0 * np.einsum("...gmna,...agi->...mni", R, fupup) \
-            - np.einsum("...mg,...ngk->...mnk", Ric, fmixed) \
-            + np.einsum("...ng,...mgk->...mnk", Ric, fmixed)  # -R_ng F^g_m
+        g, a = geometry.BIVECTORS
+        # -R_ng F^g_m = R_ng F_m^g, and -R_mg F_n^g is its (m, n) swap
+        ric = np.einsum("...ng,...mgk->...mnk", curv.ricci, fmixed)
+        out = -2.0 * geometry.two_form(curv.bivector @ fupup[..., g, a, :]) \
+            + ric - np.swapaxes(ric, -3, -2)
     if not basis.abelian:             # [F^a_m, F_na] per a
         comm = basis.bracket((inv[..., :, None, None] * f)[..., None, :],
                              np.swapaxes(f, -3, -2)[..., None, :, :])

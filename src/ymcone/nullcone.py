@@ -29,7 +29,8 @@ and R(W, Z, X, Y) = g(W, [nabla_X, nabla_Y] Z) as in ``geometry.riemann``:
   H(nabla_Lbar L, Lbar) = 4 |zeta|^2, sum_A (nabla_A H(Lbar, .))(e_A) =
   2 div zeta - 2 omega trchi, -sum_A H(e_A, nabla_A Lbar) = -2 |zeta|^2 -
   chi.chibar and sum_A R(e_A, L, Lbar, e_A) = 2 rho - Ric(L, Lbar), with
-  rho = R(Lbar, L, Lbar, L) / 4.
+  rho = R(Lbar, L, Lbar, L) / 4 = W.R.W / 4, the bilinear form of the
+  bivector operator ``geometry.riemann`` on W = Lbar ^ L.
 - So mu = 2 div zeta + 2 |zeta|^2 - chihat.chibarhat + 2 rho - Ric(L, Lbar):
   the omega terms cancel, as mu does not change when L is rescaled off the
   cone.  chibar = -phi (2 k + phi chi), so -chihat.chibarhat = phi
@@ -502,10 +503,10 @@ class NullConeBundle:
     def mass_aspect(self):
         """Mass aspect mu = 2 div zeta + 2 |zeta|^2 + phi (2 khat.chihat +
         phi |chihat|^2) + 2 rho - Ric(L, Lbar) per node (module docstring),
-        with the curvature from ``geometry.riemann`` in windows of chunk // 6
-        slices, the width of a six-seed reconstruction's chunk.  Zero below
-        s_min, the flat closure, and exact zeros with no curvature pass on a
-        flat chart.  Cached.
+        with the bivector curvature ``geometry.riemann`` in windows of
+        chunk // 6 slices, the width of a six-seed reconstruction's chunk.
+        Zero below s_min, the flat closure, and exact zeros with no curvature
+        pass on a flat chart.  Cached.
         """
         if "mass_aspect" in self._cache:
             return self._cache["mass_aspect"]
@@ -531,11 +532,9 @@ class NullConeBundle:
                 sl = slice(i0, i0 + window)
                 curv = geometry.riemann(self.chart, self.x[sl])
                 L, Lbar = self.L[sl], self.Lbar[sl]
-                # R(Lbar, L, Lbar, L) = B R B^T for the bivector B = Lbar L
-                B = (Lbar[..., :, None] * L[..., None, :]).reshape(
-                    L.shape[:-1] + (1, 16))
-                rho4 = B @ curv.riemann.reshape(B.shape[:-2] + (16, 16)) \
-                    @ np.swapaxes(B, -1, -2)
+                # R(Lbar, L, Lbar, L) = W R W for the bivector W = Lbar ^ L
+                W = geometry.wedge(Lbar, L)[..., None, :]
+                rho4 = W @ curv.bivector @ np.swapaxes(W, -1, -2)
                 mu[sl] += 0.5 * rho4[..., 0, 0] \
                     - np.einsum("...ab,...a,...b->...", curv.ricci, L, Lbar)
             mu[self.s < self.s_min] = 0.0

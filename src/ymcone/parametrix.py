@@ -23,7 +23,7 @@ scalar weight w (n_s + 1, n_theta, n_phi) instead.
 slices the identity reads, 0 .. ``Crossing.stop`` - 1, in one loop over
 s-chunks that hold one geometry chunk of F per seed: ``bundle.chunk`` slices
 of w, ``bundle.chunk // n`` slices of the stack.  Each chunk forms its own
-seed-free node terms from one F and one Riemann evaluation.  The terms of the
+seed-free node terms from one F and one curvature evaluation.  The terms of the
 cone identity live in two functions, which any weight rank shares:
 ``cone_correction`` applies the cone's operators to psi and ``ring_frame``
 gives the initial-data ring's seed-free data.
@@ -255,7 +255,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     (stop, nth, nph, n, 4, 4, dim) or on a flat abelian cone one scalar w
     with psi_j = w seed_j, goes in one transport march and one loop over
     s-chunks, ``bundle.chunk`` slices of w or ``bundle.chunk // n`` slices of
-    the stack.  Each chunk evaluates F and the Riemann tensor once, forms the
+    the stack.  Each chunk evaluates F and the curvature once, forms the
     seed-free node terms from them (F^{ab}, the raised wave source, K and
     F(L, Lbar)), runs ``cone_correction`` at psi's rank and reduces it to
     per-node, per-seed pairings; ``ring_frame`` gives the seed-free ring
@@ -315,7 +315,7 @@ def assemble_representation(bundle, seeds, field, potential=None,
     width = bundle.chunk if scalar else max(1, bundle.chunk // len(seeds))
     for sl in _chunks(stop, width):
         x, p, L, Lbar = bundle.x[sl], psi[sl], bundle.L[sl], bundle.Lbar[sl]
-        # --- seed-free node terms, from one field and Riemann evaluation
+        # --- seed-free node terms, from one field and curvature evaluation
         f = field(x)
         F_up = raise_two_form(chart, x, f)
         curv = None if chart.flat else geometry.riemann(chart, x)
@@ -324,11 +324,12 @@ def assemble_representation(bundle, seeds, field, potential=None,
                 chart, x, liegauge.wave_source(chart, x, f, basis, curv)),
                 inv_s[sl])
         # R(L, Lbar) and F(L, Lbar) act on psi as connection coefficients:
-        # K[g, a] = g^{gg} R_{a g L Lbar} / 2 (None: zero on a flat chart)
-        # and F(L, Lbar) (None: abelian)
-        K = None if curv is None else 0.5 * np.einsum(
-            "...g,...agnm,...m,...n->...ga", chart.inverse_diagonal(x),
-            curv.riemann, L, Lbar, optimize=True)
+        # K[g, a] = g^{gg} R_{g a L Lbar} / 2, the bivector operator on
+        # L ^ Lbar (None: zero on a flat chart), and F(L, Lbar) (None:
+        # abelian)
+        K = None if curv is None else 0.5 \
+            * chart.inverse_diagonal(x)[..., :, None] * geometry.two_form(
+                curv.bivector @ geometry.wedge(L, Lbar)[..., None])[..., 0]
         F_LLbar = None if basis.abelian else np.einsum(
             "stpabk,stpa,stpb->stpk", f, L, Lbar)
         cone_vals[sl] = paired(cone_correction(bundle, p, sl, conn, K,

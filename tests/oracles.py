@@ -2,17 +2,18 @@
 
 The full metric, and the generic Christoffel symbols by LAPACK inversion and
 einsum with their complex-step derivative, valid on any chart; the
-Kretschmann invariant; the deformation tensor of a vector field with a
-Jacobian; the cyclic Bianchi residual; the sphere's angular gradient; the
-integral over one s-sphere of a cone, the shell integration-by-parts defect
-and the vertex shell limit of the parametrix; the cone identity for a scalar
-from the package's own terms, with exact solutions of box phi = 0 to check
-it on; a cone's optical scalars from
-its screen matrices by batched products; the mass aspect of a cone by
-its definition off the cone; the stress tensor and the
-direct form of the null flux density; the homogeneous SU(2) oscillator, an
-exact non-abelian Yang-Mills solution; and u(1) standing-wave data for the
-lattice evolution.
+complex-step derivative of the closed-form Christoffel symbols and the
+curvature tensors from them, the generic route that ``geometry.riemann``'s
+bivector operator replaces; the Kretschmann invariant; the deformation
+tensor of a vector field with a Jacobian; the cyclic Bianchi residual; the
+sphere's angular gradient; the integral over one s-sphere of a cone, the
+shell integration-by-parts defect and the vertex shell limit of the
+parametrix; the cone identity for a scalar from the package's own terms,
+with exact solutions of box phi = 0 to check it on; a cone's optical scalars
+from its screen matrices by batched products; the mass aspect of a cone by
+its definition off the cone; the stress tensor and the direct form of the
+null flux density; the homogeneous SU(2) oscillator, an exact non-abelian
+Yang-Mills solution; and u(1) standing-wave data for the lattice evolution.
 """
 
 import numpy as np
@@ -63,6 +64,41 @@ def generic_christoffel_derivative(chart, x):
     h = COMPLEX_STEP
     return np.stack([generic_christoffel(chart, x + 1j * h * e).imag / h
                      for e in np.eye(4)], axis=-4)
+
+
+def christoffel_derivative(chart, x):
+    """d_e Gamma^c_ab, shape (..., 4[e], 4[c], 4[a], 4[b]): for each e the
+    complex step Im christoffel(x + i h e_e) / h, h = COMPLEX_STEP, which is
+    exact to roundoff.  Along the chart's ``ignorable`` coordinates the
+    derivative is exact zeros and no step is taken."""
+    x = np.asarray(x, dtype=float)
+    out = _zeros(x, 4, 4, 4, 4)
+    z = x.astype(complex)
+    for e in range(4):
+        if e in chart.ignorable:
+            continue
+        z[..., e] += 1j * COMPLEX_STEP
+        out[..., e, :, :, :] = christoffel(chart, z).imag / COMPLEX_STEP
+        z[..., e] = x[..., e]
+    return out
+
+
+def connection_curvature(chart, x):
+    """The lowered Riemann tensor R_rsmn and the Ricci tensor R_mn from Gamma
+    and its derivative, valid on any chart: R^r_smn = d_m Gamma^r_ns -
+    d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms, lowered
+    on the first index, and R_mn = R^c_mcn."""
+    gamma = christoffel(chart, x)
+    lead = gamma.shape[:-3]
+    # gg[r, m, n, s] = Gamma^r_ml Gamma^l_ns, one GEMM of (rm, l) by (l, ns)
+    gg = (gamma.reshape(lead + (16, 4)) @ gamma.reshape(lead + (4, 16))) \
+        .reshape(lead + (4, 4, 4, 4))
+    # half[r, s, m, n] = d_m Gamma^r_ns + Gamma^r_ml Gamma^l_ns
+    half = np.moveaxis(gg, -1, -3)
+    half += np.einsum("...mrns->...rsmn", christoffel_derivative(chart, x))
+    up = half - np.swapaxes(half, -1, -2)
+    ricci = np.einsum("...cmcn->...mn", up)
+    return chart.diagonal(x)[..., :, None, None, None] * up, ricci
 
 
 def kretschmann(chart, x):

@@ -114,7 +114,7 @@ def test_closed_forms_match_generic_route(name, params, x):
     gamma = geometry.christoffel(chart, pts)
     ref = oracles.generic_christoffel(chart, pts)
     assert np.max(np.abs(gamma - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
-    dgamma = geometry.christoffel_derivative(chart, pts)
+    dgamma = oracles.christoffel_derivative(chart, pts)
     ref = oracles.generic_christoffel_derivative(chart, pts)
     assert np.max(np.abs(dgamma - ref)) \
         <= 1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -147,7 +147,7 @@ def test_diagonal_derivatives_match_differences(name, params, x):
     h = 1e-3     # every catalog point has angles and radii of order 1 or more
     for fn, deriv in ((chart.diagonal, chart.ddiagonal),
                       (lambda p: geometry.christoffel(chart, p),
-                       lambda p: geometry.christoffel_derivative(chart, p))):
+                       lambda p: oracles.christoffel_derivative(chart, p))):
         want = geometry._fd_derivative(fn, pts, h)
         got = deriv(pts)
         assert got.shape == want.shape
@@ -194,7 +194,7 @@ def test_christoffel_derivative_matches_symbolic(name, params, x):
     ref = np.stack([np.broadcast_to(np.asarray(v, dtype=float), pts.shape[:-1])
                     for v in dgamma(*np.moveaxis(pts, -1, 0))], axis=-1)
     ref = ref.reshape(pts.shape[:-1] + (4, 4, 4, 4))
-    got = geometry.christoffel_derivative(chart, pts)
+    got = oracles.christoffel_derivative(chart, pts)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -214,7 +214,7 @@ def test_ignorable_coordinates_step_to_exact_zeros(name):
                      for e in np.eye(4)], axis=-4)
     for e in range(4):
         assert np.all(full[:, e] == 0.0) == (e in chart.ignorable)
-    assert np.array_equal(geometry.christoffel_derivative(chart, pts), full)
+    assert np.array_equal(oracles.christoffel_derivative(chart, pts), full)
 
 
 @pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
@@ -233,11 +233,91 @@ def test_flat_and_ricci_flat_match_the_curvature(name, params, x):
     assert np.all(small) if chart.ricci_flat else not np.any(small)
 
 
+CURVED_POINTS = CATALOG_POINTS + [("flrw", {"power": 0.5},
+                                   [1.5, 0.2, 0.4, -0.3])]
+
+
+@pytest.mark.parametrize("name,params,x", CURVED_POINTS)
+def test_bivector_curvature_matches_connection_oracle(name, params, x):
+    # the 6x6 operator from g_aa and its derivatives against the generic
+    # route from Gamma and its complex-step derivative, read at the rows
+    # (a, b) and (c, d) of each entry, and the tensor it scatters
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(x) + 0.05 * np.random.default_rng(23) \
+        .standard_normal((6, 4))
+    ref, _ = oracles.connection_curvature(chart, pts)
+    a, b = geometry.BIVECTORS
+    rows = ref[..., a[:, None], b[:, None], a, b]
+    curv = geometry.riemann(chart, pts)
+    scale = 1e-13 * np.max(np.abs(ref))
+    assert curv.bivector.shape == rows.shape == (6, 6, 6)
+    assert np.max(np.abs(curv.bivector - rows)) <= scale
+    assert np.max(np.abs(curv.riemann - ref)) <= scale
+
+
+@pytest.mark.parametrize("name,params,x", CURVED_POINTS)
+def test_bivector_ricci_matches_connection_oracle(name, params, x):
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(x) + 0.05 * np.random.default_rng(29) \
+        .standard_normal((6, 4))
+    ref, ricci = oracles.connection_curvature(chart, pts)
+    got = geometry.riemann(chart, pts).ricci
+    assert got.shape == ricci.shape == (6, 4, 4)
+    assert np.max(np.abs(got - ricci)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name,params,x", CATALOG_POINTS)
+def test_bivector_curvature_structure(name, params, x):
+    # symmetric, with the complementary rows 01|23, 02|13 and 03|12 exact
+    # zeros; on Minkowski every entry is an exact zero
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(x) + 0.3 * np.random.default_rng(31) \
+        .standard_normal((16, 4))
+    op = geometry.riemann(chart, pts).bivector
+    assert np.array_equal(op, np.swapaxes(op, -1, -2))
+    assert np.all(op[..., [0, 1, 2], [5, 4, 3]] == 0.0)
+    assert np.all(op == 0.0) == chart.flat
+
+
+@pytest.mark.parametrize("name", sorted(geometry.CHART_CATALOG))
+def test_diagonal_hessian_steps_only_where_the_metric_varies(name):
+    # the complex step of d g_aa along each ignorable coordinate is exact
+    # zeros at random in-domain points, and along every other one it is not;
+    # diagonal_hessian skips the former and equals the full stepping
+    _, params, x = next(c for c in CATALOG_POINTS if c[0] == name)
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(x) + 0.3 * np.random.default_rng(37) \
+        .standard_normal((16, 4))
+    assert np.all(chart.contains(pts))
+    h = geometry.COMPLEX_STEP
+    full = np.stack([chart.ddiagonal(pts + 1j * h * e).imag / h
+                     for e in np.eye(4)], axis=-3)
+    for e in range(4):
+        assert np.all(full[:, e] == 0.0) == (e in chart.ignorable)
+    assert np.array_equal(geometry.diagonal_hessian(chart, pts), full)
+
+
+@pytest.mark.parametrize("name,params,x", CURVED_POINTS)
+def test_diagonal_hessian_matches_symbolic(name, params, x):
+    chart = geometry.make_chart(name, **params)
+    pts = np.asarray(x) + 0.05 * np.random.default_rng(41) \
+        .standard_normal((6, 4))
+    coords = sp.symbols("x0:4", real=True)
+    diag = _symbolic_diagonal(name, params, coords)
+    hess = sp.lambdify(coords, [sp.diff(diag[a], e, f) for e in coords
+                                for f in coords for a in range(4)], "numpy")
+    ref = np.stack([np.broadcast_to(np.asarray(v, dtype=float), pts.shape[:-1])
+                    for v in hess(*np.moveaxis(pts, -1, 0))], axis=-1)
+    ref = ref.reshape(pts.shape[:-1] + (4, 4, 4))
+    got = geometry.diagonal_hessian(chart, pts)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_closed_forms_reject_degenerate_point(schw_chart):
     horizon = np.array([[0.0, 10.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
         for op in (geometry.inverse_metric, geometry.christoffel,
-                   geometry.christoffel_derivative):
+                   oracles.christoffel_derivative, geometry.riemann):
             with pytest.raises(geometry.DegenerateMetricError):
                 op(schw_chart, horizon)
 

@@ -227,8 +227,8 @@ def shifted(self, eps):
 
 
 def test_no_complex_values_outside_geometry():
-    # the one complex step is geometry.christoffel_derivative; a cone, its
-    # optics and its mass aspect are real
+    # the one complex step is geometry.diagonal_hessian; a cone, its optics
+    # and its mass aspect are real
     hits = [(path.stem, line) for path in sorted(SRC.glob("*.py"))
             if path.stem != "geometry"
             for line in complex_values(path.read_text())]
@@ -332,9 +332,9 @@ def test_src_imports_no_scipy():
 
 
 #: the one place a complex value's parts are read: the complex step, and the
-#: conversion that lets its complex points through to ``christoffel``
+#: conversion that lets its complex points through to ``Chart.ddiagonal``
 COMPLEX_PARTS_ALLOWED = {("geometry", "as_points"),
-                         ("geometry", "christoffel_derivative")}
+                         ("geometry", "diagonal_hessian")}
 
 
 def complex_parts(source, module):
@@ -360,8 +360,8 @@ def as_points(x):
     x = np.asarray(x)
     return x if np.iscomplexobj(x) else x.astype(float, copy=False)
 
-def christoffel_derivative(chart, x):
-    return christoffel(chart, x + 1e-20j).imag / 1e-20
+def diagonal_hessian(chart, x):
+    return chart.ddiagonal(x + 1e-20j).imag / 1e-20
 
 def orthonormal_frame(chart, x, time_axis_hint):
     norm2 = _dot(chart.diagonal(x), time_axis_hint, time_axis_hint)
@@ -495,3 +495,37 @@ def test_reconstruction_runs_one_chunk_loop():
                         "assemble_representation")
     assert loops == 1, \
         f"the seed-free node terms share the weight's chunk loop: {loops}"
+
+
+#: the cone's modules, which read curvature as its bivector operator
+CONE_MODULES = ("nullcone", "parametrix", "liegauge")
+
+
+def riemann_tensor_reads(source):
+    """Line numbers of the ``.riemann`` attributes in ``source`` other than
+    the function ``geometry.riemann``: reads of a curvature result's full
+    (..., 4, 4, 4, 4) tensor."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "riemann"
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "geometry"))
+
+
+def test_checker_flags_a_riemann_tensor_read():
+    source = '''
+def mass_aspect(self):
+    curv = geometry.riemann(self.chart, self.x)
+    rho4 = np.einsum("...abcd,...a,...b->...cd", curv.riemann, Lbar, L)
+    R = geometry.riemann(chart, x).riemann
+    return rho4, curv.bivector, R
+'''
+    assert riemann_tensor_reads(source) == [4, 5]
+
+
+def test_cone_reads_curvature_as_a_bivector_operator():
+    # the generic (..., 4, 4, 4, 4) tensor stays off the cone path: only the
+    # runner's Cartan check and the tests read it
+    hits = [(module, line) for module in CONE_MODULES
+            for line in riemann_tensor_reads(
+                (SRC / f"{module}.py").read_text())]
+    assert not hits, f"Riemann tensor read on the cone path: {hits}"

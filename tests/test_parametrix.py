@@ -324,6 +324,33 @@ def test_curvature_computed_once_per_call(schw_bundle, u1, seeds,
     assert counts[1]["christoffel"] == counts[0]["christoffel"]
 
 
+def test_curvature_coupling_is_the_tensor_contraction(schw_bundle, u1,
+                                                      seeds, monkeypatch):
+    # K[g, a] = g^{gg} R_{a g Lbar L} / 2, which cone_correction applies to
+    # psi, from the bivector operator per chunk against the contraction of
+    # the generic tensor from Gamma and its derivative
+    seen = []
+
+    def recording(bundle, psi, sl, conn, K, *rest,
+                  fn=parametrix.cone_correction):
+        seen.append((sl, K))
+        return fn(bundle, psi, sl, conn, K, *rest)
+
+    monkeypatch.setattr(parametrix, "cone_correction", recording)
+    field, potential = runner.make_field(u1, "coulomb", {"charge": 1.0})
+    parametrix.assemble_representation(schw_bundle, seeds, field,
+                                       potential=potential,
+                                       t_slice=schw_bundle.p[0] - 0.3)
+    assert len(seen) > 1
+    chart = schw_bundle.chart
+    for sl, K in seen:
+        x, L, Lbar = schw_bundle.x[sl], schw_bundle.L[sl], schw_bundle.Lbar[sl]
+        R, _ = oracles.connection_curvature(chart, x)
+        ref = 0.5 * np.einsum("...g,...agnm,...n,...m->...ga",
+                              chart.inverse_diagonal(x), R, Lbar, L)
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("name", ["flat", "schwarzschild"])
 def test_seed_free_terms_follow_the_weight_chunks(name, request, u1, seeds,
                                                   monkeypatch):
